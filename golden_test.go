@@ -1,0 +1,298 @@
+package mwvc_test
+
+// Golden fingerprints of the two Algorithm 2 solvers. Each case hashes the
+// cover, the Float64bits of every dual, the round and phase counts, and the
+// full observer event stream into one SHA-256 digest. The table below pins
+// the digests, so a refactor of the phase driver that moves a single bit of
+// output, or reorders a single event, fails here with the case's name.
+//
+// The dense cases solve G(8000, 256), the mpc-dense benchmark input, and take
+// a few seconds; they run only when MWVC_GOLDEN_DENSE is set.
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"os"
+	"sort"
+	"testing"
+
+	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/solver"
+)
+
+// goldenDigests maps a case name to the first 16 hex digits of its digest.
+var goldenDigests = map[string]string{
+	"dense/1/mpc":                               "af0bbae1d44dbb4c",
+	"dense/1/mpc-compress":                      "a1449b5bbe7185e3",
+	"dense/2/mpc":                               "a90480eed23f7dba",
+	"dense/2/mpc-compress":                      "c7e326500b0737e4",
+	"dense/3/mpc":                               "595a57bf0266fd1f",
+	"dense/3/mpc-compress":                      "f4defa40c623b291",
+	"bimodal/10/mpc":                            "d47276f46f052e3e",
+	"bimodal/10/mpc-compress":                   "c9b80dbdea6c9b2b",
+	"compress/gnp-uniform/1/mpc":                "53c86220c5a9faf6",
+	"compress/gnp-uniform/1/mpc-compress":       "49184d98200dbd97",
+	"compress/gnp-uniform/2/mpc":                "75fef27dbc333a89",
+	"compress/gnp-uniform/2/mpc-compress":       "3705145ec619e572",
+	"compress/regular-unit/1/mpc":               "4f4f22ad62f5cdc3",
+	"compress/regular-unit/1/mpc-compress":      "86a5c1d6d38f55bc",
+	"compress/regular-unit/2/mpc":               "ea5863ef692ac8fd",
+	"compress/regular-unit/2/mpc-compress":      "9af763b856780c67",
+	"compress/smallworld-degree/1/mpc":          "af1267ff5f75de76",
+	"compress/smallworld-degree/1/mpc-compress": "fa3cd0204a3e4183",
+	"compress/smallworld-degree/2/mpc":          "76fb904a72fe2072",
+	"compress/smallworld-degree/2/mpc-compress": "4cd347b08c7c8adf",
+	"core/collect-coupling/bimodal":             "9efe28e04ca31713",
+	"core/collect-coupling/gnp-uniform":         "f36a33193a38b5b0",
+	"core/disable-bias/bimodal":                 "a92e12cb94eb92e9",
+	"core/disable-bias/gnp-uniform":             "581a4512597a9e12",
+	"core/disable-inactive-split/bimodal":       "b88e0b9ca7f3f719",
+	"core/disable-inactive-split/gnp-uniform":   "e2e768e413ea8c44",
+	"core/fixed-thresholds/bimodal":             "7cb56804273dd858",
+	"core/fixed-thresholds/gnp-uniform":         "a2532ee6a8d9f06d",
+	"core/uniform-init/bimodal":                 "e1b68d17e197522a",
+	"core/uniform-init/gnp-uniform":             "be50e2ed5a6fd84d",
+	"diff/bipartite-loguniform/1/mpc":           "8fee41fd4d776047",
+	"diff/bipartite-loguniform/1/mpc-compress":  "8fee41fd4d776047",
+	"diff/bipartite-loguniform/2/mpc":           "c8d8fb51df031eb8",
+	"diff/bipartite-loguniform/2/mpc-compress":  "c8d8fb51df031eb8",
+	"diff/bipartite-loguniform/3/mpc":           "a08eb118f0dd13c5",
+	"diff/bipartite-loguniform/3/mpc-compress":  "a08eb118f0dd13c5",
+	"diff/gnp-uniform/1/mpc":                    "ad3e6b563c7be83b",
+	"diff/gnp-uniform/1/mpc-compress":           "ad3e6b563c7be83b",
+	"diff/gnp-uniform/2/mpc":                    "dbf04b88490ee94d",
+	"diff/gnp-uniform/2/mpc-compress":           "dbf04b88490ee94d",
+	"diff/gnp-uniform/3/mpc":                    "4be3192c80004050",
+	"diff/gnp-uniform/3/mpc-compress":           "4be3192c80004050",
+	"diff/powerlaw-exp/1/mpc":                   "6aa2ad60c9a7e1d0",
+	"diff/powerlaw-exp/1/mpc-compress":          "6aa2ad60c9a7e1d0",
+	"diff/powerlaw-exp/2/mpc":                   "87c995676e6665ba",
+	"diff/powerlaw-exp/2/mpc-compress":          "87c995676e6665ba",
+	"diff/powerlaw-exp/3/mpc":                   "6fe9cc06b4634628",
+	"diff/powerlaw-exp/3/mpc-compress":          "6fe9cc06b4634628",
+	"diff/regular-unit/1/mpc":                   "8f754c5417871adb",
+	"diff/regular-unit/1/mpc-compress":          "8f754c5417871adb",
+	"diff/regular-unit/2/mpc":                   "19a018e13b49136b",
+	"diff/regular-unit/2/mpc-compress":          "19a018e13b49136b",
+	"diff/regular-unit/3/mpc":                   "b64684044265f2f3",
+	"diff/regular-unit/3/mpc-compress":          "b64684044265f2f3",
+	"diff/smallworld-degree/1/mpc":              "358b80ea83509e69",
+	"diff/smallworld-degree/1/mpc-compress":     "358b80ea83509e69",
+	"diff/smallworld-degree/2/mpc":              "8016055aee1d5407",
+	"diff/smallworld-degree/2/mpc-compress":     "8016055aee1d5407",
+	"diff/smallworld-degree/3/mpc":              "7505b985640cf672",
+	"diff/smallworld-degree/3/mpc-compress":     "7505b985640cf672",
+	"paper/gnp-uniform/1/mpc":                   "70f33f96493c9995",
+	"paper/gnp-uniform/1/mpc-compress":          "70f33f96493c9995",
+}
+
+// digester accumulates a case's fingerprint.
+type digester struct{ h hash.Hash }
+
+func newDigester() *digester { return &digester{h: sha256.New()} }
+
+func (d *digester) int(v int64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(v))
+	d.h.Write(b[:])
+}
+
+func (d *digester) float(v float64) { d.int(int64(math.Float64bits(v))) }
+
+func (d *digester) solve(cover []bool, duals []float64, rounds, phases int, events []solver.Event) {
+	d.int(int64(len(cover)))
+	for _, in := range cover {
+		if in {
+			d.int(1)
+		} else {
+			d.int(0)
+		}
+	}
+	d.int(int64(len(duals)))
+	for _, x := range duals {
+		d.float(x)
+	}
+	d.int(int64(rounds))
+	d.int(int64(phases))
+	d.int(int64(len(events)))
+	for _, e := range events {
+		d.int(int64(e.Kind))
+		d.int(int64(e.Phase))
+		d.int(int64(e.Round))
+		d.int(e.ActiveEdges)
+		d.float(e.DualBound)
+		d.float(e.Degree)
+		d.int(int64(e.Machines))
+		d.int(int64(e.Iterations))
+		d.float(e.Weight)
+	}
+}
+
+func (d *digester) sum() string { return hex.EncodeToString(d.h.Sum(nil))[:16] }
+
+// goldenBimodal is a dense core plus a medium-degree fringe, which drives
+// Algorithm 2 through more than one sampled phase (a homogeneous G(n,p)
+// finishes in one).
+func goldenBimodal(seed uint64) *graph.Graph {
+	a := gen.GnpAvgDegree(seed, 1000, 400)
+	fringe := gen.GnpAvgDegree(seed+1, 2000, 40)
+	b := graph.NewBuilder(3000)
+	for e := 0; e < a.NumEdges(); e++ {
+		b.AddEdge(a.Edge(graph.EdgeID(e)))
+	}
+	for e := 0; e < fringe.NumEdges(); e++ {
+		u, v := fringe.Edge(graph.EdgeID(e))
+		b.AddEdge(u+1000, v+1000)
+	}
+	return gen.ApplyWeights(b.MustBuild(), seed, gen.UniformRange{Lo: 1, Hi: 100})
+}
+
+// registryDigest solves g with a registered solver and fingerprints the
+// outcome and its event stream.
+func registryDigest(t *testing.T, algo string, g *graph.Graph, cfg solver.Config) string {
+	t.Helper()
+	reg, ok := solver.Lookup(algo)
+	if !ok {
+		t.Fatalf("%s not registered", algo)
+	}
+	rec := &eventRecorder{}
+	cfg.Observer = rec
+	out, err := reg.Solver.Solve(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", algo, err)
+	}
+	d := newDigester()
+	d.solve(out.Cover, out.Duals, out.Rounds, out.Phases, rec.events)
+	return d.sum()
+}
+
+// coreDigest runs core.Run directly, so the ablation switches and the
+// coupling capture are reachable, and fingerprints the raw result. An
+// ablation may legitimately fail (a stalled run can leave a final instance
+// too large for one machine); then the error text and the events before it
+// are the fingerprint.
+func coreDigest(g *graph.Graph, p core.Params) string {
+	rec := &eventRecorder{}
+	p.Observer = rec
+	res, err := core.Run(context.Background(), g, p)
+	d := newDigester()
+	if err != nil {
+		d.h.Write([]byte(err.Error()))
+		d.solve(nil, nil, 0, 0, rec.events)
+		return d.sum()
+	}
+	d.solve(res.Cover, res.X, res.Rounds, res.Phases, rec.events)
+	for _, cp := range res.Coupling {
+		d.int(int64(cp.Phase))
+		d.int(int64(cp.Machines))
+		d.int(int64(cp.Iterations))
+		for i, v := range cp.High {
+			d.int(int64(v))
+			d.float(cp.ResidualWeight[i])
+			d.int(int64(cp.MachineOf[i]))
+			d.int(int64(cp.FreezeIter[i]))
+		}
+		for i, e := range cp.Edges {
+			d.int(int64(e[0]))
+			d.int(int64(e[1]))
+			d.float(cp.X0[i])
+		}
+	}
+	return d.sum()
+}
+
+func TestGoldenDigests(t *testing.T) {
+	got := map[string]string{}
+	algos := []string{"mpc", "mpc-compress"}
+	type family struct {
+		name, gen string
+		n         int
+		d         float64
+		weights   string
+	}
+	var fams []family
+	for _, f := range compressFamilies {
+		fams = append(fams, family{"compress/" + f.name, f.gen, f.n, f.d, f.weights})
+	}
+	for _, f := range diffFamilies {
+		fams = append(fams, family{"diff/" + f.name, f.gen, f.n, f.d, f.weights})
+	}
+	for _, f := range fams {
+		seeds := diffSeeds
+		if f.name[:4] != "diff" {
+			seeds = compressSeeds
+		}
+		for _, seed := range seeds {
+			g, err := cli.BuildGraph(f.gen, f.n, f.d, f.weights, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range algos {
+				name := f.name + "/" + string(rune('0'+seed)) + "/" + algo
+				got[name] = registryDigest(t, algo, g, solver.Config{Epsilon: 0.1, Seed: seed})
+			}
+		}
+	}
+
+	bimodal := goldenBimodal(10)
+	paper, err := cli.BuildGraph("gnp", 800, 24, "uniform", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range algos {
+		got["bimodal/10/"+algo] = registryDigest(t, algo, bimodal, solver.Config{Epsilon: 0.1, Seed: 1})
+		got["paper/gnp-uniform/1/"+algo] = registryDigest(t, algo, paper, solver.Config{Epsilon: 0.1, Seed: 1, PaperConstants: true})
+	}
+
+	ablations := []struct {
+		name   string
+		mutate func(*core.Params)
+	}{
+		{"disable-bias", func(p *core.Params) { p.DisableBias = true }},
+		{"disable-inactive-split", func(p *core.Params) { p.DisableInactiveSplit = true }},
+		{"fixed-thresholds", func(p *core.Params) { p.FixedThresholds = true }},
+		{"uniform-init", func(p *core.Params) { p.UniformInit = true }},
+		{"collect-coupling", func(p *core.Params) { p.CollectCoupling = true }},
+	}
+	for _, a := range ablations {
+		for _, g := range []struct {
+			name string
+			g    *graph.Graph
+		}{{"gnp-uniform", paper}, {"bimodal", bimodal}} {
+			p := core.ParamsPractical(0.1, 1)
+			a.mutate(&p)
+			got["core/"+a.name+"/"+g.name] = coreDigest(g.g, p)
+		}
+	}
+
+	if os.Getenv("MWVC_GOLDEN_DENSE") != "" {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g := gen.ApplyWeights(gen.GnpAvgDegree(seed, 8000, 256), seed, gen.UniformRange{Lo: 1, Hi: 100})
+			for _, algo := range algos {
+				name := "dense/" + string(rune('0'+seed)) + "/" + algo
+				got[name] = registryDigest(t, algo, g, solver.Config{Epsilon: 0.1, Seed: seed})
+			}
+		}
+	}
+
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		digest := got[name]
+		if want, ok := goldenDigests[name]; !ok {
+			t.Errorf("%q: %q, // no recorded digest", name, digest)
+		} else if want != digest {
+			t.Errorf("%s: digest %s, want %s", name, digest, want)
+		}
+	}
+}
