@@ -1,15 +1,17 @@
 package mwvc_test
 
-// Determinism and event-stream suite for the round-compressed solver
-// (internal/compress), following the pdfast differential pattern: for a
-// fixed seed the solver must return bit-identical covers, weights, and
-// dual bounds at GOMAXPROCS 1, 2, and 8, emit byte-for-byte identical
-// observer event streams (including the compression events), use strictly
-// fewer accounted MPC rounds than the native solver, and abort promptly
-// when cancelled mid-compression.
+// Determinism and event-stream suite for the Algorithm 2 phase driver on
+// both schedules (mpc-compress gathered, mpc native), following the pdfast
+// differential pattern: for a fixed seed each solver must return
+// bit-identical covers, weights, and dual bounds at GOMAXPROCS 1, 2, and 8,
+// emit byte-for-byte identical observer event streams (including the
+// compression events), and the gathered schedule must use strictly fewer
+// accounted MPC rounds than the native one and abort promptly when
+// cancelled mid-compression.
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -64,16 +66,12 @@ func sameEvents(a, b []solver.Event) bool {
 	return true
 }
 
-// TestCompressDeterminism solves each family at GOMAXPROCS 1, 2, and 8 and
-// requires bit-identical covers, duals, weights, bounds, and event streams,
-// plus strictly fewer rounds than the native solver on the same instance.
+// TestCompressDeterminism solves each family with both schedules of the
+// shared phase driver (mpc-compress gathered, mpc native) at GOMAXPROCS 1, 2,
+// and 8 and requires bit-identical covers, duals, weights, bounds, and event
+// streams, plus strictly fewer rounds for the gathered schedule.
 func TestCompressDeterminism(t *testing.T) {
 	ctx := context.Background()
-	reg, ok := solver.Lookup("mpc-compress")
-	if !ok {
-		t.Fatal("mpc-compress not registered")
-	}
-	nativeReg, _ := solver.Lookup("mpc")
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, fam := range compressFamilies {
 		for _, seed := range compressSeeds {
@@ -81,68 +79,75 @@ func TestCompressDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wantEvents []solver.Event
-			var want *solver.Outcome
-			for _, procs := range []int{1, 2, 8} {
-				runtime.GOMAXPROCS(procs)
-				rec := &eventRecorder{}
-				cfg := solver.Config{Epsilon: 0.1, Seed: seed, Observer: rec}
-				got, err := reg.Solver.Solve(ctx, g, cfg)
-				if err != nil {
-					t.Fatal(err)
+			rounds := map[string]int{}
+			for _, algo := range []string{"mpc-compress", "mpc"} {
+				reg, ok := solver.Lookup(algo)
+				if !ok {
+					t.Fatalf("%s not registered", algo)
 				}
-				if ok, witness := verify.IsCover(g, got.Cover); !ok {
-					t.Fatalf("%s/%d: edge %d uncovered", fam.name, seed, witness)
-				}
-				if err := verify.DualFeasible(g, got.Duals); err != nil {
-					t.Fatalf("%s/%d: %v", fam.name, seed, err)
-				}
-				compressEvents := 0
-				for _, e := range rec.events {
-					if e.Kind == solver.KindCompress {
-						compressEvents++
-						if e.Iterations < 1 || e.Machines < 1 {
-							t.Fatalf("%s/%d: compression event without LOCAL-round or group count: %+v", fam.name, seed, e)
+				var wantEvents []solver.Event
+				var want *solver.Outcome
+				for _, procs := range []int{1, 2, 8} {
+					runtime.GOMAXPROCS(procs)
+					rec := &eventRecorder{}
+					cfg := solver.Config{Epsilon: 0.1, Seed: seed, Observer: rec}
+					got, err := reg.Solver.Solve(ctx, g, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ok, witness := verify.IsCover(g, got.Cover); !ok {
+						t.Fatalf("%s %s/%d: edge %d uncovered", algo, fam.name, seed, witness)
+					}
+					if err := verify.DualFeasible(g, got.Duals); err != nil {
+						t.Fatalf("%s %s/%d: %v", algo, fam.name, seed, err)
+					}
+					compressEvents := 0
+					for _, e := range rec.events {
+						if e.Kind == solver.KindCompress {
+							compressEvents++
+							if e.Iterations < 1 || e.Machines < 1 {
+								t.Fatalf("%s/%d: compression event without LOCAL-round or group count: %+v", fam.name, seed, e)
+							}
 						}
 					}
-				}
-				if compressEvents != got.Phases || got.Phases < 1 {
-					t.Fatalf("%s/%d: %d compression events for %d compressed rounds", fam.name, seed, compressEvents, got.Phases)
-				}
-				if want == nil {
-					want, wantEvents = got, rec.events
-					continue
-				}
-				if got.Rounds != want.Rounds {
-					t.Fatalf("%s/%d GOMAXPROCS=%d: rounds %d != %d", fam.name, seed, procs, got.Rounds, want.Rounds)
-				}
-				for v := range want.Cover {
-					if got.Cover[v] != want.Cover[v] {
-						t.Fatalf("%s/%d GOMAXPROCS=%d: cover diverges at vertex %d", fam.name, seed, procs, v)
+					if algo == "mpc" {
+						if compressEvents != 0 {
+							t.Fatalf("%s/%d: native solve emitted %d compression events", fam.name, seed, compressEvents)
+						}
+					} else if compressEvents != got.Phases || got.Phases < 1 {
+						t.Fatalf("%s/%d: %d compression events for %d compressed rounds", fam.name, seed, compressEvents, got.Phases)
+					}
+					if want == nil {
+						want, wantEvents = got, rec.events
+						continue
+					}
+					where := fmt.Sprintf("%s %s/%d GOMAXPROCS=%d", algo, fam.name, seed, procs)
+					if got.Rounds != want.Rounds {
+						t.Fatalf("%s: rounds %d != %d", where, got.Rounds, want.Rounds)
+					}
+					for v := range want.Cover {
+						if got.Cover[v] != want.Cover[v] {
+							t.Fatalf("%s: cover diverges at vertex %d", where, v)
+						}
+					}
+					for e := range want.Duals {
+						if math.Float64bits(got.Duals[e]) != math.Float64bits(want.Duals[e]) {
+							t.Fatalf("%s: dual diverges at edge %d", where, e)
+						}
+					}
+					gw, ww := verify.CoverWeight(g, got.Cover), verify.CoverWeight(g, want.Cover)
+					gb, wb := verify.DualValue(got.Duals), verify.DualValue(want.Duals)
+					if math.Float64bits(gw) != math.Float64bits(ww) || math.Float64bits(gb) != math.Float64bits(wb) {
+						t.Fatalf("%s: weight/bound bits diverge", where)
+					}
+					if !sameEvents(rec.events, wantEvents) {
+						t.Fatalf("%s: event streams diverge (%d vs %d events)", where, len(rec.events), len(wantEvents))
 					}
 				}
-				for e := range want.Duals {
-					if math.Float64bits(got.Duals[e]) != math.Float64bits(want.Duals[e]) {
-						t.Fatalf("%s/%d GOMAXPROCS=%d: dual diverges at edge %d", fam.name, seed, procs, e)
-					}
-				}
-				gw, ww := verify.CoverWeight(g, got.Cover), verify.CoverWeight(g, want.Cover)
-				gb, wb := verify.DualValue(got.Duals), verify.DualValue(want.Duals)
-				if math.Float64bits(gw) != math.Float64bits(ww) || math.Float64bits(gb) != math.Float64bits(wb) {
-					t.Fatalf("%s/%d GOMAXPROCS=%d: weight/bound bits diverge", fam.name, seed, procs)
-				}
-				if !sameEvents(rec.events, wantEvents) {
-					t.Fatalf("%s/%d GOMAXPROCS=%d: event streams diverge (%d vs %d events)",
-						fam.name, seed, procs, len(rec.events), len(wantEvents))
-				}
+				rounds[algo] = want.Rounds
 			}
-
-			native, err := nativeReg.Solver.Solve(ctx, g, solver.Config{Epsilon: 0.1, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.Rounds >= native.Rounds {
-				t.Fatalf("%s/%d: compressed rounds %d not below native %d", fam.name, seed, want.Rounds, native.Rounds)
+			if rounds["mpc-compress"] >= rounds["mpc"] {
+				t.Fatalf("%s/%d: compressed rounds %d not below native %d", fam.name, seed, rounds["mpc-compress"], rounds["mpc"])
 			}
 		}
 	}

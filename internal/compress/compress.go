@@ -2,894 +2,28 @@ package compress
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"math"
 
-	"repro/internal/centralized"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/mpc"
-	"repro/internal/rng"
-	"repro/internal/solver"
 )
 
-// Message tags distinguishing record kinds within a round's payloads (same
-// wire convention as package core).
-const (
-	tagVertex uint64 = 1
-	tagEdge   uint64 = 2
-	tagResult uint64 = 3
-	tagScalar uint64 = 4
-)
-
-// Labels for derived randomness. Group sampling draws are a pure function
-// of (seed, label, phase, attempt, vertex) — the attempt counter is what
-// makes a split's redraw produce a fresh partition — and thresholds reuse
-// the same label convention as core so both solvers' draws are replica
-// deterministic.
-const (
-	labelGroup     uint64 = 'G'
-	labelThreshold uint64 = 'T'
-)
-
-// noFreeze marks a vertex that stayed active through a local simulation.
-const noFreeze = -1
-
-// Result is the outcome of a round-compressed run. It embeds core.Result —
-// the cover, finalized duals, round/phase counts, and per-phase stats have
-// identical semantics — and adds the compression measurements.
+// Result is the outcome of a round-compressed run: the core.Result — cover,
+// finalized duals, round/phase counts and per-phase stats, with identical
+// semantics — plus the gathered schedule's measurements.
 type Result struct {
 	core.Result
-	// Fallback reports that the memory precheck could not fit the sampled
-	// groups even after MaxSplits splits, and the whole solve was delegated
-	// to the native round structure (core.Run). When set, the round counts
-	// and events are the native solver's.
-	Fallback bool
-	// LocalRounds[i] is k — the number of simulated LOCAL rounds executed
-	// inside each gathered group — for compressed round i.
-	LocalRounds []int
-	// Groups[i] is the sampled group count of compressed round i, after
-	// any splits.
-	Groups []int
-	// Splits counts the partition redraws forced by the memory precheck
-	// across the whole run.
-	Splits int
+	core.GatherStats
 }
 
-// machScratch is one simulated machine's reusable working set, mirroring
-// core's: per-destination counters and arena-backed buffers for the scatter
-// and result staging, the decoded local instance, and the simulation
-// arrays. Messages are staged straight into the outgoing arena (count →
-// Reserve → Alloc → fill), so steady-state rounds allocate nothing.
-type machScratch struct {
-	vCnt, eCnt []int32    // per-destination record counts, then write cursors
-	vBuf, eBuf [][]uint64 // per-destination Alloc'd message buffers
-	edgeIDs    []int32    // co-located edges found by the count pass
-	li         core.LocalInstance
-	sim        core.SimScratch
-}
-
-// ensure sizes the per-destination arrays for a fleet of `total` machines.
-func (sc *machScratch) ensure(total int) {
-	if sc.vCnt == nil {
-		sc.vCnt = make([]int32, total)
-		sc.eCnt = make([]int32, total)
-		sc.vBuf = make([][]uint64, total)
-		sc.eBuf = make([][]uint64, total)
-	}
-}
-
-// Run executes the round-compressed Algorithm 2 on g. Each compressed MPC
-// round costs three accounted cluster rounds (scatter, simulate, collect)
-// instead of the native five, and simulates LocalRounds(k) LOCAL rounds
-// inside each gathered group. The context is checked between phases,
-// between cluster rounds, and inside the final centralized phase.
+// Run executes Algorithm 2 on g with every phase on the gathered schedule
+// (core.RunGathered): three accounted cluster rounds per phase (scatter,
+// simulate, collect) instead of the native five. The context is checked
+// between phases, between cluster rounds, and inside the final centralized
+// phase.
 func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if g == nil {
-		return nil, errors.New("compress: nil graph")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := g.NumVertices()
-	mEdges := g.NumEdges()
-	epFlat := g.EdgeEndpoints()
-	eps := p.Epsilon
-	growth := 1 / (1 - eps)
-
-	res := &Result{Result: core.Result{
-		Cover: make([]bool, n),
-		X:     make([]float64, mEdges),
-	}}
-	if n == 0 {
-		return res, nil
-	}
-
-	// Algorithm state, as in core: frozenIncident[v] accumulates
-	// Σ_{e∋v frozen} x_e so that w′(v) = w(v) − frozenIncident[v].
-	frozen := res.Cover
-	xFinal := res.X
-	edgeFrozen := make([]bool, mEdges)
-	frozenIncident := make([]float64, n)
-	resDeg := g.DegreesWithinMaskInto(make([]int, n), nil)
-	nonfrozenEdges := int64(mEdges)
-
-	// Defensive freeze for a vertex whose residual weight has been
-	// exhausted; its remaining nonfrozen edges finalize at 0 (Line 2j).
-	// Like every edge freeze in this solver, it keeps the residual degrees
-	// and the nonfrozen count current in place.
-	zeroFreeze := func(v graph.Vertex) {
-		frozen[v] = true
-		if resDeg[v] == 0 {
-			return
-		}
-		for _, e := range g.IncidentEdges(v) {
-			if !edgeFrozen[e] {
-				edgeFrozen[e] = true
-				xFinal[e] = 0
-				resDeg[epFlat[2*e]]--
-				resDeg[epFlat[2*e+1]]--
-				nonfrozenEdges--
-			}
-		}
-	}
-
-	// Cluster sizing, as in core: the cluster holds the input edges
-	// round-robin, so no home machine's share may exceed a quarter of its
-	// memory, and the fleet is capped so machine 0's scalar fan-in fits.
-	memWords := p.MemoryWords(n)
-	maxEdgesPerHome := memWords / (4 * mpc.EdgeRecordWords)
-	if maxEdgesPerHome < 1 {
-		return nil, fmt.Errorf("compress: machine memory %d words cannot hold any edges", memWords)
-	}
-	d0 := 2 * float64(nonfrozenEdges) / float64(n)
-	mTotal := p.NumGroups(d0)
-	if need := int((int64(mEdges) + maxEdgesPerHome - 1) / maxEdgesPerHome); need > mTotal {
-		mTotal = need
-	}
-	if mTotal < 2 {
-		mTotal = 2
-	}
-	if maxFleet := int(memWords / 8); mTotal > maxFleet {
-		if need := int((int64(mEdges) + maxEdgesPerHome - 1) / maxEdgesPerHome); need > maxFleet {
-			return nil, fmt.Errorf("compress: memory %d words per machine cannot host both the input (%d machines needed) and the scalar fan-in (max %d)", memWords, need, maxFleet)
-		}
-		mTotal = maxFleet
-	}
-	cluster, err := mpc.NewCluster(mpc.Config{
-		Machines:    mTotal,
-		MemoryWords: memWords,
-		Parallelism: p.Parallelism,
-	})
+	res, gs, err := core.RunGathered(ctx, g, p.Params, p.GatherWords)
 	if err != nil {
 		return nil, err
 	}
-	defer cluster.Close()
-
-	maxPhases := p.MaxPhases
-	if maxPhases == 0 {
-		maxPhases = 64
-	}
-	maxSplits := p.MaxSplits
-	if maxSplits == 0 {
-		maxSplits = 4
-	}
-	gatherBudget := memWords / 2
-	if p.GatherWords != nil {
-		gatherBudget = p.GatherWords(n)
-	}
-
-	obs := p.Observer
-	dualSum := 0.0
-	curPhase := -1
-	// step executes one accounted cluster round with a context check before
-	// it and a KindRound event after it, so the number of round events
-	// equals Result.Rounds exactly.
-	step := func(fn mpc.StepFunc) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := cluster.Round(fn); err != nil {
-			return err
-		}
-		solver.Emit(obs, solver.Event{
-			Kind:        solver.KindRound,
-			Phase:       curPhase,
-			Round:       cluster.Metrics().Rounds,
-			ActiveEdges: nonfrozenEdges,
-			DualBound:   dualSum,
-		})
-		return nil
-	}
-
-	// Reused per-phase scratch, carved from two backing allocations.
-	f64Scratch := make([]float64, 2*n)
-	wres, yMPC := f64Scratch[:n:n], f64Scratch[n:]
-	i32Scratch := make([]int32, 3*n)
-	groupOf, freezeIterShared, localIdx := i32Scratch[:n:n], i32Scratch[n:2*n:2*n], i32Scratch[2*n:]
-	for v := range localIdx {
-		localIdx[v] = -1
-	}
-	high := make([]bool, n)
-	xPhase := make([]float64, mEdges)
-	var highList []graph.Vertex
-	var highEdges []int32
-	var pow []float64
-	var newlyFrozen []graph.Vertex
-	groupWords := make([]int64, mTotal)
-	localEdgeCount := make([]int64, mTotal)
-	scratch := make([]machScratch, mTotal)
-
-	phase := 0
-	stalls := 0
-	fallback := false
-	for ; ; phase++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		curPhase = phase
-		edgesBefore := nonfrozenEdges
-		d := 2 * float64(nonfrozenEdges) / float64(n)
-		if d <= p.SwitchThreshold(n) {
-			break
-		}
-		if stalls >= 3 {
-			break
-		}
-		if phase >= maxPhases {
-			return nil, fmt.Errorf("compress: no convergence after %d phases (d=%.1f)", phase, d)
-		}
-
-		// Lines (2a)/(2b): classify nonfrozen vertices and compute residual
-		// weights for V^high.
-		dGamma := math.Pow(d, p.HighDegreeExponent)
-		highList = highList[:0]
-		numInactive := 0
-		numNonfrozen := 0
-		for v := 0; v < n; v++ {
-			high[v] = false
-			if frozen[v] {
-				continue
-			}
-			numNonfrozen++
-			if resDeg[v] == 0 {
-				continue
-			}
-			w := g.Weight(graph.Vertex(v)) - frozenIncident[v]
-			if w <= 1e-12*g.Weight(graph.Vertex(v)) {
-				zeroFreeze(graph.Vertex(v))
-				continue
-			}
-			if float64(resDeg[v]) >= dGamma {
-				high[v] = true
-				wres[v] = w
-				highList = append(highList, graph.Vertex(v))
-			} else {
-				numInactive++
-			}
-		}
-		if len(highList) == 0 {
-			break
-		}
-
-		// Group sampling with the memory precheck: draw the seeded hash
-		// partition, price each group's induced neighborhood (vertex and
-		// co-located edge records), and split — double the group count and
-		// redraw with a fresh attempt label — until the largest group fits
-		// the gather budget (by default half the per-machine memory; the
-		// rest is headroom for message framing, the scalar fan-in, and
-		// result staging). If the partition still cannot fit after
-		// maxSplits redraws, the whole solve falls back to the native
-		// round structure. The attempt-0 edge pricing is fused into the
-		// Line (2c) pass below so the common no-split phase prices its
-		// partition without a second walk over the edge array.
-		groups := p.NumGroups(d)
-		if groups < 1 {
-			groups = 1
-		}
-		if groups > mTotal {
-			groups = mTotal
-		}
-		for i := 0; i < groups; i++ {
-			groupWords[i] = 0
-		}
-		for _, v := range highList {
-			gi := int32(rng.ChooseAt(p.Seed, groups, labelGroup, uint64(phase), 0, uint64(v)))
-			groupOf[v] = gi
-			groupWords[gi] += mpc.VertexRecordWords
-		}
-
-		// Line (2c): degree-aware initial duals on E[V^high], fused with the
-		// attempt-0 co-located-edge pricing.
-		highEdges = highEdges[:0]
-		for e := 0; e < mEdges; e++ {
-			if edgeFrozen[e] {
-				continue
-			}
-			u, v := epFlat[2*e], epFlat[2*e+1]
-			if !high[u] || !high[v] {
-				continue
-			}
-			highEdges = append(highEdges, int32(e))
-			xPhase[e] = math.Min(wres[u]/float64(resDeg[u]), wres[v]/float64(resDeg[v]))
-			if groupOf[u] == groupOf[v] {
-				groupWords[groupOf[u]] += mpc.EdgeRecordWords
-			}
-		}
-
-		attempt := 0
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			maxGroup := int64(0)
-			for i := 0; i < groups; i++ {
-				if groupWords[i] > maxGroup {
-					maxGroup = groupWords[i]
-				}
-			}
-			if maxGroup <= gatherBudget {
-				break
-			}
-			if attempt >= maxSplits || groups >= mTotal {
-				fallback = true
-				break
-			}
-			groups *= 2
-			if groups > mTotal {
-				groups = mTotal
-			}
-			attempt++
-			res.Splits++
-			for i := 0; i < groups; i++ {
-				groupWords[i] = 0
-			}
-			for _, v := range highList {
-				gi := int32(rng.ChooseAt(p.Seed, groups, labelGroup, uint64(phase), uint64(attempt), uint64(v)))
-				groupOf[v] = gi
-				groupWords[gi] += mpc.VertexRecordWords
-			}
-			for _, e := range highEdges {
-				u, v := epFlat[2*e], epFlat[2*e+1]
-				if groupOf[u] == groupOf[v] {
-					groupWords[groupOf[u]] += mpc.EdgeRecordWords
-				}
-			}
-		}
-		if fallback {
-			break
-		}
-
-		iters := p.LocalRounds(groups, eps)
-		if iters < 1 {
-			iters = 1
-		}
-		solver.Emit(obs, solver.Event{
-			Kind:        solver.KindPhaseStart,
-			Phase:       phase,
-			Round:       cluster.Metrics().Rounds,
-			ActiveEdges: nonfrozenEdges,
-			DualBound:   dualSum,
-			Degree:      d,
-			Machines:    groups,
-			Iterations:  iters,
-		})
-
-		// Line (2d): thresholds are a pure function of (seed, phase, v, t).
-		lo, hi := 1-4*eps, 1-2*eps
-		threshold := func(v graph.Vertex, t int) float64 {
-			return rng.UniformAt(p.Seed, lo, hi, labelThreshold, uint64(phase), uint64(v), uint64(t))
-		}
-
-		// ---- compressed MPC execution of the phase: 3 cluster rounds ----
-		cluster.ResetResident()
-
-		// Round 1 (scatter): home machines route co-located induced edges
-		// and vertex records to the owning group machine, and piggyback
-		// their nonfrozen-edge counts to machine 0 — the degree aggregate
-		// stays load-bearing without the native solver's two dedicated
-		// aggregation rounds (machine 0 cross-checks it next round).
-		err := step(func(mach *mpc.Machine) error {
-			id := mach.ID()
-			sc := &scratch[id]
-			sc.ensure(mTotal)
-			vCnt, eCnt := sc.vCnt, sc.eCnt
-			vBuf, eBuf := sc.vBuf, sc.eBuf
-			for dst := 0; dst < groups; dst++ {
-				vCnt[dst] = 0
-				eCnt[dst] = 0
-			}
-			homeNonfrozen := uint64(0)
-			for v := id; v < n; v += mTotal {
-				if high[v] {
-					vCnt[groupOf[v]]++
-				}
-			}
-			sc.edgeIDs = sc.edgeIDs[:0]
-			for e := id; e < mEdges; e += mTotal {
-				if edgeFrozen[e] {
-					continue
-				}
-				homeNonfrozen++
-				u, v := epFlat[2*e], epFlat[2*e+1]
-				if high[u] && high[v] && groupOf[u] == groupOf[v] {
-					eCnt[groupOf[u]]++
-					sc.edgeIDs = append(sc.edgeIDs, int32(e))
-				}
-			}
-			total := int64(2) // the scalar degree report to machine 0
-			for dst := 0; dst < groups; dst++ {
-				if vCnt[dst] > 0 {
-					total += 1 + int64(vCnt[dst])*mpc.VertexRecordWords
-				}
-				if eCnt[dst] > 0 {
-					total += 1 + int64(eCnt[dst])*mpc.EdgeRecordWords
-				}
-			}
-			mach.Reserve(total)
-			if err := mach.Send(0, []uint64{tagScalar, homeNonfrozen}); err != nil {
-				return err
-			}
-			for dst := 0; dst < groups; dst++ {
-				if vCnt[dst] > 0 {
-					buf, err := mach.Alloc(dst, 1+int(vCnt[dst])*mpc.VertexRecordWords)
-					if err != nil {
-						return err
-					}
-					buf[0] = tagVertex
-					vBuf[dst] = buf[1:]
-				}
-				if eCnt[dst] > 0 {
-					buf, err := mach.Alloc(dst, 1+int(eCnt[dst])*mpc.EdgeRecordWords)
-					if err != nil {
-						return err
-					}
-					buf[0] = tagEdge
-					eBuf[dst] = buf[1:]
-				}
-				vCnt[dst] = 0 // reuse as write cursor
-				eCnt[dst] = 0
-			}
-			for v := id; v < n; v += mTotal {
-				if !high[v] {
-					continue
-				}
-				dst := groupOf[v]
-				mpc.SetVertexRecord(vBuf[dst], int(vCnt[dst]), int32(v), wres[v])
-				vCnt[dst]++
-			}
-			for _, e := range sc.edgeIDs {
-				u, v := epFlat[2*e], epFlat[2*e+1]
-				dst := groupOf[u]
-				mpc.SetEdgeRecord(eBuf[dst], int(eCnt[dst]), u, v, xPhase[e])
-				eCnt[dst]++
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("compress: round %d scatter: %w", phase, err)
-		}
-
-		// Round 2 (simulate): each group machine materializes its induced
-		// subgraph (charged against its memory budget), runs k simulated
-		// LOCAL rounds of Lines (2g i–iii), and routes the freeze results
-		// to each vertex's home machine. Machine 0 additionally sums the
-		// piggybacked degree reports and cross-checks the driver's count,
-		// so the simulated aggregate is load-bearing.
-		for i := range localEdgeCount {
-			localEdgeCount[i] = 0
-		}
-		err = step(func(mach *mpc.Machine) error {
-			id := mach.ID()
-			inbox := mach.Inbox()
-			if id == 0 {
-				total := uint64(0)
-				seen := 0
-				for _, msg := range inbox {
-					if len(msg.Data) == 2 && msg.Data[0] == tagScalar {
-						total += msg.Data[1]
-						seen++
-					}
-				}
-				if seen != mTotal {
-					return fmt.Errorf("compress: machine 0 received %d degree reports, want %d", seen, mTotal)
-				}
-				if total != uint64(nonfrozenEdges) {
-					return fmt.Errorf("compress: aggregated %d nonfrozen edges, driver has %d", total, nonfrozenEdges)
-				}
-			}
-			if id >= groups {
-				for _, msg := range inbox {
-					if len(msg.Data) == 0 || msg.Data[0] != tagScalar {
-						return fmt.Errorf("compress: non-group machine %d received records", id)
-					}
-				}
-				return nil
-			}
-			sc := &scratch[id]
-			li := &sc.li
-			li.Reset()
-			nV, nE := 0, 0
-			for _, msg := range inbox {
-				if len(msg.Data) == 0 {
-					continue
-				}
-				switch msg.Data[0] {
-				case tagVertex:
-					nV += (len(msg.Data) - 1) / mpc.VertexRecordWords
-				case tagEdge:
-					nE += (len(msg.Data) - 1) / mpc.EdgeRecordWords
-				}
-			}
-			li.Grow(nV, nE)
-			// localIdx is shared across machines but the group partition
-			// makes the writes disjoint: only this machine's own vertices
-			// are indexed, and they are reset before the step returns.
-			for _, msg := range inbox {
-				if len(msg.Data) == 0 || msg.Data[0] != tagVertex {
-					continue
-				}
-				body := msg.Data[1:]
-				cnt, err := mpc.CheckRecordCount(body, mpc.VertexRecordWords)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					v, w := mpc.DecodeVertexRecord(body, i)
-					localIdx[v] = int32(len(li.VertexIDs))
-					li.VertexIDs = append(li.VertexIDs, v)
-					li.ResWeight = append(li.ResWeight, w)
-				}
-			}
-			for _, msg := range inbox {
-				if len(msg.Data) == 0 || msg.Data[0] != tagEdge {
-					continue
-				}
-				body := msg.Data[1:]
-				cnt, err := mpc.CheckRecordCount(body, mpc.EdgeRecordWords)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					u, v, x0 := mpc.DecodeEdgeRecord(body, i)
-					lu, lv := localIdx[u], localIdx[v]
-					if lu < 0 || lv < 0 {
-						return fmt.Errorf("compress: machine %d received edge (%d,%d) without both endpoints", id, u, v)
-					}
-					li.Edges = append(li.Edges, [2]int32{lu, lv})
-					li.X0 = append(li.X0, x0)
-				}
-			}
-			if err := mach.Charge(li.Words()); err != nil {
-				return err
-			}
-			localEdgeCount[id] = int64(len(li.Edges))
-			freeze := core.RunLocalSim(li, groups, iters, eps, p.BiasCoefficient, p.BiasGrowth, threshold, &sc.sim)
-			// Stage the freeze results per home machine, reusing the
-			// scatter counters/buffers (count → Reserve → Alloc → fill).
-			rCnt, rBuf := sc.vCnt, sc.vBuf
-			for dst := 0; dst < mTotal; dst++ {
-				rCnt[dst] = 0
-			}
-			for _, v := range li.VertexIDs {
-				rCnt[int(v)%mTotal]++
-			}
-			total := int64(0)
-			for dst := 0; dst < mTotal; dst++ {
-				if rCnt[dst] > 0 {
-					total += 1 + int64(rCnt[dst])*mpc.ResultRecordWords
-				}
-			}
-			mach.Reserve(total)
-			for dst := 0; dst < mTotal; dst++ {
-				if rCnt[dst] > 0 {
-					buf, err := mach.Alloc(dst, 1+int(rCnt[dst])*mpc.ResultRecordWords)
-					if err != nil {
-						return err
-					}
-					buf[0] = tagResult
-					rBuf[dst] = buf[1:]
-				}
-				rCnt[dst] = 0 // reuse as write cursor
-			}
-			for i, v := range li.VertexIDs {
-				home := int(v) % mTotal
-				mpc.SetResultRecord(rBuf[home], int(rCnt[home]), v, freeze[i])
-				rCnt[home]++
-				localIdx[v] = -1
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("compress: round %d simulate: %w", phase, err)
-		}
-
-		// Round 3 (collect): home machines record the freeze iteration of
-		// their vertices. Writes are disjoint by construction.
-		for _, v := range highList {
-			freezeIterShared[v] = noFreeze
-		}
-		err = step(func(mach *mpc.Machine) error {
-			for _, msg := range mach.Inbox() {
-				if len(msg.Data) == 0 || msg.Data[0] != tagResult {
-					return fmt.Errorf("compress: machine %d: unexpected tag in collect round", mach.ID())
-				}
-				body := msg.Data[1:]
-				cnt, err := mpc.CheckRecordCount(body, mpc.ResultRecordWords)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					v, fi := mpc.DecodeResultRecord(body, i)
-					if int(v)%mTotal != mach.ID() {
-						return fmt.Errorf("compress: result for vertex %d misrouted to machine %d", v, mach.ID())
-					}
-					freezeIterShared[v] = int32(fi)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("compress: round %d collect: %w", phase, err)
-		}
-
-		// Line (2h): every edge of E[V^high] gets the weight implied by the
-		// earliest endpoint freeze (t′ = k when both stayed active).
-		if cap(pow) < iters+1 {
-			pow = make([]float64, iters+1)
-		} else {
-			pow = pow[:iters+1]
-		}
-		pow[0] = 1
-		for t := 1; t <= iters; t++ {
-			pow[t] = pow[t-1] * growth
-		}
-		fiOf := func(v graph.Vertex) int {
-			if fi := freezeIterShared[v]; fi >= 0 {
-				return int(fi)
-			}
-			return iters
-		}
-		// The Line (2i) per-vertex sums accumulate in the same walk that
-		// applies the (2h) growth factors (one pass over E[V^high] instead
-		// of the native solver's two; identical edge order, so the float
-		// sums are bit-for-bit the same).
-		for _, v := range highList {
-			yMPC[v] = 0
-		}
-		for _, e := range highEdges {
-			u, v := epFlat[2*e], epFlat[2*e+1]
-			t := fiOf(u)
-			if tv := fiOf(v); tv < t {
-				t = tv
-			}
-			x := xPhase[e] * pow[t]
-			xPhase[e] = x
-			yMPC[u] += x
-			yMPC[v] += x
-		}
-
-		// Freeze set 1: vertices frozen by their local simulation.
-		newlyFrozen = newlyFrozen[:0]
-		for _, v := range highList {
-			if freezeIterShared[v] >= 0 {
-				newlyFrozen = append(newlyFrozen, v)
-			}
-		}
-		frozenAtSim := len(newlyFrozen)
-
-		// Line (2i): over-covered vertices freeze too (sums accumulated in
-		// the fused walk above).
-		frozenAt2i := 0
-		for _, v := range highList {
-			if freezeIterShared[v] < 0 && yMPC[v] >= wres[v]*(1-1e-12) {
-				newlyFrozen = append(newlyFrozen, v)
-				frozenAt2i++
-			}
-		}
-		for _, v := range newlyFrozen {
-			frozen[v] = true
-		}
-
-		// Finalize edges: E[V^high] edges with a frozen endpoint keep their
-		// Line (2h) weight; Line (2j) freezes the rest of a frozen vertex's
-		// edges at 0. Each freeze updates the residual degrees and the
-		// nonfrozen count in place — that is Line (2k), paid once per edge
-		// over the whole run instead of the native solver's full edge sweep
-		// per phase.
-		for _, e := range highEdges {
-			u, v := epFlat[2*e], epFlat[2*e+1]
-			if frozen[u] || frozen[v] {
-				edgeFrozen[e] = true
-				xFinal[e] = xPhase[e]
-				frozenIncident[u] += xPhase[e]
-				frozenIncident[v] += xPhase[e]
-				dualSum += xPhase[e]
-				resDeg[u]--
-				resDeg[v]--
-				nonfrozenEdges--
-			}
-		}
-		for _, v := range newlyFrozen {
-			// The maintained residual degree makes Line (2j) free for the
-			// common case: a vertex whose edges were all finalized above has
-			// nothing left to freeze, so its adjacency is never walked (the
-			// native solver rescans every frozen vertex's full adjacency).
-			if resDeg[v] == 0 {
-				continue
-			}
-			for _, e := range g.IncidentEdges(v) {
-				if !edgeFrozen[e] {
-					edgeFrozen[e] = true
-					xFinal[e] = 0
-					resDeg[epFlat[2*e]]--
-					resDeg[epFlat[2*e+1]]--
-					nonfrozenEdges--
-				}
-			}
-		}
-
-		if float64(nonfrozenEdges) > 0.99*float64(edgesBefore) {
-			stalls++
-		} else {
-			stalls = 0
-		}
-
-		maxLocalEdges, totalLocalEdges := int64(0), int64(0)
-		for _, c := range localEdgeCount {
-			totalLocalEdges += c
-			if c > maxLocalEdges {
-				maxLocalEdges = c
-			}
-		}
-		res.PhaseStats = append(res.PhaseStats, core.PhaseStat{
-			Phase:               phase,
-			AvgDegree:           d,
-			NumNonfrozen:        numNonfrozen,
-			NumHigh:             len(highList),
-			NumInactive:         numInactive,
-			Machines:            groups,
-			Iterations:          iters,
-			MaxMachineEdges:     int(maxLocalEdges),
-			TotalMachineEdges:   totalLocalEdges,
-			MaxMachineWords:     cluster.Metrics().MaxResidentWords,
-			EdgesBefore:         edgesBefore,
-			EdgesAfter:          nonfrozenEdges,
-			DecayBound:          float64(n)*d*math.Pow(1-eps, float64(iters)) + float64(n)*dGamma,
-			NewlyFrozenVertices: frozenAtSim + frozenAt2i,
-			FrozenAtLine2i:      frozenAt2i,
-		})
-		res.LocalRounds = append(res.LocalRounds, iters)
-		res.Groups = append(res.Groups, groups)
-		solver.Emit(obs, solver.Event{
-			Kind:        solver.KindCompress,
-			Phase:       phase,
-			Round:       cluster.Metrics().Rounds,
-			ActiveEdges: nonfrozenEdges,
-			DualBound:   dualSum,
-			Degree:      d,
-			Machines:    groups,
-			Iterations:  iters,
-		})
-		solver.Emit(obs, solver.Event{
-			Kind:        solver.KindPhaseEnd,
-			Phase:       phase,
-			Round:       cluster.Metrics().Rounds,
-			ActiveEdges: nonfrozenEdges,
-			DualBound:   dualSum,
-			Degree:      d,
-			Machines:    groups,
-			Iterations:  iters,
-		})
-	}
-	curPhase = -1
-	res.Phases = phase
-
-	if fallback {
-		// The sampled groups cannot fit the per-machine budget even after
-		// splitting: delegate the whole solve to the native round
-		// structure. Restarting from scratch keeps the native solver's
-		// invariants intact (it owns its state from phase 0) at the cost
-		// of discarding any compressed progress — in practice the
-		// precheck fails on the first round or not at all, since groups
-		// only shrink as the instance contracts.
-		nres, err := core.Run(ctx, g, nativeParams(p))
-		if err != nil {
-			return nil, fmt.Errorf("compress: native fallback: %w", err)
-		}
-		return &Result{Result: *nres, Fallback: true, Splits: res.Splits}, nil
-	}
-
-	// Line (3): the residual instance moves to one machine (one more
-	// accounted round, with the memory charge enforcing that it fits) and
-	// the centralized algorithm finishes it.
-	active := make([]bool, n)
-	wresAll := make([]float64, n)
-	numActive := 0
-	for v := 0; v < n; v++ {
-		if frozen[v] {
-			continue
-		}
-		w := g.Weight(graph.Vertex(v)) - frozenIncident[v]
-		if w <= 1e-12*g.Weight(graph.Vertex(v)) {
-			zeroFreeze(graph.Vertex(v))
-			continue
-		}
-		active[v] = true
-		wresAll[v] = w
-		numActive++
-	}
-	// The incremental Line (2k) bookkeeping makes the residual edge count
-	// available without another sweep (the active-vertex build above has
-	// already applied its zero-freezes to it).
-	finalEdges := nonfrozenEdges
-	res.FinalPhaseEdges = finalEdges
-	cluster.ResetResident()
-	err = step(func(mach *mpc.Machine) error {
-		if mach.ID() == 0 {
-			return mach.Charge(finalEdges*mpc.EdgeRecordWords + int64(numActive)*mpc.VertexRecordWords)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("compress: final gather: %w", err)
-	}
-
-	lo, hi := 1-4*eps, 1-2*eps
-	fp := uint64(phase)
-	finalThreshold := func(v graph.Vertex, t int) float64 {
-		return rng.UniformAt(p.Seed, lo, hi, labelThreshold, fp, uint64(v), uint64(t))
-	}
-	cres, err := centralized.Run(ctx,
-		centralized.Instance{G: g, Active: active, Weights: wresAll},
-		centralized.Options{Epsilon: eps, Init: centralized.InitDegreeAware, Threshold: finalThreshold},
-	)
-	if err != nil {
-		return nil, fmt.Errorf("compress: final centralized phase: %w", err)
-	}
-	res.FinalPhaseIterations = cres.Iterations
-	for v := 0; v < n; v++ {
-		if cres.Cover[v] {
-			frozen[v] = true
-		}
-	}
-	for e := 0; e < mEdges; e++ {
-		if !edgeFrozen[e] {
-			edgeFrozen[e] = true
-			xFinal[e] = cres.X[e]
-			dualSum += cres.X[e]
-		}
-	}
-	solver.Emit(obs, solver.Event{
-		Kind:       solver.KindFinalPhase,
-		Phase:      -1,
-		Round:      cluster.Metrics().Rounds,
-		DualBound:  dualSum,
-		Iterations: cres.Iterations,
-	})
-
-	res.ClusterMetrics = cluster.Metrics()
-	res.Rounds = res.ClusterMetrics.Rounds
-	return res, nil
-}
-
-// nativeParams maps a compress parameter set onto the native solver for
-// the fallback path: the shared fields transfer, and the compression knob
-// is dropped in favor of core's own PhaseIterations.
-func nativeParams(p Params) core.Params {
-	cp := core.ParamsPractical(p.Epsilon, p.Seed)
-	cp.HighDegreeExponent = p.HighDegreeExponent
-	cp.BiasCoefficient = p.BiasCoefficient
-	cp.BiasGrowth = p.BiasGrowth
-	cp.SwitchThreshold = p.SwitchThreshold
-	cp.NumMachines = p.NumGroups
-	cp.MemoryWords = p.MemoryWords
-	cp.MaxPhases = p.MaxPhases
-	cp.Parallelism = p.Parallelism
-	cp.Observer = p.Observer
-	return cp
+	return &Result{Result: *res, GatherStats: gs}, nil
 }

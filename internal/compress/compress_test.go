@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/solver"
 	"repro/internal/verify"
 )
 
@@ -108,7 +109,7 @@ func TestCompressedSplitsOversizedGroups(t *testing.T) {
 	if ok, e := verify.IsCover(g, res.Cover); !ok {
 		t.Fatalf("not a cover after splits: edge %d uncovered", e)
 	}
-	if len(res.Groups) > 0 && res.Groups[0] <= DefaultParams(0.1, 5).NumGroups(24) {
+	if len(res.Groups) > 0 && res.Groups[0] <= DefaultParams(0.1, 5).NumMachines(24) {
 		t.Fatalf("first round ran %d groups; splits should have increased it beyond √d", res.Groups[0])
 	}
 }
@@ -116,15 +117,24 @@ func TestCompressedSplitsOversizedGroups(t *testing.T) {
 func TestCompressedFallsBackToNativeRounds(t *testing.T) {
 	g := testGraph(13, 800, 32)
 	p := DefaultParams(0.1, 4)
-	// No partition can fit a 1-word gather budget, so after MaxSplits
-	// redraws the solve must delegate to the native round structure.
+	// No partition can fit a 1-word gather budget, so after the splits
+	// every phase must run on the native schedule.
 	p.GatherWords = func(int) int64 { return 1 }
+	compressEvents := 0
+	p.Observer = solver.ObserverFunc(func(e solver.Event) {
+		if e.Kind == solver.KindCompress {
+			compressEvents++
+		}
+	})
 	res, err := Run(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Fallback {
 		t.Fatal("expected native fallback under an impossible gather budget")
+	}
+	if compressEvents != 0 || len(res.LocalRounds) != 0 {
+		t.Fatalf("%d compression events and %d gathered phases, want none", compressEvents, len(res.LocalRounds))
 	}
 	if ok, e := verify.IsCover(g, res.Cover); !ok {
 		t.Fatalf("fallback result not a cover: edge %d uncovered", e)
@@ -133,20 +143,31 @@ func TestCompressedFallsBackToNativeRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != nres.Rounds {
-		t.Fatalf("fallback rounds %d, native rounds %d — fallback must use native round structure", res.Rounds, nres.Rounds)
+	if res.Rounds != nres.Rounds || res.Phases != nres.Phases {
+		t.Fatalf("fallback rounds/phases %d/%d, native %d/%d — fallback must use native round structure",
+			res.Rounds, res.Phases, nres.Rounds, nres.Phases)
 	}
 	if math.Float64bits(verify.CoverWeight(g, res.Cover)) != math.Float64bits(verify.CoverWeight(g, nres.Cover)) {
 		t.Fatal("fallback cover differs from a direct native run with the same seed")
+	}
+	for v := range nres.Cover {
+		if res.Cover[v] != nres.Cover[v] {
+			t.Fatalf("fallback cover diverges from native at vertex %d", v)
+		}
+	}
+	for e := range nres.X {
+		if math.Float64bits(res.X[e]) != math.Float64bits(nres.X[e]) {
+			t.Fatalf("fallback dual diverges from native at edge %d", e)
+		}
 	}
 }
 
 func TestCompressedValidatesParams(t *testing.T) {
 	g := testGraph(1, 100, 8)
 	p := DefaultParams(0.1, 1)
-	p.LocalRounds = nil
+	p.PhaseIterations = nil
 	if _, err := Run(context.Background(), g, p); err == nil {
-		t.Fatal("nil LocalRounds accepted")
+		t.Fatal("nil PhaseIterations accepted")
 	}
 	p = DefaultParams(0.1, 1)
 	p.Epsilon = 0.5

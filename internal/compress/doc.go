@@ -1,42 +1,17 @@
-// Package compress implements the round-compressed variant of Algorithm 2:
-// the same sampled primal–dual phase logic as package core, but with each
-// phase collapsed from five accounted MPC cluster rounds to three by
-// dropping the two degree-aggregation rounds — the driver computes the
-// average residual degree, and the home machines piggyback their nonfrozen
-// edge counts on the scatter round so the aggregate stays load-bearing.
-// All k simulated LOCAL rounds of a phase then ride on 3 communication
-// rounds instead of 5 (the Assadi-style round-compression currency:
-// simulated LOCAL rounds per MPC round rises by 5/3 while each group's
-// induced neighborhood still fits one machine's memory).
+// Package compress registers the round-compressed Algorithm 2 as
+// mpc-compress: every phase runs on the gathered schedule of the shared
+// phase driver in package core (core.RunGathered).
 //
-// Each compressed MPC round:
-//
-//  1. samples the high-degree vertices into machine-sized groups with a
-//     seeded, replica-deterministic hash (rng.ChooseAt);
-//  2. gathers each group's induced neighborhood state — residual weights
-//     and co-located edges with their initial duals — into one machine via
-//     the zero-allocation arena (count → Reserve → Alloc → fill), charging
-//     the materialized instance against the per-machine budget s; a
-//     partition whose largest group would not fit is split (group count
-//     doubled, partition redrawn) before any message is staged, and if
-//     splitting cannot make it fit the solve falls back to the native
-//     round structure (core.Run);
-//  3. locally runs k simulated LOCAL rounds of the GhaffariJN20 phase
-//     logic (core.RunLocalSim) inside that machine — k itself is capped
-//     by the estimator's deviation budget (raising it past the native
-//     iteration formula measurably inflates the feasibility-violation
-//     factor; see Params.LocalRounds), which is exactly why the win is
-//     taken on the round bill rather than on k;
-//  4. scatters the updated freeze/dual state back to the vertex home
-//     machines and reconciles globally (Lines 2h–2k), exactly as core.
-//
-// The reconcile step is identical to the native solver, so the dual
-// certificate quality is unchanged: the returned duals rescale to exact
-// feasibility on the original graph via core.Result.FeasibleDual. What
-// changes is the round bill — 3·phases+1 accounted rounds instead of
-// 5·phases+1 — and with it the per-round arena routing and barrier cost
-// that the rounds pay in the simulator (and that round counts price in the
-// MPC model). Progress is observable through the standard round/phase
-// events plus solver.KindCompress, which carries the simulated-LOCAL-round
-// count of each compressed round.
+// A gathered phase samples the high-degree vertices into √d groups with a
+// seeded hash, prices each group's induced neighborhood against the gather
+// budget (Params.GatherWords), splitting the partition until it fits, and
+// spends three accounted cluster rounds where the native schedule spends
+// five: scatter (each group's records to one machine, with the homes'
+// nonfrozen-edge counts piggybacked to machine 0), simulate (all k LOCAL
+// rounds inside the machine; machine 0 cross-checks the counts), and
+// collect. A phase whose groups cannot fit runs on the native schedule and
+// sets Result.Fallback. The reconcile step and the dual certificate are the
+// native solver's; only the round bill changes, 3·phases+1 instead of
+// 5·phases+1, and solver.KindCompress reports each gathered phase's
+// simulated-LOCAL-round count.
 package compress

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/centralized"
 	"repro/internal/graph"
@@ -24,14 +24,53 @@ const (
 
 // Labels for derived randomness. Partition and threshold draws are pure
 // functions of (seed, label, phase, vertex[, iteration]), which is what lets
-// the coupling experiments replay a phase with identical randomness.
+// the coupling experiments replay a phase with identical randomness. The
+// gathered schedule's group draw also takes the split attempt, so a split
+// redraws a fresh partition.
 const (
 	labelPartition uint64 = 'P'
+	labelGroup     uint64 = 'G'
 	labelThreshold uint64 = 'T'
 )
 
 // noFreeze marks a vertex that stayed active through a local simulation.
 const noFreeze = -1
+
+// maxSplits bounds how often the gathered schedule doubles and redraws an
+// oversized partition before the phase falls back to the native schedule.
+const maxSplits = 4
+
+// schedule is how a phase's rounds are billed. Both schedules simulate the
+// same LOCAL process (round compression, Assadi et al. 1709.04599, only
+// changes the bill); they differ in the partition draw and the rounds spent.
+type schedule int
+
+const (
+	// native draws the 'P' partition over NumMachines(d) machines and spends
+	// 5 rounds: aggregate, share, scatter, simulate, collect.
+	native schedule = iota
+	// gathered draws the 'G' partition, splits it until every group fits the
+	// gather budget, and spends 3 rounds: scatter with the piggybacked edge
+	// count, simulate with machine 0's cross-check, collect.
+	gathered
+)
+
+// GatherStats records what the gathered schedule did over a run.
+type GatherStats struct {
+	// Fallback reports that some phase's sampled groups could not fit the
+	// gather budget even after the splits, so that phase ran on the native
+	// schedule.
+	Fallback bool
+	// LocalRounds[i] is k — the number of simulated LOCAL rounds executed
+	// inside each gathered group — for gathered phase i.
+	LocalRounds []int
+	// Groups[i] is the sampled group count of gathered phase i, after any
+	// splits.
+	Groups []int
+	// Splits counts the partition redraws forced by the memory precheck
+	// across the whole run.
+	Splits int
+}
 
 // machScratch is one simulated machine's reusable working set: the
 // per-destination counters and arena-backed message buffers of the scatter
@@ -44,8 +83,8 @@ type machScratch struct {
 	vCnt, eCnt []int32    // per-destination record counts, then write cursors
 	vBuf, eBuf [][]uint64 // per-destination Alloc'd message buffers
 	edgeIDs    []int32    // co-located edges found by the count pass
-	li         LocalInstance
-	sim        SimScratch
+	li         localInstance
+	sim        simScratch
 }
 
 // ensure sizes the per-destination arrays for a fleet of `total` machines.
@@ -58,11 +97,80 @@ func (sc *machScratch) ensure(total int) {
 	}
 }
 
-// Run executes Algorithm 2 on g and returns the cover, the finalized dual
-// weights, and the per-phase measurements. The context is checked between
-// phases, between cluster rounds, and inside the final centralized phase, so
-// a cancellation or deadline ends the solve promptly with ctx.Err().
+// Run executes Algorithm 2 on g with every phase on the native schedule and
+// returns the cover, the finalized dual weights, and the per-phase
+// measurements. The context is checked between phases, between cluster
+// rounds, and inside the final centralized phase, so a cancellation or
+// deadline ends the solve promptly with ctx.Err().
 func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
+	return run(ctx, g, p, nil, nil)
+}
+
+// RunGathered executes Algorithm 2 with every phase on the gathered
+// (round-compressed) schedule: 3 accounted rounds per phase instead of 5.
+// gatherWords(n) is the share of a machine's budget one gathered group may
+// occupy; nil means MemoryWords(n)/2. A phase whose groups still exceed it
+// after the splits runs on the native schedule instead.
+func RunGathered(ctx context.Context, g *graph.Graph, p Params, gatherWords func(n int) int64) (*Result, GatherStats, error) {
+	var gs GatherStats
+	res, err := run(ctx, g, p, &gs, gatherWords)
+	return res, gs, err
+}
+
+// state is the algorithm state that outlives the sampled phases: the graph,
+// the simulated cluster, the result being built, and the freeze
+// bookkeeping. frozenIncident[v] accumulates Σ_{e∋v frozen} x_e so that
+// w′(v) = w(v) − frozenIncident[v] (Line 2b); the residual degrees and the
+// nonfrozen count are updated at every edge freeze (Line 2k).
+type state struct {
+	ctx     context.Context
+	g       *graph.Graph
+	p       Params
+	n, m    int
+	ep      []graph.Vertex // flat endpoints: ep[2e], ep[2e+1] of edge e
+	cluster *mpc.Cluster
+	fleet   int
+	res     *Result
+	phase   int // the running phase, -1 outside phases
+
+	edgeFrozen     []bool
+	frozenIncident []float64
+	resDeg         []int
+	nonfrozen      int64
+	dualSum        float64
+}
+
+// driver runs the sampled phases on a state. Its per-phase scratch is
+// reused across phases and becomes garbage before the final phase.
+type driver struct {
+	*state
+	gs     *GatherStats // nil: every phase runs native
+	budget int64        // gather budget per group
+
+	// localIdx maps a global vertex id to its index on the simulation
+	// machine that owns it this phase (-1 otherwise). The partition assigns
+	// each vertex to exactly one machine and the scatter only ships
+	// co-located edges, so concurrent machines touch disjoint entries; each
+	// machine resets its own entries after its simulation.
+	high                                    []bool
+	wres, yMPC, xPhase                      []float64
+	highIndex, partOf, freezeIter, localIdx []int32
+	highList, newlyFrozen                   []graph.Vertex
+	highEdges                               []int32
+	pow                                     []float64
+	partWords, localEdges                   []int64
+	scratch                                 []machScratch
+
+	// The running phase's schedule and parameters.
+	sched     schedule
+	deg       float64 // average residual degree d
+	parts     int     // simulation machines, or groups when gathered
+	iters     int
+	biasCoeff float64
+	threshold func(graph.Vertex, int) float64
+}
+
+func run(ctx context.Context, g *graph.Graph, p Params, gs *GatherStats, gatherWords func(int) int64) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -72,40 +180,10 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := g.NumVertices()
-	mEdges := g.NumEdges()
-	epFlat := g.EdgeEndpoints() // flat (u,v) pairs; epFlat[2e], epFlat[2e+1] = endpoints of e
-	eps := p.Epsilon
-	growth := 1 / (1 - eps)
-
-	res := &Result{
-		Cover: make([]bool, n),
-		X:     make([]float64, mEdges),
-	}
+	n, m := g.NumVertices(), g.NumEdges()
+	res := &Result{Cover: make([]bool, n), X: make([]float64, m)}
 	if n == 0 {
 		return res, nil
-	}
-
-	// Algorithm state. frozenIncident[v] accumulates Σ_{e∋v frozen} x_e so
-	// that w′(v) = w(v) − frozenIncident[v] (Line 2b).
-	frozen := res.Cover
-	xFinal := res.X
-	edgeFrozen := make([]bool, mEdges)
-	frozenIncident := make([]float64, n)
-	resDeg := g.DegreesWithinMaskInto(make([]int, n), nil)
-	nonfrozenEdges := int64(mEdges)
-
-	// Defensive freeze for a vertex whose residual weight has been exhausted
-	// (mathematically prevented by Line 2i; guarded against float drift).
-	// Its remaining nonfrozen edges finalize at 0, like Line 2j.
-	zeroFreeze := func(v graph.Vertex) {
-		frozen[v] = true
-		for _, e := range g.IncidentEdges(v) {
-			if !edgeFrozen[e] {
-				edgeFrozen[e] = true
-				xFinal[e] = 0
-			}
-		}
 	}
 
 	// Cluster sizing: the simulation uses m = √d machines per phase, but the
@@ -116,765 +194,840 @@ func Run(ctx context.Context, g *graph.Graph, p Params) (*Result, error) {
 	if maxEdgesPerHome < 1 {
 		return nil, fmt.Errorf("core: machine memory %d words cannot hold any edges", memWords)
 	}
-	d0 := 2 * float64(nonfrozenEdges) / float64(n)
-	mTotal := p.NumMachines(d0)
-	if need := int((int64(mEdges) + maxEdgesPerHome - 1) / maxEdgesPerHome); need > mTotal {
-		mTotal = need
-	}
-	if mTotal < 2 {
-		mTotal = 2
-	}
-	// The per-phase degree aggregation is a single fan-in-M tree level, so
-	// machine 0 receives 2·M words; cap the fleet so that always fits in a
-	// quarter of its budget. The cap can only bind below the edge-holding
-	// requirement when S² < 96·|E|, which Õ(n) memory always avoids.
-	if maxFleet := int(memWords / 8); mTotal > maxFleet {
-		if need := int((int64(mEdges) + maxEdgesPerHome - 1) / maxEdgesPerHome); need > maxFleet {
+	need := int((int64(m) + maxEdgesPerHome - 1) / maxEdgesPerHome)
+	fleet := max(p.NumMachines(2*float64(m)/float64(n)), need, 2)
+	// Machine 0 receives one scalar from every machine each phase (a single
+	// fan-in-M aggregation level), 2·M words; cap the fleet so that always
+	// fits in a quarter of its budget. The cap can only bind below the
+	// edge-holding requirement when S² < 96·|E|, which Õ(n) memory always
+	// avoids.
+	if maxFleet := int(memWords / 8); fleet > maxFleet {
+		if need > maxFleet {
 			return nil, fmt.Errorf("core: memory %d words per machine cannot host both the input (%d machines needed) and the aggregation fan-in (max %d)", memWords, need, maxFleet)
 		}
-		mTotal = maxFleet
+		fleet = maxFleet
 	}
-	cluster, err := mpc.NewCluster(mpc.Config{
-		Machines:    mTotal,
-		MemoryWords: memWords,
-		Parallelism: p.Parallelism,
-	})
+	cluster, err := mpc.NewCluster(mpc.Config{Machines: fleet, MemoryWords: memWords, Parallelism: p.Parallelism})
 	if err != nil {
 		return nil, err
 	}
 	defer cluster.Close()
 
+	s := &state{
+		ctx: ctx, g: g, p: p, n: n, m: m, ep: g.EdgeEndpoints(),
+		cluster: cluster, fleet: fleet, res: res, phase: -1,
+		edgeFrozen:     make([]bool, m),
+		frozenIncident: make([]float64, n),
+		resDeg:         g.DegreesWithinMaskInto(make([]int, n), nil),
+		nonfrozen:      int64(m),
+	}
+	// The n-sized scratch arrays are carved out of one backing allocation
+	// per element type.
+	f64 := make([]float64, 2*n)
+	i32 := make([]int32, 4*n)
+	d := &driver{
+		state: s, gs: gs, budget: memWords / 2,
+		high:       make([]bool, n),
+		wres:       f64[:n:n],
+		yMPC:       f64[n:],
+		xPhase:     make([]float64, m),
+		highIndex:  i32[:n:n],
+		partOf:     i32[n : 2*n : 2*n],
+		freezeIter: i32[2*n : 3*n : 3*n],
+		localIdx:   i32[3*n:],
+		partWords:  make([]int64, fleet),
+		localEdges: make([]int64, fleet),
+		scratch:    make([]machScratch, fleet),
+	}
+	if gatherWords != nil {
+		d.budget = gatherWords(n)
+	}
+	for v := range d.localIdx {
+		d.localIdx[v] = -1
+	}
+	if res.Phases, err = d.phases(); err != nil {
+		return nil, err
+	}
+	if err := s.finalPhase(); err != nil {
+		return nil, err
+	}
+	res.ClusterMetrics = cluster.Metrics()
+	res.Rounds = res.ClusterMetrics.Rounds
+	return res, nil
+}
+
+// event returns an observer event stamped with the running phase, the
+// cumulative round count, the nonfrozen edges and the dual total.
+func (s *state) event(kind solver.EventKind) solver.Event {
+	return solver.Event{
+		Kind:        kind,
+		Phase:       s.phase,
+		Round:       s.cluster.Metrics().Rounds,
+		ActiveEdges: s.nonfrozen,
+		DualBound:   s.dualSum,
+	}
+}
+
+// emit sends a phase-scoped event carrying the phase's degree, machine and
+// iteration counts.
+func (d *driver) emit(kind solver.EventKind) {
+	e := d.event(kind)
+	e.Degree, e.Machines, e.Iterations = d.deg, d.parts, d.iters
+	solver.Emit(d.p.Observer, e)
+}
+
+// step executes one accounted cluster round with a context check before it
+// and a KindRound event after it, so the number of round events equals
+// Result.Rounds exactly.
+func (s *state) step(fn mpc.StepFunc) error {
+	if err := s.ctx.Err(); err != nil {
+		return err
+	}
+	if err := s.cluster.Round(fn); err != nil {
+		return err
+	}
+	solver.Emit(s.p.Observer, s.event(solver.KindRound))
+	return nil
+}
+
+// freezeEdge finalizes a nonfrozen edge at x and keeps the residual degrees
+// and the nonfrozen count current (Line 2k).
+func (s *state) freezeEdge(e int, x float64) {
+	s.edgeFrozen[e] = true
+	s.res.X[e] = x
+	s.resDeg[s.ep[2*e]]--
+	s.resDeg[s.ep[2*e+1]]--
+	s.nonfrozen--
+}
+
+// freezeVertex puts v in the cover and finalizes its remaining nonfrozen
+// edges at 0 (Line 2j). A vertex whose edges are all finalized already has
+// nothing left to freeze, so its adjacency is not walked.
+func (s *state) freezeVertex(v graph.Vertex) {
+	s.res.Cover[v] = true
+	if s.resDeg[v] == 0 {
+		return
+	}
+	for _, e := range s.g.IncidentEdges(v) {
+		if !s.edgeFrozen[e] {
+			s.freezeEdge(int(e), 0)
+		}
+	}
+}
+
+// residual returns w′(v) and whether it is still positive. A vertex whose
+// residual weight is exhausted (mathematically prevented by Line 2i; guarded
+// against float drift) is frozen on the spot.
+func (s *state) residual(v graph.Vertex) (float64, bool) {
+	w := s.g.Weight(v) - s.frozenIncident[v]
+	if w <= 1e-12*s.g.Weight(v) {
+		s.freezeVertex(v)
+		return 0, false
+	}
+	return w, true
+}
+
+// phases runs the sampled phases and returns how many ran.
+func (d *driver) phases() (int, error) {
+	p, n, eps := d.p, d.n, d.p.Epsilon
 	maxPhases := p.MaxPhases
 	if maxPhases == 0 {
 		maxPhases = 64
 	}
-
-	// Observability: dualSum accumulates Σ x_e over finalized edges (the raw
-	// dual total that FeasibleDual later rescales into a certified bound);
-	// curPhase scopes round events to the running phase (-1 outside phases).
-	obs := p.Observer
-	dualSum := 0.0
-	curPhase := -1
-	// step executes one accounted cluster round with a context check before
-	// it and a KindRound event after it, so the number of round events equals
-	// Result.Rounds exactly.
-	step := func(fn mpc.StepFunc) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := cluster.Round(fn); err != nil {
-			return err
-		}
-		solver.Emit(obs, solver.Event{
-			Kind:        solver.KindRound,
-			Phase:       curPhase,
-			Round:       cluster.Metrics().Rounds,
-			ActiveEdges: nonfrozenEdges,
-			DualBound:   dualSum,
-		})
-		return nil
-	}
-
-	// Reused per-phase scratch. The n-sized arrays are carved out of two
-	// backing allocations (one per element type).
-	f64Scratch := make([]float64, 2*n)
-	wres, yMPC := f64Scratch[:n:n], f64Scratch[n:]
-	i32Scratch := make([]int32, 4*n)
-	highIndex, machineOf, freezeIterShared, localIdx := i32Scratch[:n:n], i32Scratch[n:2*n:2*n], i32Scratch[2*n:3*n:3*n], i32Scratch[3*n:]
-	for v := range localIdx {
-		localIdx[v] = -1
-	}
-	high := make([]bool, n)
-	xPhase := make([]float64, mEdges)
-	var highList []graph.Vertex
-	var highEdges []int32
-	var pow []float64
-	var newlyFrozen []graph.Vertex
-	localEdgeCount := make([]int64, mTotal)
-
-	// Per-machine communication and simulation scratch, reused across all
-	// phases and rounds so the steady-state message plane allocates nothing:
-	// staging buffers grow once, then recycle.
-	scratch := make([]machScratch, mTotal)
-	// localIdx (carved from i32Scratch above) maps a global vertex id to its
-	// index on the simulation machine that owns it this phase (-1 otherwise).
-	// The partition assigns each vertex to exactly one machine and the
-	// scatter only ships co-located edges, so concurrent machines touch
-	// disjoint entries; each machine resets its own entries after its
-	// simulation.
-
-	phase := 0
 	stalls := 0
-	for ; ; phase++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	for phase := 0; ; phase++ {
+		if err := d.ctx.Err(); err != nil {
+			return 0, err
 		}
-		curPhase = phase
-		d := 2 * float64(nonfrozenEdges) / float64(n)
-		if d <= p.SwitchThreshold(n) {
-			break
-		}
+		d.phase = phase
+		edgesBefore := d.nonfrozen
+		deg := 2 * float64(d.nonfrozen) / float64(n)
 		// Stall fallback: if sampled phases stop making progress (which the
 		// ablations deliberately provoke — e.g. uniform initialization
 		// resets the duals every phase and can never reach any threshold
 		// within I iterations), hand the residual instance to the final
 		// centralized phase instead of spinning. The memory charge there
 		// still enforces that the fallback is legitimate.
-		if stalls >= 3 {
-			break
+		if deg <= p.SwitchThreshold(n) || stalls >= 3 {
+			d.phase = -1
+			return phase, nil
 		}
 		if phase >= maxPhases {
-			return nil, fmt.Errorf("core: no convergence after %d phases (d=%.1f)", phase, d)
+			return 0, fmt.Errorf("core: no convergence after %d phases (d=%.1f)", phase, deg)
 		}
 
 		// Lines (2a)/(2b): classify nonfrozen vertices and compute residual
 		// weights for V^high.
-		dGamma := math.Pow(d, p.HighDegreeExponent)
+		dGamma := math.Pow(deg, p.HighDegreeExponent)
 		if p.DisableInactiveSplit {
 			dGamma = 1 // every nonfrozen vertex with an edge is "high"
 		}
-		highList = highList[:0]
-		numInactive := 0
-		numNonfrozen := 0
+		d.highList = d.highList[:0]
+		numInactive, numNonfrozen := 0, 0
 		for v := 0; v < n; v++ {
-			high[v] = false
-			if frozen[v] {
+			d.high[v] = false
+			if d.res.Cover[v] {
 				continue
 			}
 			numNonfrozen++
-			if resDeg[v] == 0 {
+			if d.resDeg[v] == 0 {
 				continue
 			}
-			w := g.Weight(graph.Vertex(v)) - frozenIncident[v]
-			if w <= 1e-12*g.Weight(graph.Vertex(v)) {
-				zeroFreeze(graph.Vertex(v))
+			w, ok := d.residual(graph.Vertex(v))
+			if !ok {
 				continue
 			}
-			if float64(resDeg[v]) >= dGamma {
-				high[v] = true
-				wres[v] = w
-				highIndex[v] = int32(len(highList))
-				highList = append(highList, graph.Vertex(v))
+			if float64(d.resDeg[v]) >= dGamma {
+				d.high[v] = true
+				d.wres[v] = w
+				d.highIndex[v] = int32(len(d.highList))
+				d.highList = append(d.highList, graph.Vertex(v))
 			} else {
 				numInactive++
 			}
 		}
-		if len(highList) == 0 {
+		if len(d.highList) == 0 {
 			// Cannot happen while d > 1 (some vertex has degree ≥ d ≥ d^γ),
 			// but guard so a degenerate configuration falls through to the
 			// final centralized phase instead of looping.
-			break
+			d.phase = -1
+			return phase, nil
 		}
 
-		// Line (2e): machines and iterations for this phase.
-		mMach := p.NumMachines(d)
-		if mMach < 1 {
-			mMach = 1
+		// Lines (2c)–(2f): initial duals, the partition, and the phase's
+		// machine and iteration counts.
+		d.deg = deg
+		if err := d.partition(); err != nil {
+			return 0, err
 		}
-		if mMach > mTotal {
-			mMach = mTotal
-		}
-		iters := p.PhaseIterations(mMach, eps)
-		if iters < 1 {
-			iters = 1
-		}
-		solver.Emit(obs, solver.Event{
-			Kind:        solver.KindPhaseStart,
-			Phase:       phase,
-			Round:       cluster.Metrics().Rounds,
-			ActiveEdges: nonfrozenEdges,
-			DualBound:   dualSum,
-			Degree:      d,
-			Machines:    mMach,
-			Iterations:  iters,
-		})
-
-		// Line (2c): initial duals on E[V^high] (degree-aware, or the
-		// uniform-init ablation).
-		highEdges = highEdges[:0]
-		uniformBase := 0.0
-		if p.UniformInit {
-			wmin := math.Inf(1)
-			for _, v := range highList {
-				wmin = math.Min(wmin, wres[v])
-			}
-			uniformBase = wmin / float64(n)
-		}
-		for e := 0; e < mEdges; e++ {
-			if edgeFrozen[e] {
-				continue
-			}
-			u, v := epFlat[2*e], epFlat[2*e+1]
-			if !high[u] || !high[v] {
-				continue
-			}
-			highEdges = append(highEdges, int32(e))
-			if p.UniformInit {
-				xPhase[e] = uniformBase
-			} else {
-				xPhase[e] = math.Min(wres[u]/float64(resDeg[u]), wres[v]/float64(resDeg[v]))
-			}
-		}
-
-		// Line (2d): thresholds are a pure function of (seed, phase, v, t);
-		// Line (2f): so is the partition.
+		d.iters = max(1, p.PhaseIterations(d.parts, eps))
+		d.emit(solver.KindPhaseStart)
 		lo, hi := 1-4*eps, 1-2*eps
-		threshold := func(v graph.Vertex, t int) float64 {
+		d.threshold = func(v graph.Vertex, t int) float64 {
 			return rng.UniformAt(p.Seed, lo, hi, labelThreshold, uint64(phase), uint64(v), uint64(t))
 		}
 		if p.FixedThresholds {
 			fixed := 1 - 3*eps
-			threshold = func(graph.Vertex, int) float64 { return fixed }
+			d.threshold = func(graph.Vertex, int) float64 { return fixed }
 		}
-		for _, v := range highList {
-			machineOf[v] = int32(rng.ChooseAt(p.Seed, mMach, labelPartition, uint64(phase), uint64(v)))
-		}
-
-		// ---- MPC execution of the phase ----
-		cluster.ResetResident()
-
-		biasCoeff := p.BiasCoefficient
+		d.biasCoeff = p.BiasCoefficient
 		if p.DisableBias {
-			biasCoeff = 0
+			d.biasCoeff = 0
 		}
 
-		// Rounds A0/A1 (aggregate + share): the average residual degree is
-		// computed *through the cluster* — each home machine counts its
-		// nonfrozen edges, a single fan-in-M tree level combines the counts
-		// at machine 0 (the [GSZ11] O(1)-round aggregation primitive; see
-		// internal/mpcalg for the general-depth version), and machine 0
-		// shares the result with the fleet. The driver cross-checks the
-		// aggregated value against its own bookkeeping, so the simulated
-		// data path is load-bearing, not decorative.
-		err := step(func(mach *mpc.Machine) error {
-			id := mach.ID()
-			cnt := uint64(0)
-			for e := id; e < mEdges; e += mTotal {
-				if !edgeFrozen[e] {
-					cnt++
-				}
-			}
-			return mach.Send(0, []uint64{tagScalar, cnt})
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: phase %d degree aggregation: %w", phase, err)
+		// Line (2g) on the cluster.
+		if err := d.rounds(); err != nil {
+			return 0, err
 		}
-		err = step(func(mach *mpc.Machine) error {
-			if mach.ID() != 0 {
-				return nil
-			}
-			total := uint64(0)
-			for _, msg := range mach.Inbox() {
-				if len(msg.Data) != 2 || msg.Data[0] != tagScalar {
-					return fmt.Errorf("core: malformed degree report from machine %d", msg.From)
-				}
-				total += msg.Data[1]
-			}
-			if total != uint64(nonfrozenEdges) {
-				return fmt.Errorf("core: aggregated %d nonfrozen edges, driver has %d", total, nonfrozenEdges)
-			}
-			dv := 2 * float64(total) / float64(n)
-			for dst := 0; dst < mTotal; dst++ {
-				if err := mach.Send(dst, []uint64{tagScalar, mpc.PutFloat(dv)}); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: phase %d degree share: %w", phase, err)
-		}
-
-		// Round A (scatter): home machines verify the shared degree and
-		// route co-located induced edges and vertex records to the owning
-		// simulation machine.
-		err = step(func(mach *mpc.Machine) error {
-			id := mach.ID()
-			sawScalar := false
-			for _, msg := range mach.Inbox() {
-				if len(msg.Data) == 2 && msg.Data[0] == tagScalar {
-					if got := mpc.GetFloat(msg.Data[1]); math.Abs(got-d) > 1e-9*d {
-						return fmt.Errorf("core: machine %d received d=%v, phase uses %v", id, got, d)
-					}
-					sawScalar = true
-				}
-			}
-			if !sawScalar {
-				return fmt.Errorf("core: machine %d missing the shared average degree", id)
-			}
-			sc := &scratch[id]
-			sc.ensure(mTotal)
-			vCnt, eCnt := sc.vCnt, sc.eCnt
-			vBuf, eBuf := sc.vBuf, sc.eBuf
-			// Count records per destination, reserve the total arena volume,
-			// then stage each destination's message in place — no
-			// intermediate buffers, no copies.
-			for dst := 0; dst < mMach; dst++ {
-				vCnt[dst] = 0
-				eCnt[dst] = 0
-			}
-			for v := id; v < n; v += mTotal {
-				if high[v] {
-					vCnt[machineOf[v]]++
-				}
-			}
-			sc.edgeIDs = sc.edgeIDs[:0]
-			for e := id; e < mEdges; e += mTotal {
-				if edgeFrozen[e] {
-					continue
-				}
-				u, v := epFlat[2*e], epFlat[2*e+1]
-				if high[u] && high[v] && machineOf[u] == machineOf[v] {
-					eCnt[machineOf[u]]++
-					sc.edgeIDs = append(sc.edgeIDs, int32(e))
-				}
-			}
-			total := int64(0)
-			for dst := 0; dst < mMach; dst++ {
-				if vCnt[dst] > 0 {
-					total += 1 + int64(vCnt[dst])*mpc.VertexRecordWords
-				}
-				if eCnt[dst] > 0 {
-					total += 1 + int64(eCnt[dst])*mpc.EdgeRecordWords
-				}
-			}
-			mach.Reserve(total)
-			for dst := 0; dst < mMach; dst++ {
-				if vCnt[dst] > 0 {
-					buf, err := mach.Alloc(dst, 1+int(vCnt[dst])*mpc.VertexRecordWords)
-					if err != nil {
-						return err
-					}
-					buf[0] = tagVertex
-					vBuf[dst] = buf[1:]
-				}
-				if eCnt[dst] > 0 {
-					buf, err := mach.Alloc(dst, 1+int(eCnt[dst])*mpc.EdgeRecordWords)
-					if err != nil {
-						return err
-					}
-					buf[0] = tagEdge
-					eBuf[dst] = buf[1:]
-				}
-				vCnt[dst] = 0 // reuse as write cursor
-				eCnt[dst] = 0
-			}
-			for v := id; v < n; v += mTotal {
-				if !high[v] {
-					continue
-				}
-				dst := machineOf[v]
-				mpc.SetVertexRecord(vBuf[dst], int(vCnt[dst]), int32(v), wres[v])
-				vCnt[dst]++
-			}
-			for _, e := range sc.edgeIDs {
-				u, v := epFlat[2*e], epFlat[2*e+1]
-				dst := machineOf[u]
-				mpc.SetEdgeRecord(eBuf[dst], int(eCnt[dst]), u, v, xPhase[e])
-				eCnt[dst]++
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: phase %d scatter: %w", phase, err)
-		}
-
-		// Round B (local simulation): each simulation machine materializes
-		// its induced subgraph (charged against its memory budget — this is
-		// the Lemma 4.1 constraint), runs Lines (2g i–iii), and routes the
-		// freeze results to each vertex's home machine.
-		for i := range localEdgeCount {
-			localEdgeCount[i] = 0
-		}
-		err = step(func(mach *mpc.Machine) error {
-			id := mach.ID()
-			inbox := mach.Inbox()
-			if id >= mMach {
-				if len(inbox) != 0 {
-					return fmt.Errorf("core: non-simulation machine %d received %d messages", id, len(inbox))
-				}
-				return nil
-			}
-			sc := &scratch[id]
-			li := &sc.li
-			li.Reset()
-			nV, nE := 0, 0
-			for _, msg := range inbox {
-				if len(msg.Data) == 0 {
-					continue
-				}
-				switch msg.Data[0] {
-				case tagVertex:
-					nV += (len(msg.Data) - 1) / mpc.VertexRecordWords
-				case tagEdge:
-					nE += (len(msg.Data) - 1) / mpc.EdgeRecordWords
-				}
-			}
-			li.Grow(nV, nE)
-			// localIdx is shared across machines but the partition makes the
-			// writes disjoint: only this machine's own vertices are indexed,
-			// and they are reset below before the step returns.
-			for _, msg := range inbox {
-				if len(msg.Data) == 0 || msg.Data[0] != tagVertex {
-					continue
-				}
-				body := msg.Data[1:]
-				cnt, err := mpc.CheckRecordCount(body, mpc.VertexRecordWords)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					v, w := mpc.DecodeVertexRecord(body, i)
-					localIdx[v] = int32(len(li.VertexIDs))
-					li.VertexIDs = append(li.VertexIDs, v)
-					li.ResWeight = append(li.ResWeight, w)
-				}
-			}
-			for _, msg := range inbox {
-				if len(msg.Data) == 0 || msg.Data[0] != tagEdge {
-					continue
-				}
-				body := msg.Data[1:]
-				cnt, err := mpc.CheckRecordCount(body, mpc.EdgeRecordWords)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					u, v, x0 := mpc.DecodeEdgeRecord(body, i)
-					lu, lv := localIdx[u], localIdx[v]
-					if lu < 0 || lv < 0 {
-						return fmt.Errorf("core: machine %d received edge (%d,%d) without both endpoints", id, u, v)
-					}
-					li.Edges = append(li.Edges, [2]int32{lu, lv})
-					li.X0 = append(li.X0, x0)
-				}
-			}
-			if err := mach.Charge(li.Words()); err != nil {
-				return err
-			}
-			localEdgeCount[id] = int64(len(li.Edges))
-			freeze := RunLocalSim(li, mMach, iters, eps, biasCoeff, p.BiasGrowth, threshold, &sc.sim)
-			// Stage the freeze results per home machine, reusing the scatter
-			// counters/buffers (count → Reserve → Alloc → fill, as above).
-			rCnt, rBuf := sc.vCnt, sc.vBuf
-			for dst := 0; dst < mTotal; dst++ {
-				rCnt[dst] = 0
-			}
-			for _, v := range li.VertexIDs {
-				rCnt[int(v)%mTotal]++
-			}
-			total := int64(0)
-			for dst := 0; dst < mTotal; dst++ {
-				if rCnt[dst] > 0 {
-					total += 1 + int64(rCnt[dst])*mpc.ResultRecordWords
-				}
-			}
-			mach.Reserve(total)
-			for dst := 0; dst < mTotal; dst++ {
-				if rCnt[dst] > 0 {
-					buf, err := mach.Alloc(dst, 1+int(rCnt[dst])*mpc.ResultRecordWords)
-					if err != nil {
-						return err
-					}
-					buf[0] = tagResult
-					rBuf[dst] = buf[1:]
-				}
-				rCnt[dst] = 0 // reuse as write cursor
-			}
-			for i, v := range li.VertexIDs {
-				home := int(v) % mTotal
-				mpc.SetResultRecord(rBuf[home], int(rCnt[home]), v, freeze[i])
-				rCnt[home]++
-				localIdx[v] = -1
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: phase %d local simulation: %w", phase, err)
-		}
-
-		// Round C (collect): home machines record the freeze iteration of
-		// their vertices. Writes are disjoint by construction (one home per
-		// vertex), so the shared slice is race-free.
-		for _, v := range highList {
-			freezeIterShared[v] = noFreeze
-		}
-		err = step(func(mach *mpc.Machine) error {
-			for _, msg := range mach.Inbox() {
-				if len(msg.Data) == 0 || msg.Data[0] != tagResult {
-					return fmt.Errorf("core: machine %d: unexpected tag in collect round", mach.ID())
-				}
-				body := msg.Data[1:]
-				cnt, err := mpc.CheckRecordCount(body, mpc.ResultRecordWords)
-				if err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					v, fi := mpc.DecodeResultRecord(body, i)
-					if int(v)%mTotal != mach.ID() {
-						return fmt.Errorf("core: result for vertex %d misrouted to machine %d", v, mach.ID())
-					}
-					freezeIterShared[v] = int32(fi)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: phase %d collect: %w", phase, err)
-		}
-
-		// Optional coupling capture — must happen before Line (2h) rescales
-		// xPhase in place.
 		if p.CollectCoupling {
-			cp := CouplingPhase{
-				Phase:      phase,
-				Machines:   mMach,
-				Iterations: iters,
-				High:       append([]graph.Vertex(nil), highList...),
-			}
-			cp.ResidualWeight = make([]float64, len(highList))
-			cp.MachineOf = make([]int, len(highList))
-			cp.FreezeIter = make([]int, len(highList))
-			for i, v := range highList {
-				cp.ResidualWeight[i] = wres[v]
-				cp.MachineOf[i] = int(machineOf[v])
-				cp.FreezeIter[i] = int(freezeIterShared[v])
-			}
-			cp.Edges = make([][2]int32, len(highEdges))
-			cp.X0 = make([]float64, len(highEdges))
-			for i, e := range highEdges {
-				u, v := epFlat[2*e], epFlat[2*e+1]
-				cp.Edges[i] = [2]int32{highIndex[u], highIndex[v]}
-				cp.X0[i] = xPhase[e]
-			}
-			res.Coupling = append(res.Coupling, cp)
+			d.capture() // before Line (2h) rescales xPhase in place
 		}
+		frozenAtSim, frozenAt2i := d.reconcile()
 
-		// Line (2h): every edge of E[V^high] gets the weight implied by the
-		// earliest endpoint freeze (t′ = I when both stayed active).
-		if cap(pow) < iters+1 {
-			pow = make([]float64, iters+1)
-		} else {
-			pow = pow[:iters+1]
-		}
-		pow[0] = 1
-		for t := 1; t <= iters; t++ {
-			pow[t] = pow[t-1] * growth
-		}
-		fiOf := func(v graph.Vertex) int {
-			if fi := freezeIterShared[v]; fi >= 0 {
-				return int(fi)
-			}
-			return iters
-		}
-		for _, e := range highEdges {
-			u, v := epFlat[2*e], epFlat[2*e+1]
-			t := fiOf(u)
-			if tv := fiOf(v); tv < t {
-				t = tv
-			}
-			xPhase[e] *= pow[t]
-		}
-
-		// Freeze set 1: vertices frozen by their local simulation.
-		newlyFrozen = newlyFrozen[:0]
-		for _, v := range highList {
-			if freezeIterShared[v] >= 0 {
-				newlyFrozen = append(newlyFrozen, v)
-			}
-		}
-		frozenAtSim := len(newlyFrozen)
-
-		// Line (2i): vertices whose incident E[V^high] weight already
-		// exceeds their residual weight freeze too, so residuals stay
-		// nonnegative in later phases.
-		for _, v := range highList {
-			yMPC[v] = 0
-		}
-		for _, e := range highEdges {
-			u, v := epFlat[2*e], epFlat[2*e+1]
-			yMPC[u] += xPhase[e]
-			yMPC[v] += xPhase[e]
-		}
-		frozenAt2i := 0
-		for _, v := range highList {
-			if freezeIterShared[v] < 0 && yMPC[v] >= wres[v]*(1-1e-12) {
-				newlyFrozen = append(newlyFrozen, v)
-				frozenAt2i++
-			}
-		}
-		for _, v := range newlyFrozen {
-			frozen[v] = true
-		}
-
-		// Finalize edges: E[V^high] edges with a frozen endpoint keep their
-		// Line (2h) weight; Line (2j) freezes V^inactive-side edges at 0.
-		for _, e := range highEdges {
-			u, v := epFlat[2*e], epFlat[2*e+1]
-			if frozen[u] || frozen[v] {
-				edgeFrozen[e] = true
-				xFinal[e] = xPhase[e]
-				frozenIncident[u] += xPhase[e]
-				frozenIncident[v] += xPhase[e]
-				dualSum += xPhase[e]
-			}
-		}
-		for _, v := range newlyFrozen {
-			for _, e := range g.IncidentEdges(v) {
-				if !edgeFrozen[e] {
-					edgeFrozen[e] = true
-					xFinal[e] = 0
-				}
-			}
-		}
-
-		// Line (2k): recompute residual degrees and the nonfrozen edge count.
-		edgesBefore := nonfrozenEdges
-		for v := 0; v < n; v++ {
-			resDeg[v] = 0
-		}
-		nonfrozenEdges = 0
-		for e := 0; e < mEdges; e++ {
-			if edgeFrozen[e] {
-				continue
-			}
-			u, v := epFlat[2*e], epFlat[2*e+1]
-			resDeg[u]++
-			resDeg[v]++
-			nonfrozenEdges++
-		}
-
-		if float64(nonfrozenEdges) > 0.99*float64(edgesBefore) {
+		if float64(d.nonfrozen) > 0.99*float64(edgesBefore) {
 			stalls++
 		} else {
 			stalls = 0
 		}
-
-		maxLocalEdges, totalLocalEdges := int64(0), int64(0)
-		for _, c := range localEdgeCount {
-			totalLocalEdges += c
-			if c > maxLocalEdges {
-				maxLocalEdges = c
-			}
+		totalLocal := int64(0)
+		for _, c := range d.localEdges {
+			totalLocal += c
 		}
-		res.PhaseStats = append(res.PhaseStats, PhaseStat{
+		d.res.PhaseStats = append(d.res.PhaseStats, PhaseStat{
 			Phase:               phase,
-			AvgDegree:           d,
+			AvgDegree:           deg,
 			NumNonfrozen:        numNonfrozen,
-			NumHigh:             len(highList),
+			NumHigh:             len(d.highList),
 			NumInactive:         numInactive,
-			Machines:            mMach,
-			Iterations:          iters,
-			MaxMachineEdges:     int(maxLocalEdges),
-			TotalMachineEdges:   totalLocalEdges,
-			MaxMachineWords:     cluster.Metrics().MaxResidentWords,
+			Machines:            d.parts,
+			Iterations:          d.iters,
+			MaxMachineEdges:     int(slices.Max(d.localEdges)),
+			TotalMachineEdges:   totalLocal,
+			MaxMachineWords:     d.cluster.Metrics().MaxResidentWords,
 			EdgesBefore:         edgesBefore,
-			EdgesAfter:          nonfrozenEdges,
-			DecayBound:          float64(n)*d*math.Pow(1-eps, float64(iters)) + float64(n)*dGamma,
+			EdgesAfter:          d.nonfrozen,
+			DecayBound:          float64(n)*deg*math.Pow(1-eps, float64(d.iters)) + float64(n)*dGamma,
 			NewlyFrozenVertices: frozenAtSim + frozenAt2i,
 			FrozenAtLine2i:      frozenAt2i,
 		})
-		solver.Emit(obs, solver.Event{
-			Kind:        solver.KindPhaseEnd,
-			Phase:       phase,
-			Round:       cluster.Metrics().Rounds,
-			ActiveEdges: nonfrozenEdges,
-			DualBound:   dualSum,
-			Degree:      d,
-			Machines:    mMach,
-			Iterations:  iters,
-		})
+		if d.sched == gathered {
+			d.gs.LocalRounds = append(d.gs.LocalRounds, d.iters)
+			d.gs.Groups = append(d.gs.Groups, d.parts)
+			d.emit(solver.KindCompress)
+		}
+		d.emit(solver.KindPhaseEnd)
 	}
-	curPhase = -1
-	res.Phases = phase
+}
 
-	// Line (3): the residual instance moves to one machine (the gather is
-	// one more round, and the memory charge enforces that it fits) and the
-	// centralized algorithm finishes it.
+// partition computes the Line (2c) initial duals on E[V^high] and draws the
+// phase's partition of V^high (Lines 2e/2f) under its schedule. The gathered
+// schedule prices each group's induced instance (vertex and co-located edge
+// records; attempt 0 is priced inside the Line 2c walk) and splits — doubles
+// the group count and redraws — until the largest group fits the gather
+// budget. When the splits run out, the phase runs on the native schedule.
+func (d *driver) partition() error {
+	p, ep := d.p, d.ep
+	machines := min(max(p.NumMachines(d.deg), 1), d.fleet)
+	d.sched, d.parts = native, machines
+	if d.gs != nil {
+		d.sched = gathered
+		d.drawGroups(0)
+	}
+
+	d.highEdges = d.highEdges[:0]
+	uniformBase := 0.0
+	if p.UniformInit {
+		wmin := math.Inf(1)
+		for _, v := range d.highList {
+			wmin = math.Min(wmin, d.wres[v])
+		}
+		uniformBase = wmin / float64(d.n)
+	}
+	for e := 0; e < d.m; e++ {
+		if d.edgeFrozen[e] {
+			continue
+		}
+		u, v := ep[2*e], ep[2*e+1]
+		if !d.high[u] || !d.high[v] {
+			continue
+		}
+		d.highEdges = append(d.highEdges, int32(e))
+		if p.UniformInit {
+			d.xPhase[e] = uniformBase
+		} else {
+			d.xPhase[e] = math.Min(d.wres[u]/float64(d.resDeg[u]), d.wres[v]/float64(d.resDeg[v]))
+		}
+		if d.sched == gathered && d.partOf[u] == d.partOf[v] {
+			d.partWords[d.partOf[u]] += mpc.EdgeRecordWords
+		}
+	}
+
+	for attempt := 0; d.sched == gathered; {
+		if err := d.ctx.Err(); err != nil {
+			return err
+		}
+		if slices.Max(d.partWords[:d.parts]) <= d.budget {
+			return nil
+		}
+		if attempt >= maxSplits || d.parts >= d.fleet {
+			d.gs.Fallback = true
+			d.sched, d.parts = native, machines
+			break
+		}
+		d.parts = min(2*d.parts, d.fleet)
+		attempt++
+		d.gs.Splits++
+		d.drawGroups(attempt)
+		for _, e := range d.highEdges {
+			u, v := ep[2*e], ep[2*e+1]
+			if d.partOf[u] == d.partOf[v] {
+				d.partWords[d.partOf[u]] += mpc.EdgeRecordWords
+			}
+		}
+	}
+	for _, v := range d.highList {
+		d.partOf[v] = int32(rng.ChooseAt(p.Seed, d.parts, labelPartition, uint64(d.phase), uint64(v)))
+	}
+	return nil
+}
+
+// drawGroups draws the gathered schedule's group partition for one split
+// attempt and prices its vertex records.
+func (d *driver) drawGroups(attempt int) {
+	clear(d.partWords[:d.parts])
+	for _, v := range d.highList {
+		gi := int32(rng.ChooseAt(d.p.Seed, d.parts, labelGroup, uint64(d.phase), uint64(attempt), uint64(v)))
+		d.partOf[v] = gi
+		d.partWords[gi] += mpc.VertexRecordWords
+	}
+}
+
+// rounds runs the phase's cluster rounds under its schedule.
+func (d *driver) rounds() error {
+	d.cluster.ResetResident()
+	if d.sched == native {
+		// Rounds A0/A1 (aggregate + share): the average residual degree is
+		// computed through the cluster — each home machine counts its
+		// nonfrozen edges, a single fan-in-M tree level combines the counts
+		// at machine 0 (the [GSZ11] O(1)-round aggregation primitive), and
+		// machine 0 shares the result with the fleet, which checks it in the
+		// scatter round.
+		if err := d.step(d.aggregate); err != nil {
+			return fmt.Errorf("core: phase %d degree aggregation: %w", d.phase, err)
+		}
+		if err := d.step(d.share); err != nil {
+			return fmt.Errorf("core: phase %d degree share: %w", d.phase, err)
+		}
+	}
+	if err := d.step(d.scatter); err != nil {
+		return fmt.Errorf("core: phase %d scatter: %w", d.phase, err)
+	}
+	clear(d.localEdges)
+	if err := d.step(d.simulate); err != nil {
+		return fmt.Errorf("core: phase %d local simulation: %w", d.phase, err)
+	}
+	for _, v := range d.highList {
+		d.freezeIter[v] = noFreeze
+	}
+	if err := d.step(d.collect); err != nil {
+		return fmt.Errorf("core: phase %d collect: %w", d.phase, err)
+	}
+	return nil
+}
+
+// aggregate (native) sends each home machine's nonfrozen-edge count to
+// machine 0.
+func (d *driver) aggregate(mach *mpc.Machine) error {
+	cnt := uint64(0)
+	for e := mach.ID(); e < d.m; e += d.fleet {
+		if !d.edgeFrozen[e] {
+			cnt++
+		}
+	}
+	return mach.Send(0, []uint64{tagScalar, cnt})
+}
+
+// checkCount is machine 0's cross-check of the aggregated nonfrozen-edge
+// count against the driver's bookkeeping, which keeps the simulated data
+// path load-bearing.
+func (d *driver) checkCount(mach *mpc.Machine) (uint64, error) {
+	total, seen := uint64(0), 0
+	for _, msg := range mach.Inbox() {
+		if len(msg.Data) == 2 && msg.Data[0] == tagScalar {
+			total += msg.Data[1]
+			seen++
+		}
+	}
+	if seen != d.fleet {
+		return 0, fmt.Errorf("core: machine 0 received %d degree reports, want %d", seen, d.fleet)
+	}
+	if total != uint64(d.nonfrozen) {
+		return 0, fmt.Errorf("core: aggregated %d nonfrozen edges, driver has %d", total, d.nonfrozen)
+	}
+	return total, nil
+}
+
+// share (native) has machine 0 check the aggregated count and broadcast the
+// average degree.
+func (d *driver) share(mach *mpc.Machine) error {
+	if mach.ID() != 0 {
+		return nil
+	}
+	total, err := d.checkCount(mach)
+	if err != nil {
+		return err
+	}
+	dv := mpc.PutFloat(2 * float64(total) / float64(d.n))
+	for dst := 0; dst < d.fleet; dst++ {
+		if err := mach.Send(dst, []uint64{tagScalar, dv}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scatter routes each home machine's V^high vertex records and co-located
+// E[V^high] edges to the machine that simulates them. Under the native
+// schedule it first checks the shared average degree; under the gathered
+// one it piggybacks its nonfrozen-edge count to machine 0.
+func (d *driver) scatter(mach *mpc.Machine) error {
+	id := mach.ID()
+	if d.sched == native {
+		sawScalar := false
+		for _, msg := range mach.Inbox() {
+			if len(msg.Data) == 2 && msg.Data[0] == tagScalar {
+				if got := mpc.GetFloat(msg.Data[1]); math.Abs(got-d.deg) > 1e-9*d.deg {
+					return fmt.Errorf("core: machine %d received d=%v, phase uses %v", id, got, d.deg)
+				}
+				sawScalar = true
+			}
+		}
+		if !sawScalar {
+			return fmt.Errorf("core: machine %d missing the shared average degree", id)
+		}
+	}
+	sc := &d.scratch[id]
+	sc.ensure(d.fleet)
+	vCnt, eCnt, vBuf, eBuf := sc.vCnt, sc.eCnt, sc.vBuf, sc.eBuf
+	// Count records per destination, reserve the total arena volume, then
+	// stage each destination's message in place — no intermediate buffers,
+	// no copies.
+	clear(vCnt[:d.parts])
+	clear(eCnt[:d.parts])
+	for v := id; v < d.n; v += d.fleet {
+		if d.high[v] {
+			vCnt[d.partOf[v]]++
+		}
+	}
+	sc.edgeIDs = sc.edgeIDs[:0]
+	home := uint64(0)
+	for e := id; e < d.m; e += d.fleet {
+		if d.edgeFrozen[e] {
+			continue
+		}
+		home++
+		u, v := d.ep[2*e], d.ep[2*e+1]
+		if d.high[u] && d.high[v] && d.partOf[u] == d.partOf[v] {
+			eCnt[d.partOf[u]]++
+			sc.edgeIDs = append(sc.edgeIDs, int32(e))
+		}
+	}
+	total := int64(0)
+	if d.sched == gathered {
+		total = 2 // the count report to machine 0
+	}
+	for dst := 0; dst < d.parts; dst++ {
+		if vCnt[dst] > 0 {
+			total += 1 + int64(vCnt[dst])*mpc.VertexRecordWords
+		}
+		if eCnt[dst] > 0 {
+			total += 1 + int64(eCnt[dst])*mpc.EdgeRecordWords
+		}
+	}
+	mach.Reserve(total)
+	if d.sched == gathered {
+		if err := mach.Send(0, []uint64{tagScalar, home}); err != nil {
+			return err
+		}
+	}
+	for dst := 0; dst < d.parts; dst++ {
+		if vCnt[dst] > 0 {
+			buf, err := mach.Alloc(dst, 1+int(vCnt[dst])*mpc.VertexRecordWords)
+			if err != nil {
+				return err
+			}
+			buf[0] = tagVertex
+			vBuf[dst] = buf[1:]
+		}
+		if eCnt[dst] > 0 {
+			buf, err := mach.Alloc(dst, 1+int(eCnt[dst])*mpc.EdgeRecordWords)
+			if err != nil {
+				return err
+			}
+			buf[0] = tagEdge
+			eBuf[dst] = buf[1:]
+		}
+		vCnt[dst] = 0 // reuse as write cursor
+		eCnt[dst] = 0
+	}
+	for v := id; v < d.n; v += d.fleet {
+		if !d.high[v] {
+			continue
+		}
+		dst := d.partOf[v]
+		mpc.SetVertexRecord(vBuf[dst], int(vCnt[dst]), int32(v), d.wres[v])
+		vCnt[dst]++
+	}
+	for _, e := range sc.edgeIDs {
+		u, v := d.ep[2*e], d.ep[2*e+1]
+		dst := d.partOf[u]
+		mpc.SetEdgeRecord(eBuf[dst], int(eCnt[dst]), u, v, d.xPhase[e])
+		eCnt[dst]++
+	}
+	return nil
+}
+
+// simulate has each simulation machine materialize its induced subgraph
+// (charged against its memory budget — the Lemma 4.1 constraint), run Lines
+// (2g i–iii), and route the freeze results to each vertex's home machine.
+// Under the gathered schedule machine 0 also checks the piggybacked counts.
+func (d *driver) simulate(mach *mpc.Machine) error {
+	id := mach.ID()
+	inbox := mach.Inbox()
+	if d.sched == gathered && id == 0 {
+		if _, err := d.checkCount(mach); err != nil {
+			return err
+		}
+	}
+	if id >= d.parts {
+		for _, msg := range inbox {
+			if d.sched == native || len(msg.Data) == 0 || msg.Data[0] != tagScalar {
+				return fmt.Errorf("core: non-simulation machine %d received records", id)
+			}
+		}
+		return nil
+	}
+	sc := &d.scratch[id]
+	li := &sc.li
+	li.Reset()
+	nV, nE := 0, 0
+	for _, msg := range inbox {
+		if len(msg.Data) == 0 {
+			continue
+		}
+		switch msg.Data[0] {
+		case tagVertex:
+			nV += (len(msg.Data) - 1) / mpc.VertexRecordWords
+		case tagEdge:
+			nE += (len(msg.Data) - 1) / mpc.EdgeRecordWords
+		}
+	}
+	li.Grow(nV, nE)
+	for _, msg := range inbox {
+		if len(msg.Data) == 0 || msg.Data[0] != tagVertex {
+			continue
+		}
+		body := msg.Data[1:]
+		cnt, err := mpc.CheckRecordCount(body, mpc.VertexRecordWords)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			v, w := mpc.DecodeVertexRecord(body, i)
+			d.localIdx[v] = int32(len(li.VertexIDs))
+			li.VertexIDs = append(li.VertexIDs, v)
+			li.ResWeight = append(li.ResWeight, w)
+		}
+	}
+	for _, msg := range inbox {
+		if len(msg.Data) == 0 || msg.Data[0] != tagEdge {
+			continue
+		}
+		body := msg.Data[1:]
+		cnt, err := mpc.CheckRecordCount(body, mpc.EdgeRecordWords)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			u, v, x0 := mpc.DecodeEdgeRecord(body, i)
+			lu, lv := d.localIdx[u], d.localIdx[v]
+			if lu < 0 || lv < 0 {
+				return fmt.Errorf("core: machine %d received edge (%d,%d) without both endpoints", id, u, v)
+			}
+			li.Edges = append(li.Edges, [2]int32{lu, lv})
+			li.X0 = append(li.X0, x0)
+		}
+	}
+	if err := mach.Charge(li.Words()); err != nil {
+		return err
+	}
+	d.localEdges[id] = int64(len(li.Edges))
+	freeze := runLocalSim(li, d.parts, d.iters, d.p.Epsilon, d.biasCoeff, d.p.BiasGrowth, d.threshold, &sc.sim)
+	// Stage the freeze results per home machine, reusing the scatter
+	// counters/buffers (count → Reserve → Alloc → fill, as above).
+	rCnt, rBuf := sc.vCnt, sc.vBuf
+	clear(rCnt)
+	for _, v := range li.VertexIDs {
+		rCnt[int(v)%d.fleet]++
+	}
+	total := int64(0)
+	for dst := 0; dst < d.fleet; dst++ {
+		if rCnt[dst] > 0 {
+			total += 1 + int64(rCnt[dst])*mpc.ResultRecordWords
+		}
+	}
+	mach.Reserve(total)
+	for dst := 0; dst < d.fleet; dst++ {
+		if rCnt[dst] > 0 {
+			buf, err := mach.Alloc(dst, 1+int(rCnt[dst])*mpc.ResultRecordWords)
+			if err != nil {
+				return err
+			}
+			buf[0] = tagResult
+			rBuf[dst] = buf[1:]
+		}
+		rCnt[dst] = 0 // reuse as write cursor
+	}
+	for i, v := range li.VertexIDs {
+		home := int(v) % d.fleet
+		mpc.SetResultRecord(rBuf[home], int(rCnt[home]), v, freeze[i])
+		rCnt[home]++
+		d.localIdx[v] = -1
+	}
+	return nil
+}
+
+// collect has home machines record the freeze iteration of their vertices.
+// Writes are disjoint by construction (one home per vertex), so the shared
+// slice is race-free.
+func (d *driver) collect(mach *mpc.Machine) error {
+	for _, msg := range mach.Inbox() {
+		if len(msg.Data) == 0 || msg.Data[0] != tagResult {
+			return fmt.Errorf("core: machine %d: unexpected tag in collect round", mach.ID())
+		}
+		body := msg.Data[1:]
+		cnt, err := mpc.CheckRecordCount(body, mpc.ResultRecordWords)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			v, fi := mpc.DecodeResultRecord(body, i)
+			if int(v)%d.fleet != mach.ID() {
+				return fmt.Errorf("core: result for vertex %d misrouted to machine %d", v, mach.ID())
+			}
+			d.freezeIter[v] = int32(fi)
+		}
+	}
+	return nil
+}
+
+// capture records the phase for the coupling analysis.
+func (d *driver) capture() {
+	cp := CouplingPhase{
+		Phase:          d.phase,
+		Machines:       d.parts,
+		Iterations:     d.iters,
+		High:           append([]graph.Vertex(nil), d.highList...),
+		ResidualWeight: make([]float64, len(d.highList)),
+		MachineOf:      make([]int, len(d.highList)),
+		FreezeIter:     make([]int, len(d.highList)),
+		Edges:          make([][2]int32, len(d.highEdges)),
+		X0:             make([]float64, len(d.highEdges)),
+	}
+	for i, v := range d.highList {
+		cp.ResidualWeight[i] = d.wres[v]
+		cp.MachineOf[i] = int(d.partOf[v])
+		cp.FreezeIter[i] = int(d.freezeIter[v])
+	}
+	for i, e := range d.highEdges {
+		u, v := d.ep[2*e], d.ep[2*e+1]
+		cp.Edges[i] = [2]int32{d.highIndex[u], d.highIndex[v]}
+		cp.X0[i] = d.xPhase[e]
+	}
+	d.res.Coupling = append(d.res.Coupling, cp)
+}
+
+// reconcile applies Lines (2h)–(2k) to the collected freeze iterations and
+// returns how many vertices froze in the simulation and at Line 2i.
+func (d *driver) reconcile() (frozenAtSim, frozenAt2i int) {
+	// Line (2h): every edge of E[V^high] gets the weight implied by the
+	// earliest endpoint freeze (t′ = I when both stayed active). The Line
+	// (2i) per-vertex sums accumulate in the same walk.
+	iters := d.iters
+	if cap(d.pow) < iters+1 {
+		d.pow = make([]float64, iters+1)
+	}
+	pow := d.pow[:iters+1]
+	pow[0] = 1
+	growth := 1 / (1 - d.p.Epsilon)
+	for t := 1; t <= iters; t++ {
+		pow[t] = pow[t-1] * growth
+	}
+	fiOf := func(v graph.Vertex) int {
+		if fi := d.freezeIter[v]; fi >= 0 {
+			return int(fi)
+		}
+		return iters
+	}
+	for _, v := range d.highList {
+		d.yMPC[v] = 0
+	}
+	for _, e := range d.highEdges {
+		u, v := d.ep[2*e], d.ep[2*e+1]
+		x := d.xPhase[e] * pow[min(fiOf(u), fiOf(v))]
+		d.xPhase[e] = x
+		d.yMPC[u] += x
+		d.yMPC[v] += x
+	}
+
+	// Freeze set 1: vertices frozen by their local simulation. Line (2i):
+	// vertices whose incident E[V^high] weight already exceeds their
+	// residual weight freeze too, so residuals stay nonnegative in later
+	// phases.
+	d.newlyFrozen = d.newlyFrozen[:0]
+	for _, v := range d.highList {
+		if d.freezeIter[v] >= 0 {
+			d.newlyFrozen = append(d.newlyFrozen, v)
+		}
+	}
+	frozenAtSim = len(d.newlyFrozen)
+	for _, v := range d.highList {
+		if d.freezeIter[v] < 0 && d.yMPC[v] >= d.wres[v]*(1-1e-12) {
+			d.newlyFrozen = append(d.newlyFrozen, v)
+		}
+	}
+	frozenAt2i = len(d.newlyFrozen) - frozenAtSim
+	for _, v := range d.newlyFrozen {
+		d.res.Cover[v] = true
+	}
+
+	// Finalize edges: E[V^high] edges with a frozen endpoint keep their
+	// Line (2h) weight; Line (2j) freezes the rest of a frozen vertex's
+	// edges at 0.
+	for _, e := range d.highEdges {
+		u, v := d.ep[2*e], d.ep[2*e+1]
+		if d.res.Cover[u] || d.res.Cover[v] {
+			x := d.xPhase[e]
+			d.freezeEdge(int(e), x)
+			d.frozenIncident[u] += x
+			d.frozenIncident[v] += x
+			d.dualSum += x
+		}
+	}
+	for _, v := range d.newlyFrozen {
+		d.freezeVertex(v)
+	}
+	return frozenAtSim, frozenAt2i
+}
+
+// finalPhase is Line (3): the residual instance moves to one machine (the
+// gather is one more round, and the memory charge enforces that it fits)
+// and the centralized algorithm finishes it.
+func (s *state) finalPhase() error {
+	n, eps := s.n, s.p.Epsilon
 	active := make([]bool, n)
 	wresAll := make([]float64, n)
 	numActive := 0
 	for v := 0; v < n; v++ {
-		if frozen[v] {
+		if s.res.Cover[v] {
 			continue
 		}
-		w := g.Weight(graph.Vertex(v)) - frozenIncident[v]
-		if w <= 1e-12*g.Weight(graph.Vertex(v)) {
-			zeroFreeze(graph.Vertex(v))
-			continue
-		}
-		active[v] = true
-		wresAll[v] = w
-		numActive++
-	}
-	var finalEdges int64
-	for e := 0; e < mEdges; e++ {
-		if !edgeFrozen[e] {
-			finalEdges++
+		if w, ok := s.residual(graph.Vertex(v)); ok {
+			active[v] = true
+			wresAll[v] = w
+			numActive++
 		}
 	}
-	res.FinalPhaseEdges = finalEdges
-	cluster.ResetResident()
-	err = step(func(mach *mpc.Machine) error {
+	finalEdges := s.nonfrozen
+	s.res.FinalPhaseEdges = finalEdges
+	s.cluster.ResetResident()
+	err := s.step(func(mach *mpc.Machine) error {
 		if mach.ID() == 0 {
 			return mach.Charge(finalEdges*mpc.EdgeRecordWords + int64(numActive)*mpc.VertexRecordWords)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: final gather: %w", err)
+		return fmt.Errorf("core: final gather: %w", err)
 	}
 
 	finalInit := centralized.InitDegreeAware
-	if p.UniformInit {
+	if s.p.UniformInit {
 		finalInit = centralized.InitUniform
 	}
 	var finalThreshold centralized.ThresholdFunc
-	if p.FixedThresholds {
+	if s.p.FixedThresholds {
 		finalThreshold = centralized.FixedThreshold(eps)
 	} else {
-		lo, hi := 1-4*eps, 1-2*eps
-		fp := uint64(phase)
+		lo, hi, seed := 1-4*eps, 1-2*eps, s.p.Seed
+		fp := uint64(s.res.Phases)
 		finalThreshold = func(v graph.Vertex, t int) float64 {
-			return rng.UniformAt(p.Seed, lo, hi, labelThreshold, fp, uint64(v), uint64(t))
+			return rng.UniformAt(seed, lo, hi, labelThreshold, fp, uint64(v), uint64(t))
 		}
 	}
-	cres, err := centralized.Run(ctx,
-		centralized.Instance{G: g, Active: active, Weights: wresAll},
+	cres, err := centralized.Run(s.ctx,
+		centralized.Instance{G: s.g, Active: active, Weights: wresAll},
 		centralized.Options{Epsilon: eps, Init: finalInit, Threshold: finalThreshold},
 	)
 	if err != nil {
-		return nil, fmt.Errorf("core: final centralized phase: %w", err)
+		return fmt.Errorf("core: final centralized phase: %w", err)
 	}
-	res.FinalPhaseIterations = cres.Iterations
+	s.res.FinalPhaseIterations = cres.Iterations
 	// The LOCAL algorithm runs inside one machine, so its iterations cost no
 	// additional communication rounds.
 	for v := 0; v < n; v++ {
 		if cres.Cover[v] {
-			frozen[v] = true
+			s.res.Cover[v] = true
 		}
 	}
-	for e := 0; e < mEdges; e++ {
-		if !edgeFrozen[e] {
-			edgeFrozen[e] = true
-			xFinal[e] = cres.X[e]
-			dualSum += cres.X[e]
+	for e := 0; e < s.m; e++ {
+		if !s.edgeFrozen[e] {
+			s.freezeEdge(e, cres.X[e])
+			s.dualSum += cres.X[e]
 		}
 	}
-	solver.Emit(obs, solver.Event{
-		Kind:       solver.KindFinalPhase,
-		Phase:      -1,
-		Round:      cluster.Metrics().Rounds,
-		DualBound:  dualSum,
-		Iterations: cres.Iterations,
-	})
-
-	res.ClusterMetrics = cluster.Metrics()
-	res.Rounds = res.ClusterMetrics.Rounds
-	sortPhaseStats(res.PhaseStats)
-	return res, nil
-}
-
-func sortPhaseStats(ps []PhaseStat) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Phase < ps[j].Phase })
+	e := s.event(solver.KindFinalPhase)
+	e.Iterations = cres.Iterations
+	solver.Emit(s.p.Observer, e)
+	return nil
 }

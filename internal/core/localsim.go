@@ -7,14 +7,12 @@ import (
 	"repro/internal/mpc"
 )
 
-// LocalInstance is the subproblem one machine simulates in a phase: the
+// localInstance is the subproblem one machine simulates in a phase: the
 // subgraph induced by its partition class V_i, with residual weights and
 // initial duals computed at the phase start. Instances are reused across
 // phases (see Reset), so a machine's decode buffers are allocated once and
-// recycled. The round-compressed solver (internal/compress) builds the same
-// instances from its sampled vertex groups, which is why the type and
-// RunLocalSim are exported.
-type LocalInstance struct {
+// recycled.
+type localInstance struct {
 	// VertexIDs holds the global ids of the machine's vertices; all other
 	// slices are indexed by position in this list.
 	VertexIDs []graph.Vertex
@@ -27,7 +25,7 @@ type LocalInstance struct {
 }
 
 // Reset empties the instance for reuse, keeping the allocated capacity.
-func (li *LocalInstance) Reset() {
+func (li *localInstance) Reset() {
 	li.VertexIDs = li.VertexIDs[:0]
 	li.ResWeight = li.ResWeight[:0]
 	li.Edges = li.Edges[:0]
@@ -36,7 +34,7 @@ func (li *LocalInstance) Reset() {
 
 // Grow ensures capacity for nv vertices and ne edges (lengths unchanged),
 // so record ingestion appends without intermediate reallocations.
-func (li *LocalInstance) Grow(nv, ne int) {
+func (li *localInstance) Grow(nv, ne int) {
 	if cap(li.VertexIDs) < nv {
 		li.VertexIDs = append(make([]graph.Vertex, 0, nv), li.VertexIDs...)
 		li.ResWeight = append(make([]float64, 0, nv), li.ResWeight...)
@@ -48,7 +46,7 @@ func (li *LocalInstance) Grow(nv, ne int) {
 }
 
 // Words returns the MPC memory footprint of the instance.
-func (li *LocalInstance) Words() int64 {
+func (li *localInstance) Words() int64 {
 	return int64(len(li.Edges))*3 + int64(len(li.VertexIDs))*2
 }
 
@@ -58,11 +56,11 @@ type simSlot struct {
 	other int32
 }
 
-// SimScratch holds the per-machine working arrays of RunLocalSim, recycled
+// simScratch holds the per-machine working arrays of runLocalSim, recycled
 // across phases so a steady-state phase allocates nothing per simulation.
 // The freezeIter result slice is part of the scratch: it is valid until the
-// machine's next RunLocalSim call.
-type SimScratch struct {
+// machine's next runLocalSim call.
+type simScratch struct {
 	freezeIter []int
 	adjOff     []int32
 	adj        []simSlot
@@ -75,7 +73,7 @@ type SimScratch struct {
 	freezeList []int32
 }
 
-// RunLocalSim executes Lines (2g i–iii): I iterations of the centralized
+// runLocalSim executes Lines (2g i–iii): I iterations of the centralized
 // primal–dual scheme on the local subgraph, with the freeze test replaced by
 // the biased estimator
 //
@@ -96,8 +94,8 @@ type SimScratch struct {
 //
 // It returns, per local vertex, the iteration at which it froze (or -1).
 // The returned slice aliases sc and is valid until sc's next use.
-func RunLocalSim(li *LocalInstance, machines, iterations int, epsilon, biasCoeff, biasGrowth float64,
-	threshold func(v graph.Vertex, t int) float64, sc *SimScratch) []int {
+func runLocalSim(li *localInstance, machines, iterations int, epsilon, biasCoeff, biasGrowth float64,
+	threshold func(v graph.Vertex, t int) float64, sc *simScratch) []int {
 
 	nv := len(li.VertexIDs)
 	sc.freezeIter = mpc.Grow(sc.freezeIter, nv)

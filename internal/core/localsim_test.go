@@ -13,21 +13,21 @@ func constThreshold(th float64) func(graph.Vertex, int) float64 {
 }
 
 func TestLocalSimEmptyInstance(t *testing.T) {
-	li := &LocalInstance{}
-	out := RunLocalSim(li, 4, 3, 0.1, 0, 1, constThreshold(0.7), &SimScratch{})
+	li := &localInstance{}
+	out := runLocalSim(li, 4, 3, 0.1, 0, 1, constThreshold(0.7), &simScratch{})
 	if len(out) != 0 {
 		t.Fatal("nonempty result for empty instance")
 	}
 }
 
 func TestLocalSimZeroIterations(t *testing.T) {
-	li := &LocalInstance{
+	li := &localInstance{
 		VertexIDs: []graph.Vertex{10, 11},
 		ResWeight: []float64{1, 1},
 		Edges:     [][2]int32{{0, 1}},
 		X0:        []float64{0.5},
 	}
-	out := RunLocalSim(li, 4, 0, 0.1, 0, 1, constThreshold(0.7), &SimScratch{})
+	out := runLocalSim(li, 4, 0, 0.1, 0, 1, constThreshold(0.7), &simScratch{})
 	for i, f := range out {
 		if f != -1 {
 			t.Fatalf("vertex %d froze with zero iterations", i)
@@ -37,13 +37,13 @@ func TestLocalSimZeroIterations(t *testing.T) {
 
 func TestLocalSimImmediateFreeze(t *testing.T) {
 	// m·x0 = 4·0.5 = 2 ≥ 0.7·w for w=1: both endpoints freeze at t=0.
-	li := &LocalInstance{
+	li := &localInstance{
 		VertexIDs: []graph.Vertex{10, 11},
 		ResWeight: []float64{1, 1},
 		Edges:     [][2]int32{{0, 1}},
 		X0:        []float64{0.5},
 	}
-	out := RunLocalSim(li, 4, 3, 0.1, 0, 1, constThreshold(0.7), &SimScratch{})
+	out := runLocalSim(li, 4, 3, 0.1, 0, 1, constThreshold(0.7), &simScratch{})
 	if out[0] != 0 || out[1] != 0 {
 		t.Fatalf("freeze iterations %v, want [0 0]", out)
 	}
@@ -53,13 +53,13 @@ func TestLocalSimGrowthThenFreeze(t *testing.T) {
 	// m=1 machine: estimate = x exactly. x0 = 0.5, threshold 0.7·1.
 	// x grows by 1/0.9 per iteration: crosses 0.7 at t=4
 	// (0.5·1.111⁴ = 0.762).
-	li := &LocalInstance{
+	li := &localInstance{
 		VertexIDs: []graph.Vertex{5, 6},
 		ResWeight: []float64{1, 1},
 		Edges:     [][2]int32{{0, 1}},
 		X0:        []float64{0.5},
 	}
-	out := RunLocalSim(li, 1, 10, 0.1, 0, 1, constThreshold(0.7), &SimScratch{})
+	out := runLocalSim(li, 1, 10, 0.1, 0, 1, constThreshold(0.7), &simScratch{})
 	if out[0] != 4 || out[1] != 4 {
 		t.Fatalf("freeze iterations %v, want [4 4]", out)
 	}
@@ -70,13 +70,13 @@ func TestLocalSimFrozenEdgesStopGrowing(t *testing.T) {
 	// 0.05·(1/0.9)^t ≥ 0.7·0.1 first holds at t=4), freezing edge (a,b) at
 	// its then-current value. c has a huge weight and never freezes; b's y
 	// afterwards only grows through edge (b,c).
-	li := &LocalInstance{
+	li := &localInstance{
 		VertexIDs: []graph.Vertex{1, 2, 3},
 		ResWeight: []float64{0.1, 10, 1000},
 		Edges:     [][2]int32{{0, 1}, {1, 2}},
 		X0:        []float64{0.05, 0.05},
 	}
-	out := RunLocalSim(li, 1, 30, 0.1, 0, 1, constThreshold(0.7), &SimScratch{})
+	out := runLocalSim(li, 1, 30, 0.1, 0, 1, constThreshold(0.7), &simScratch{})
 	if out[0] != 4 {
 		t.Fatalf("cheap vertex froze at %d, want 4", out[0])
 	}
@@ -93,17 +93,17 @@ func TestLocalSimFrozenEdgesStopGrowing(t *testing.T) {
 func TestLocalSimBiasAloneCanFreeze(t *testing.T) {
 	// No edges; the bias term alone crosses the threshold when
 	// biasCoeff·m^{-0.2}·w ≥ th·w, i.e. biasCoeff ≥ th·m^{0.2}.
-	li := &LocalInstance{
+	li := &localInstance{
 		VertexIDs: []graph.Vertex{9},
 		ResWeight: []float64{2},
 	}
 	m := 4
 	needed := 0.7 * math.Pow(float64(m), 0.2)
-	out := RunLocalSim(li, m, 2, 0.1, needed+0.01, 1, constThreshold(0.7), &SimScratch{})
+	out := runLocalSim(li, m, 2, 0.1, needed+0.01, 1, constThreshold(0.7), &simScratch{})
 	if out[0] != 0 {
 		t.Fatalf("bias did not freeze the isolated vertex: %v", out)
 	}
-	out = RunLocalSim(li, m, 2, 0.1, needed-0.01, 1, constThreshold(0.7), &SimScratch{})
+	out = runLocalSim(li, m, 2, 0.1, needed-0.01, 1, constThreshold(0.7), &simScratch{})
 	if out[0] != -1 {
 		t.Fatalf("sub-threshold bias froze the vertex: %v", out)
 	}
@@ -112,13 +112,13 @@ func TestLocalSimBiasAloneCanFreeze(t *testing.T) {
 func TestLocalSimBiasGrowthCompounds(t *testing.T) {
 	// Bias below threshold at t=0, above at t=2 thanks to growth 15:
 	// bias(t) = c·m^{-0.2}·15^t.
-	li := &LocalInstance{
+	li := &localInstance{
 		VertexIDs: []graph.Vertex{9},
 		ResWeight: []float64{1},
 	}
 	m := 4
 	c := 0.7 * math.Pow(float64(m), 0.2) / 100 // bias(0) = th/100
-	out := RunLocalSim(li, m, 5, 0.1, c, 15, constThreshold(0.7), &SimScratch{})
+	out := runLocalSim(li, m, 5, 0.1, c, 15, constThreshold(0.7), &simScratch{})
 	// 15^2 = 225 ≥ 100 ⇒ freeze at t=2.
 	if out[0] != 2 {
 		t.Fatalf("freeze at %v, want 2", out[0])
@@ -128,13 +128,13 @@ func TestLocalSimBiasGrowthCompounds(t *testing.T) {
 func TestLocalSimSimultaneousFreezeConsistency(t *testing.T) {
 	// A triangle of identical vertices: all three freeze at the same
 	// iteration (symmetric state, same threshold).
-	li := &LocalInstance{
+	li := &localInstance{
 		VertexIDs: []graph.Vertex{1, 2, 3},
 		ResWeight: []float64{1, 1, 1},
 		Edges:     [][2]int32{{0, 1}, {1, 2}, {0, 2}},
 		X0:        []float64{0.2, 0.2, 0.2},
 	}
-	out := RunLocalSim(li, 1, 10, 0.1, 0, 1, constThreshold(0.7), &SimScratch{})
+	out := runLocalSim(li, 1, 10, 0.1, 0, 1, constThreshold(0.7), &simScratch{})
 	if out[0] != out[1] || out[1] != out[2] {
 		t.Fatalf("symmetric vertices froze at different times: %v", out)
 	}
@@ -144,7 +144,7 @@ func TestLocalSimSimultaneousFreezeConsistency(t *testing.T) {
 }
 
 func TestLocalSimWords(t *testing.T) {
-	li := &LocalInstance{
+	li := &localInstance{
 		VertexIDs: []graph.Vertex{1, 2, 3},
 		ResWeight: []float64{1, 1, 1},
 		Edges:     [][2]int32{{0, 1}},

@@ -61,15 +61,17 @@ type Params struct {
 	// algorithm moves the residual instance to one machine (paper: log³⁰n).
 	SwitchThreshold func(n int) float64
 	// PhaseIterations returns I, the number of locally simulated iterations,
-	// given the machine count m for the phase (paper: log m/(10·log 15)).
+	// given the machine (or gathered group) count m for the phase (paper:
+	// log m/(10·log 15)).
 	PhaseIterations func(machines int, epsilon float64) int
-	// NumMachines returns the number of simulation machines for a phase with
-	// average residual degree d (paper: √d).
+	// NumMachines returns the number of simulation machines (or gathered
+	// groups, before any split) for a phase with average residual degree d
+	// (paper: √d).
 	NumMachines func(d float64) int
 	// MemoryWords returns S, the per-machine memory budget in words, for a
 	// graph with n vertices (paper: Õ(n)).
 	MemoryWords func(n int) int64
-	// MaxPhases caps the phase loop as a safety net (0 = 10·log₂log₂n + 20).
+	// MaxPhases caps the phase loop as a safety net (0 = 64).
 	MaxPhases int
 	// Parallelism bounds concurrent machine execution (0 = GOMAXPROCS).
 	Parallelism int

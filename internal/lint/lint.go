@@ -95,7 +95,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // eviction and metrics rendering sit on paths whose outputs (which tuples
 // stay cached, the /metrics text) must not wander between runs.
 var deterministicPkgs = map[string]bool{
-	"core": true, "mpc": true, "mpcalg": true, "cclique": true,
+	"core": true, "mpc": true, "cclique": true,
 	"matching": true, "ggk": true, "centralized": true, "exact": true,
 	"reduce": true, "improve": true, "solver": true, "graph": true,
 	"serve": true, "pdfast": true, "compress": true,
@@ -104,7 +104,7 @@ var deterministicPkgs = map[string]bool{
 // algorithmPkgs are the packages bound by the cancellation contract: every
 // unbounded loop must poll the context (rule ctxloop).
 var algorithmPkgs = map[string]bool{
-	"core": true, "mpcalg": true, "cclique": true, "matching": true,
+	"core": true, "cclique": true, "matching": true,
 	"ggk": true, "centralized": true, "exact": true, "reduce": true,
 	"improve": true, "solver": true, "pdfast": true, "compress": true,
 }

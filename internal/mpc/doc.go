@@ -35,8 +35,8 @@
 //
 // The plane sits between the CSR graph core (internal/graph) below and the
 // algorithm packages above: internal/core partitions the graph's vertices
-// and edges over simulated machines and runs the paper's phases here, with
-// internal/mpcalg providing the O(1)-round aggregation primitives. See
+// and edges over simulated machines and runs the paper's phases here,
+// including the one-level degree aggregation each phase needs. See
 // docs/ARCHITECTURE.md for the full layer tour and DESIGN.md §"Performance
 // model of the simulator" for the cost model.
 package mpc

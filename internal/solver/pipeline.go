@@ -78,8 +78,11 @@ func (p Pipeline) Run(ctx context.Context, g *graph.Graph) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		red.Stats.ReduceNS = time.Since(start).Nanoseconds()
-		stats = &red.Stats
+		// Point at a copy: &red.Stats would keep the whole reduce.Result,
+		// kernel and trace included, alive in every returned Result.
+		st := red.Stats
+		st.ReduceNS = time.Since(start).Nanoseconds()
+		stats = &st
 		Emit(p.Config.Observer, Event{Kind: KindReduceEnd, Phase: -1, ActiveEdges: int64(red.Kernel.NumEdges())})
 		if red.Trace != nil {
 			work, tr = red.Kernel, red.Trace

@@ -3,8 +3,10 @@ package solver
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/graph"
 	"repro/internal/verify"
@@ -81,11 +83,12 @@ func TestPipelineEmitsReduceEvents(t *testing.T) {
 	}
 }
 
-func TestPipelineSolvesKernelNotOriginal(t *testing.T) {
-	// A cheap hub with 20 heavy pendants (collapses) plus a disjoint
-	// irreducible path weighted 1-10-10-1 (cheap ends refuse the pendant
-	// rule, middle weights refuse neighborhood and domination): the solver
-	// must see exactly the 4-vertex path.
+// starPlusPath is a cheap hub with 20 heavy pendants (collapses) plus a
+// disjoint irreducible path weighted 1-10-10-1 (cheap ends refuse the
+// pendant rule, middle weights refuse neighborhood and domination), so its
+// kernel is exactly the 4-vertex path.
+func starPlusPath(t *testing.T) *graph.Graph {
+	t.Helper()
 	b := graph.NewBuilder(25)
 	b.SetWeight(0, 2)
 	for l := 1; l <= 20; l++ {
@@ -101,6 +104,11 @@ func TestPipelineSolvesKernelNotOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+func TestPipelineSolvesKernelNotOriginal(t *testing.T) {
+	g := starPlusPath(t)
 	rec := &recordingSolver{}
 	res, err := Pipeline{Solver: rec, Reduce: true}.Run(context.Background(), g)
 	if err != nil {
@@ -115,6 +123,42 @@ func TestPipelineSolvesKernelNotOriginal(t *testing.T) {
 	if len(res.Cover) != 25 {
 		t.Fatalf("cover length %d, want the original 25", len(res.Cover))
 	}
+}
+
+// kernelWatcher is a Solver that keeps only a weak pointer to the instance
+// it is handed.
+type kernelWatcher struct{ kernel weak.Pointer[graph.Graph] }
+
+func (k *kernelWatcher) Solve(_ context.Context, g *graph.Graph, _ Config) (*Outcome, error) {
+	k.kernel = weak.Make(g)
+	cover := make([]bool, g.NumVertices())
+	for i := range cover {
+		cover[i] = true
+	}
+	return &Outcome{Cover: cover}, nil
+}
+
+// TestPipelineResultDoesNotPinKernel holds a reduced solve's Result and
+// requires the kernel graph to be collectable: the reduction stats the
+// Result carries must not keep the whole reduce.Result (kernel and trace)
+// alive in every returned or cached solution.
+func TestPipelineResultDoesNotPinKernel(t *testing.T) {
+	w := &kernelWatcher{}
+	res, err := Pipeline{Solver: w, Reduce: true}.Run(context.Background(), starPlusPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := w.kernel.Value(); k == nil || k.NumVertices() != 4 {
+		t.Fatal("the solver was not handed the 4-vertex kernel")
+	}
+	runtime.GC()
+	if w.kernel.Value() != nil {
+		t.Fatal("the returned Result keeps the kernel graph alive")
+	}
+	if res.Reduction == nil || res.Reduction.KernelVertices != 4 {
+		t.Fatalf("reduction stats lost: %+v", res.Reduction)
+	}
+	runtime.KeepAlive(res)
 }
 
 func TestPipelineWithoutReduceIsDirect(t *testing.T) {
