@@ -6,6 +6,10 @@ package mwvc_test
 // the digests, so a refactor of the phase driver that moves a single bit of
 // output, or reorders a single event, fails here with the case's name.
 //
+// The pipeline cases run the whole mwvc.Solve path with reduction on, so the
+// kernelization stage is pinned too: the lifted cover, Weight and Bound bits,
+// and every reduction count.
+//
 // The dense cases solve G(8000, 256), the mpc-dense benchmark input, and take
 // a few seconds; they run only when MWVC_GOLDEN_DENSE is set.
 
@@ -20,6 +24,7 @@ import (
 	"sort"
 	"testing"
 
+	mwvc "repro"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -91,6 +96,37 @@ var goldenDigests = map[string]string{
 	"diff/smallworld-degree/3/mpc-compress":     "7505b985640cf672",
 	"paper/gnp-uniform/1/mpc":                   "70f33f96493c9995",
 	"paper/gnp-uniform/1/mpc-compress":          "70f33f96493c9995",
+	"pipeline/bipartite-loguniform/1/mpc":       "03e313aeb502cfcf",
+	"pipeline/bipartite-loguniform/1/pdfast":    "0416354faf42f8a2",
+	"pipeline/bipartite-loguniform/2/mpc":       "c6b0dab28bdc1e90",
+	"pipeline/bipartite-loguniform/2/pdfast":    "c6b0dab28bdc1e90",
+	"pipeline/bipartite-loguniform/3/mpc":       "c0602097c11c64a8",
+	"pipeline/bipartite-loguniform/3/pdfast":    "52e6823e8e196c11",
+	"pipeline/dense/1/mpc":                      "29beff7afd187dde",
+	"pipeline/gnp-uniform/1/mpc":                "2fe290fb7d8fc94a",
+	"pipeline/gnp-uniform/1/pdfast":             "afaf777d21925a9c",
+	"pipeline/gnp-uniform/2/mpc":                "bc3311122cd55127",
+	"pipeline/gnp-uniform/2/pdfast":             "4fc6a008ec014211",
+	"pipeline/gnp-uniform/3/mpc":                "5646210c708f04ae",
+	"pipeline/gnp-uniform/3/pdfast":             "a31ceeecd83768a0",
+	"pipeline/powerlaw-exp/1/mpc":               "31cd27989979d772",
+	"pipeline/powerlaw-exp/1/pdfast":            "de54f27cbad61123",
+	"pipeline/powerlaw-exp/2/mpc":               "72548bbf872b1b2b",
+	"pipeline/powerlaw-exp/2/pdfast":            "57c553150b10ae5d",
+	"pipeline/powerlaw-exp/3/mpc":               "f44170f118eb1070",
+	"pipeline/powerlaw-exp/3/pdfast":            "e60bc3d02758d52f",
+	"pipeline/regular-unit/1/mpc":               "b16fa64cb064d7e2",
+	"pipeline/regular-unit/1/pdfast":            "fe07bd30b355311c",
+	"pipeline/regular-unit/2/mpc":               "923ef8d91717ccb5",
+	"pipeline/regular-unit/2/pdfast":            "3ca192e242c3444b",
+	"pipeline/regular-unit/3/mpc":               "d2bec1a7823f76d8",
+	"pipeline/regular-unit/3/pdfast":            "220da9dae01d96ee",
+	"pipeline/smallworld-degree/1/mpc":          "addb8904947a1285",
+	"pipeline/smallworld-degree/1/pdfast":       "deaa1f236bbf2c5a",
+	"pipeline/smallworld-degree/2/mpc":          "fc58aa0cdba7b1d4",
+	"pipeline/smallworld-degree/2/pdfast":       "5ad7dbf4507d97a4",
+	"pipeline/smallworld-degree/3/mpc":          "cce55082f868a1c9",
+	"pipeline/smallworld-degree/3/pdfast":       "066d446459e2ca40",
 }
 
 // digester accumulates a case's fingerprint.
@@ -173,6 +209,29 @@ func registryDigest(t *testing.T, algo string, g *graph.Graph, cfg solver.Config
 	return d.sum()
 }
 
+// pipelineDigest solves g through the facade with reduction on and
+// fingerprints the lifted solution and the reduction counts (the reduce time
+// is left out: it is a measurement, not an output).
+func pipelineDigest(t *testing.T, algo string, g *graph.Graph, seed uint64) string {
+	t.Helper()
+	sol, err := mwvc.Solve(context.Background(), g, mwvc.WithAlgorithm(mwvc.Algorithm(algo)),
+		mwvc.WithEpsilon(0.1), mwvc.WithSeed(seed))
+	if err != nil {
+		t.Fatalf("%s: %v", algo, err)
+	}
+	d := newDigester()
+	d.solve(sol.Cover, nil, sol.Rounds, sol.Phases, nil)
+	d.float(sol.Weight)
+	d.float(sol.Bound)
+	r := sol.Reduction
+	for _, c := range []int{r.OriginalVertices, r.OriginalEdges, r.KernelVertices, r.KernelEdges,
+		r.Isolated, r.Pendant, r.Domination, r.NeighborhoodWeight, r.ForcedVertices} {
+		d.int(int64(c))
+	}
+	d.float(r.ForcedWeight)
+	return d.sum()
+}
+
 // coreDigest runs core.Run directly, so the ablation switches and the
 // coupling capture are reachable, and fingerprints the raw result. An
 // ablation may legitimately fail (a stalled run can leave a final instance
@@ -241,6 +300,18 @@ func TestGoldenDigests(t *testing.T) {
 		}
 	}
 
+	for _, f := range diffFamilies {
+		for _, seed := range diffSeeds {
+			g, err := cli.BuildGraph(f.gen, f.n, f.d, f.weights, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range []string{"mpc", "pdfast"} {
+				got["pipeline/"+f.name+"/"+string(rune('0'+seed))+"/"+algo] = pipelineDigest(t, algo, g, seed)
+			}
+		}
+	}
+
 	bimodal := goldenBimodal(10)
 	paper, err := cli.BuildGraph("gnp", 800, 24, "uniform", 1)
 	if err != nil {
@@ -278,6 +349,9 @@ func TestGoldenDigests(t *testing.T) {
 			for _, algo := range algos {
 				name := "dense/" + string(rune('0'+seed)) + "/" + algo
 				got[name] = registryDigest(t, algo, g, solver.Config{Epsilon: 0.1, Seed: seed})
+			}
+			if seed == 1 {
+				got["pipeline/dense/1/mpc"] = pipelineDigest(t, "mpc", g, seed)
 			}
 		}
 	}
