@@ -15,6 +15,16 @@
 //   - neighborhood weight: if w(v) ≥ Σ w(N(v)), taking all of N(v) is never
 //     worse than taking v, so N(v) joins the cover and v leaves.
 //
+// The domination sweep visits the alive vertices in id order and forces, for
+// each v, the first neighbor u in v's adjacency row that is alive, weighs at
+// most w(v), and is adjacent to every other alive neighbor of v. Two exact
+// filters decide most pairs without that subset scan. A witness x0 (the
+// first alive neighbor of v whose row is no longer than v's) has its row
+// stamped, and a dominator other than x0 must be adjacent to x0, so one
+// stamp read rejects most candidates. A dominator also has residual degree
+// at least v's. Stamping costs at most the length of v's own row, so at most
+// 2m words per sweep.
+//
 // Every rule preserves the optimum exactly: OPT(G) = ForcedWeight +
 // OPT(kernel), so the forced weight is a sound additive term for both the
 // lifted cover weight (primal) and any lower bound certified on the kernel
@@ -140,15 +150,20 @@ type Result struct {
 // reads g. The context is polled throughout, so cancellation aborts a
 // long reduction promptly.
 func Run(ctx context.Context, g *graph.Graph) (*Result, error) {
-	n := g.NumVertices()
-	st := Stats{
-		OriginalVertices: n,
-		OriginalEdges:    g.NumEdges(),
-	}
-	r := &reducer{g: g, ctx: ctx, st: &st}
+	r := &reducer{g: g, ctx: ctx}
 	if err := r.fixpoint(); err != nil {
 		return nil, err
 	}
+	return r.result()
+}
+
+// result assembles the kernel, the trace and the stats from the fixpoint
+// state.
+func (r *reducer) result() (*Result, error) {
+	g, n := r.g, r.g.NumVertices()
+	st := r.st
+	st.OriginalVertices = n
+	st.OriginalEdges = g.NumEdges()
 	st.ForcedWeight = r.forcedW
 
 	removed := 0
@@ -187,11 +202,12 @@ func Run(ctx context.Context, g *graph.Graph) (*Result, error) {
 type reducer struct {
 	g   *graph.Graph
 	ctx context.Context
-	st  *Stats
+	st  Stats // rule counts; result fills in the rest
 
-	alive   []bool // vertex still in the residual instance
-	inCover []bool // vertex forced into the cover
-	deg     []int32
+	alive   []bool  // vertex still in the residual instance
+	inCover []bool  // vertex forced into the cover
+	deg     []int32 // residual degree: alive neighbors of an alive vertex
+	stamp   []int32 // dominatorOf: stamp[y] == v+1 marks y ∈ N(witness of v)
 	forcedW float64
 
 	queue   []graph.Vertex
@@ -240,6 +256,7 @@ func (r *reducer) fixpoint() error {
 	r.inCover = make([]bool, n)
 	r.inQueue = make([]bool, n)
 	r.deg = make([]int32, n)
+	r.stamp = make([]int32, n)
 	r.queue = make([]graph.Vertex, 0, n)
 	for v := 0; v < n; v++ {
 		r.alive[v] = true
@@ -326,6 +343,8 @@ func (r *reducer) soleAliveNeighbor(v graph.Vertex) graph.Vertex {
 // w(u) ≤ w(v) whose closed residual neighborhood contains v's — then some
 // optimal cover contains u, and u is forced. Returns whether anything
 // changed (follow-up cheap rules are queued by force itself).
+//
+//mwvc:hotpath
 func (r *reducer) dominationSweep() (bool, error) {
 	changed := false
 	for v := 0; v < r.g.NumVertices(); v++ {
@@ -335,26 +354,79 @@ func (r *reducer) dominationSweep() (bool, error) {
 		if err := r.poll(); err != nil {
 			return false, err
 		}
-		wv := r.g.Weight(graph.Vertex(v))
-		for _, u := range r.g.Neighbors(graph.Vertex(v)) {
-			if !r.alive[u] || r.g.Weight(u) > wv {
-				continue
-			}
-			if r.dominates(u, graph.Vertex(v)) {
-				r.force(u)
-				r.st.Domination++
-				changed = true
-				break // v's residual degree changed; the worklist revisits it
-			}
+		if u := r.dominatorOf(graph.Vertex(v)); u >= 0 {
+			r.force(u)
+			r.st.Domination++
+			changed = true // v's residual degree changed; the worklist revisits it
 		}
 	}
 	return changed, nil
+}
+
+// dominatorOf returns the first neighbor u of v, in adjacency order, that is
+// alive, weighs at most w(v) and dominates v; -1 if there is none. Two exact
+// filters keep most candidates away from the dominates scan:
+//
+//   - Witness. Every alive neighbor x ≠ u of v must be adjacent to a
+//     dominator u. The witness x0 is the first alive neighbor whose row is no
+//     longer than v's; its row is stamped with v+1, so a candidate u ≠ x0
+//     is rejected by one read of its stamp. When no neighbor qualifies, the
+//     first alive neighbor's row answers by binary search instead.
+//   - Degree. A dominator is adjacent to v and to every other alive
+//     neighbor of v, so deg[u] ≥ deg[v]; deg counts alive neighbors exactly.
+//
+// A stamp left by the same v in an earlier sweep can only let a candidate
+// through to the exact test, never reject one.
+//
+//mwvc:hotpath
+func (r *reducer) dominatorOf(v graph.Vertex) graph.Vertex {
+	row := r.g.Neighbors(v)
+	first, witness := graph.Vertex(-1), graph.Vertex(-1)
+	for _, x := range row {
+		if !r.alive[x] {
+			continue
+		}
+		if first < 0 {
+			first = x
+		}
+		if r.g.Degree(x) <= len(row) {
+			witness = x
+			break
+		}
+	}
+	if first < 0 {
+		return -1
+	}
+	mark := v + 1
+	if witness >= 0 {
+		for _, y := range r.g.Neighbors(witness) {
+			r.stamp[y] = mark
+		}
+	}
+	wv, dv := r.g.Weight(v), r.deg[v]
+	for _, u := range row {
+		if witness >= 0 && u != witness && r.stamp[u] != mark {
+			continue
+		}
+		if !r.alive[u] || r.g.Weight(u) > wv || r.deg[u] < dv {
+			continue
+		}
+		if witness < 0 && u != first && !r.g.HasEdge(first, u) {
+			continue
+		}
+		if r.dominates(u, v) {
+			return u
+		}
+	}
+	return -1
 }
 
 // dominates reports whether every alive neighbor of v other than u is also
 // adjacent to u, i.e. N_res[v] ⊆ N_res[u] for the adjacent pair (u, v).
 // Adjacency in the original graph suffices: an edge between two alive
 // vertices is by definition still uncovered.
+//
+//mwvc:hotpath
 func (r *reducer) dominates(u, v graph.Vertex) bool {
 	for _, x := range r.g.Neighbors(v) {
 		if x == u || !r.alive[x] {

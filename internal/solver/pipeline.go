@@ -149,31 +149,34 @@ func (p Pipeline) Run(ctx context.Context, g *graph.Graph) (*Result, error) {
 // CertifiedRatio follows the facade's convention: certificate ⇒
 // Weight/Bound; exact ⇒ 1; empty cover ⇒ 1; otherwise +Inf.
 func verifyStage(g *graph.Graph, cover []bool, duals []float64, forced float64, out *Outcome) (*Result, error) {
-	if ok, e := verify.IsCover(g, cover); !ok {
-		u, v := g.Edge(e)
-		return nil, fmt.Errorf("solver: internal error: edge (%d,%d) uncovered", u, v)
-	}
 	res := &Result{
 		Cover:     cover,
-		Weight:    verify.CoverWeight(g, cover),
 		Rounds:    out.Rounds,
 		Phases:    out.Phases,
 		Exact:     out.Exact,
 		Reduction: out.Reduction,
 	}
 	if duals != nil {
+		// The certificate checks the cover and sums its weight itself.
 		cert, err := verify.NewLiftedCertificate(g, cover, duals, forced)
 		if err != nil {
 			return nil, fmt.Errorf("solver: internal error: invalid certificate: %w", err)
 		}
-		res.Bound = cert.Bound
-		res.CertifiedRatio = cert.Ratio()
-	} else if out.Exact {
+		res.Weight, res.Bound, res.CertifiedRatio = cert.Weight, cert.Bound, cert.Ratio()
+		return res, nil
+	}
+	if ok, e := verify.IsCover(g, cover); !ok {
+		u, v := g.Edge(e)
+		return nil, fmt.Errorf("solver: internal error: edge (%d,%d) uncovered", u, v)
+	}
+	res.Weight = verify.CoverWeight(g, cover)
+	switch {
+	case out.Exact:
 		res.Bound = res.Weight
 		res.CertifiedRatio = 1
-	} else if res.Weight == 0 {
+	case res.Weight == 0:
 		res.CertifiedRatio = 1
-	} else {
+	default:
 		res.CertifiedRatio = math.Inf(1)
 	}
 	return res, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 	"weak"
@@ -205,6 +206,14 @@ func TestPipelineRejectsInvalidLiftedCover(t *testing.T) {
 	}
 	if empty.sawN != 5 {
 		t.Fatalf("solver saw n=%d, want the irreducible 5-cycle", empty.sawN)
+	}
+
+	// With duals the certificate is the only cover check, so it must catch
+	// the same non-cover and keep the internal-error prefix.
+	withDuals := &recordingSolver{out: &Outcome{Cover: make([]bool, 5), Duals: make([]float64, 5)}}
+	_, err = (Pipeline{Solver: withDuals, Reduce: true}).Run(context.Background(), g)
+	if err == nil || !strings.HasPrefix(err.Error(), "solver: internal error:") {
+		t.Fatalf("non-cover with duals: err %v, want a solver internal error", err)
 	}
 }
 
