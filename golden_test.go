@@ -62,6 +62,7 @@ var goldenDigests = map[string]string{
 	"core/disable-inactive-split/gnp-uniform":   "e2e768e413ea8c44",
 	"core/fixed-thresholds/bimodal":             "7cb56804273dd858",
 	"core/fixed-thresholds/gnp-uniform":         "a2532ee6a8d9f06d",
+	"core/uniform-init-hub/bimodal":             "7f5a3b487104514b",
 	"core/uniform-init/bimodal":                 "e1b68d17e197522a",
 	"core/uniform-init/gnp-uniform":             "be50e2ed5a6fd84d",
 	"diff/bipartite-loguniform/1/mpc":           "8fee41fd4d776047",
@@ -188,6 +189,22 @@ func goldenBimodal(seed uint64) *graph.Graph {
 		b.AddEdge(u+1000, v+1000)
 	}
 	return gen.ApplyWeights(b.MustBuild(), seed, gen.UniformRange{Lo: 1, Hi: 100})
+}
+
+// withHub joins vertex 0 of g to every other vertex and gives it weight 0.5,
+// below every other weight. Under uniform initialization the hub is the only
+// vertex that freezes in phase 0, so the final phase receives a residual
+// instance that lacks only the hub's edges.
+func withHub(g *graph.Graph) *graph.Graph {
+	n := g.NumVertices()
+	b := graph.NewBuilder(n).SetWeights(g.Weights()).SetWeight(0, 0.5)
+	for e := 0; e < g.NumEdges(); e++ {
+		b.AddEdge(g.Edge(graph.EdgeID(e)))
+	}
+	for v := 1; v < n; v++ {
+		b.AddEdge(0, graph.Vertex(v))
+	}
+	return b.MustBuild()
 }
 
 // registryDigest solves g with a registered solver and fingerprints the
@@ -342,6 +359,13 @@ func TestGoldenDigests(t *testing.T) {
 			got["core/"+a.name+"/"+g.name] = coreDigest(g.g, p)
 		}
 	}
+	// The hub case is the one uniform-init run whose final phase starts from
+	// a partial residual instance; the larger memory budget lets that
+	// instance fit the final gather.
+	hubParams := core.ParamsPractical(0.1, 1)
+	hubParams.UniformInit = true
+	hubParams.MemoryWords = func(int) int64 { return 1 << 24 }
+	got["core/uniform-init-hub/bimodal"] = coreDigest(withHub(bimodal), hubParams)
 
 	if os.Getenv("MWVC_GOLDEN_DENSE") != "" {
 		for seed := uint64(1); seed <= 3; seed++ {
