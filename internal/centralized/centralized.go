@@ -13,11 +13,13 @@
 // (2+O(ε)) ratio (Proposition 3.3).
 //
 // The same code serves four roles in this repository: the paper's final
-// "solve the remainder on one machine" phase (Algorithm 2 Line 3); the
-// centralized reference run that the MPC simulation is coupled against in
-// the Lemma 4.6 experiments; the O(log Δ) / O(log nW) LOCAL baselines
-// (one iteration = one round); and the approximation-quality workhorse for
-// small instances.
+// "solve the remainder on one machine" phase (Algorithm 2 Line 3, run on the
+// residual graph that package core gathers, with residual weights as vertex
+// weights); the centralized reference run that the MPC simulation is coupled
+// against in the Lemma 4.6 experiments; the O(log Δ) / O(log nW) LOCAL
+// baselines (one iteration = one round); and the approximation-quality
+// workhorse for small instances. Every vertex of the instance starts
+// active: a caller with a residual instance builds it as a graph.
 package centralized
 
 import (
@@ -25,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -108,15 +111,12 @@ type Options struct {
 	Observer solver.Observer
 }
 
-// Instance is a (possibly residual) problem: a graph, an active-vertex mask,
-// per-vertex residual weights, and optionally an explicit initial matching.
-// Zero-valued fields take defaults: all vertices active, graph weights,
-// policy-derived X0.
+// Instance is a problem: a graph whose vertex weights are the weights to
+// cover, and optionally an explicit initial matching. Every vertex starts
+// active.
 type Instance struct {
-	G       *graph.Graph
-	Active  []bool    // nil ⇒ all active
-	Weights []float64 // nil ⇒ G.Weights()
-	X0      []float64 // nil ⇒ derived from Options.Init; entries for inactive edges ignored
+	G  *graph.Graph
+	X0 []float64 // nil ⇒ derived from Options.Init
 }
 
 // Result is the outcome of a run.
@@ -127,8 +127,8 @@ type Result struct {
 	X []float64
 	// FreezeIter[v] is the iteration at which v froze, or -1.
 	FreezeIter []int
-	// EdgeFreezeIter[e] is the iteration at which e froze, or -1 (only
-	// possible for edges with an inactive endpoint, which never participate).
+	// EdgeFreezeIter[e] is the iteration at which e froze, or -1 if e was
+	// still active when Options.StopAfter ended the run.
 	EdgeFreezeIter []int
 	// Iterations is the number of executed iterations of the main loop
 	// (equivalently: rounds when the algorithm is read as a LOCAL/PRAM
@@ -143,51 +143,27 @@ type Result struct {
 	YTrace [][]float64
 }
 
-// DeriveX0 computes the initial fractional matching for the instance per the
-// policy. Degrees are counted with respect to active vertices only, matching
-// the paper's residual-degree convention (Remark 4.2).
-func DeriveX0(inst Instance, policy InitPolicy) ([]float64, error) {
-	g := inst.G
-	active := inst.Active
-	isActive := func(v graph.Vertex) bool { return active == nil || active[v] }
-	w := inst.Weights
-	if w == nil {
-		w = g.Weights()
-	}
+// DeriveX0 computes the initial fractional matching on g per the policy.
+// On a residual graph the degrees are residual degrees, the paper's
+// convention (Remark 4.2).
+func DeriveX0(g *graph.Graph, policy InitPolicy) ([]float64, error) {
+	w := g.Weights()
+	ep := g.EdgeEndpoints()
 	x0 := make([]float64, g.NumEdges())
 	switch policy {
 	case InitDegreeAware:
-		deg := g.DegreesWithinMask(active)
-		ep := g.EdgeEndpoints()
-		for e := 0; e < g.NumEdges(); e++ {
+		for e := range x0 {
 			u, v := ep[2*e], ep[2*e+1]
-			if !isActive(u) || !isActive(v) {
-				continue
-			}
-			ru := w[u] / float64(deg[u])
-			rv := w[v] / float64(deg[v])
-			x0[e] = math.Min(ru, rv)
+			x0[e] = min(w[u]/float64(g.Degree(u)), w[v]/float64(g.Degree(v)))
 		}
 	case InitUniform:
 		// x_e = w_min/n is feasible: Σ_{e∋v} x_e ≤ d(v)·w_min/n ≤ w_min ≤ w(v).
-		wmin := math.Inf(1)
-		anyActive := false
-		for v := 0; v < g.NumVertices(); v++ {
-			if isActive(graph.Vertex(v)) {
-				anyActive = true
-				wmin = math.Min(wmin, w[v])
-			}
-		}
-		if !anyActive {
+		if len(w) == 0 {
 			return x0, nil
 		}
-		base := wmin / float64(g.NumVertices())
-		ep := g.EdgeEndpoints()
-		for e := 0; e < g.NumEdges(); e++ {
-			u, v := ep[2*e], ep[2*e+1]
-			if isActive(u) && isActive(v) {
-				x0[e] = base
-			}
+		base := slices.Min(w) / float64(len(w))
+		for e := range x0 {
+			x0[e] = base
 		}
 	default:
 		return nil, fmt.Errorf("centralized: unknown init policy %v", policy)
@@ -209,33 +185,16 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("centralized: epsilon %v out of (0, 0.125]", opts.Epsilon)
 	}
 	n, m := g.NumVertices(), g.NumEdges()
+	w := g.Weights()
 	active := make([]bool, n)
-	if inst.Active == nil {
-		for v := range active {
-			active[v] = true
-		}
-	} else {
-		if len(inst.Active) != n {
-			return nil, fmt.Errorf("centralized: active mask length %d, want %d", len(inst.Active), n)
-		}
-		copy(active, inst.Active)
-	}
-	w := inst.Weights
-	if w == nil {
-		w = g.Weights()
-	} else if len(w) != n {
-		return nil, fmt.Errorf("centralized: weight vector length %d, want %d", len(w), n)
-	}
-	for v := 0; v < n; v++ {
-		if active[v] && !(w[v] > 0) {
-			return nil, fmt.Errorf("centralized: active vertex %d has non-positive weight %v", v, w[v])
-		}
+	for v := range active {
+		active[v] = true
 	}
 
 	x0 := inst.X0
 	if x0 == nil {
 		var err error
-		if x0, err = DeriveX0(Instance{G: g, Active: active, Weights: w}, opts.Init); err != nil {
+		if x0, err = DeriveX0(g, opts.Init); err != nil {
 			return nil, err
 		}
 	} else if len(x0) != m {
@@ -262,9 +221,6 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 	for e := 0; e < m; e++ {
 		edgeFreeze[e] = -1
 		u, v := g.Edge(graph.EdgeID(e))
-		if !active[u] || !active[v] {
-			continue
-		}
 		if !(x0[e] > 0) {
 			return nil, fmt.Errorf("centralized: initial x[%d] = %v, want positive", e, x0[e])
 		}
@@ -278,7 +234,7 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 		}
 	}
 	for v := 0; v < n; v++ {
-		if active[v] && yActive[v] > w[v]*(1+1e-9) {
+		if yActive[v] > w[v]*(1+1e-9) {
 			return nil, fmt.Errorf("centralized: initial matching infeasible at vertex %d: %v > %v", v, yActive[v], w[v])
 		}
 	}

@@ -192,53 +192,6 @@ func TestUniformInitDegradesWithWeightRange(t *testing.T) {
 	}
 }
 
-func TestActiveSubsetRun(t *testing.T) {
-	// Path 0-1-2-3 with vertex 3 inactive: the run must only cover edges
-	// within {0,1,2} and never freeze 3.
-	g, err := graph.FromEdgeList(4, [][2]graph.Vertex{{0, 1}, {1, 2}, {2, 3}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	active := []bool{true, true, true, false}
-	res, err := Run(context.Background(), Instance{G: g, Active: active}, defaultOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cover[3] {
-		t.Fatal("inactive vertex frozen")
-	}
-	// Edges (0,1) and (1,2) must be covered.
-	for _, e := range []graph.EdgeID{g.EdgeBetween(0, 1), g.EdgeBetween(1, 2)} {
-		u, v := g.Edge(e)
-		if !res.Cover[u] && !res.Cover[v] {
-			t.Fatalf("active edge (%d,%d) uncovered", u, v)
-		}
-	}
-	// Edge (2,3) never participates.
-	if e := g.EdgeBetween(2, 3); res.X[e] != 0 || res.EdgeFreezeIter[e] != -1 {
-		t.Fatal("inactive edge received dual weight")
-	}
-}
-
-func TestResidualWeights(t *testing.T) {
-	g, err := graph.FromEdgeList(2, [][2]graph.Vertex{{0, 1}}, []float64{10, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Residual weights much smaller than graph weights: duals must respect
-	// the residual, not the original.
-	res, err := Run(context.Background(), Instance{G: g, Weights: []float64{1, 2}}, defaultOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.X[0] > 1*(1+1e-9) {
-		t.Fatalf("dual %v exceeds residual weight 1", res.X[0])
-	}
-	if !res.Cover[0] && !res.Cover[1] {
-		t.Fatal("edge uncovered")
-	}
-}
-
 func TestExplicitX0(t *testing.T) {
 	g, err := graph.FromEdgeList(3, [][2]graph.Vertex{{0, 1}, {1, 2}}, nil)
 	if err != nil {
@@ -271,12 +224,6 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Instance{G: nil}, defaultOpts()); err == nil {
 		t.Fatal("nil graph accepted")
-	}
-	if _, err := Run(context.Background(), Instance{G: g, Active: []bool{true}}, defaultOpts()); err == nil {
-		t.Fatal("bad active length accepted")
-	}
-	if _, err := Run(context.Background(), Instance{G: g, Weights: []float64{1}}, defaultOpts()); err == nil {
-		t.Fatal("bad weights length accepted")
 	}
 	if _, err := Run(context.Background(), Instance{G: g, X0: []float64{1, 2, 3}}, defaultOpts()); err == nil {
 		t.Fatal("bad X0 length accepted")
@@ -433,7 +380,7 @@ func TestInitPolicyString(t *testing.T) {
 func TestDeriveX0Feasible(t *testing.T) {
 	g := gen.ApplyWeights(gen.PreferentialAttachment(9, 200, 4), 4, gen.Exponential{Mean: 2})
 	for _, policy := range []InitPolicy{InitDegreeAware, InitUniform} {
-		x0, err := DeriveX0(Instance{G: g}, policy)
+		x0, err := DeriveX0(g, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +393,7 @@ func TestDeriveX0Feasible(t *testing.T) {
 			}
 		}
 	}
-	if _, err := DeriveX0(Instance{G: g}, InitPolicy(42)); err == nil {
+	if _, err := DeriveX0(g, InitPolicy(42)); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }

@@ -153,7 +153,7 @@ type driver struct {
 	// co-located edges, so concurrent machines touch disjoint entries; each
 	// machine resets its own entries after its simulation.
 	high                                    []bool
-	wres, yMPC, xPhase                      []float64
+	wres, shares, yMPC, xPhase              []float64
 	highIndex, partOf, freezeIter, localIdx []int32
 	highList, newlyFrozen                   []graph.Vertex
 	highEdges                               []int32
@@ -223,13 +223,14 @@ func run(ctx context.Context, g *graph.Graph, p Params, gs *GatherStats, gatherW
 	}
 	// The n-sized scratch arrays are carved out of one backing allocation
 	// per element type.
-	f64 := make([]float64, 2*n)
+	f64 := make([]float64, 3*n)
 	i32 := make([]int32, 4*n)
 	d := &driver{
 		state: s, gs: gs, budget: memWords / 2,
 		high:       make([]bool, n),
 		wres:       f64[:n:n],
-		yMPC:       f64[n:],
+		shares:     f64[n : 2*n : 2*n],
+		yMPC:       f64[2*n:],
 		xPhase:     make([]float64, m),
 		highIndex:  i32[:n:n],
 		partOf:     i32[n : 2*n : 2*n],
@@ -460,7 +461,11 @@ func (d *driver) phases() (int, error) {
 }
 
 // partition computes the Line (2c) initial duals on E[V^high] and draws the
-// phase's partition of V^high (Lines 2e/2f) under its schedule. The gathered
+// phase's partition of V^high (Lines 2e/2f) under its schedule. Line 2c
+// prices each V^high vertex once, w′(v)/d(v), and each edge takes the smaller
+// share of its endpoints. The shares are computed here rather than while
+// classifying: residual() can freeze a vertex there, which lowers the
+// residual degree of neighbors classified before it. The gathered
 // schedule prices each group's induced instance (vertex and co-located edge
 // records; attempt 0 is priced inside the Line 2c walk) and splits — doubles
 // the group count and redraws — until the largest group fits the gather
@@ -474,6 +479,10 @@ func (d *driver) partition() error {
 		d.drawGroups(0)
 	}
 
+	if d.highEdges == nil {
+		// The first phase's nonfrozen count bounds |E[V^high]| in every phase.
+		d.highEdges = make([]int32, 0, d.nonfrozen)
+	}
 	d.highEdges = d.highEdges[:0]
 	uniformBase := 0.0
 	if p.UniformInit {
@@ -482,6 +491,10 @@ func (d *driver) partition() error {
 			wmin = math.Min(wmin, d.wres[v])
 		}
 		uniformBase = wmin / float64(d.n)
+	} else {
+		for _, v := range d.highList {
+			d.shares[v] = d.wres[v] / float64(d.resDeg[v])
+		}
 	}
 	for e := 0; e < d.m; e++ {
 		if d.edgeFrozen[e] {
@@ -495,7 +508,7 @@ func (d *driver) partition() error {
 		if p.UniformInit {
 			d.xPhase[e] = uniformBase
 		} else {
-			d.xPhase[e] = math.Min(d.wres[u]/float64(d.resDeg[u]), d.wres[v]/float64(d.resDeg[v]))
+			d.xPhase[e] = min(d.shares[u], d.shares[v])
 		}
 		if d.sched == gathered && d.partOf[u] == d.partOf[v] {
 			d.partWords[d.partOf[u]] += mpc.EdgeRecordWords
@@ -962,20 +975,27 @@ func (d *driver) reconcile() (frozenAtSim, frozenAt2i int) {
 
 // finalPhase is Line (3): the residual instance moves to one machine (the
 // gather is one more round, and the memory charge enforces that it fits)
-// and the centralized algorithm finishes it.
+// and the centralized algorithm finishes it there, on the residual graph.
+//
+// The residual graph holds the active vertices and the nonfrozen edges (a
+// nonfrozen edge has both endpoints active), with w′ as vertex weights and
+// local ids assigned in increasing global order. The relabeling is monotone
+// and edge ids are lexicographic, so residual edge i is the i-th nonfrozen
+// edge and every row keeps its neighbor order: the centralized run performs
+// the same float operations in the same order as on the whole graph with
+// the frozen part masked out. When nothing froze, g itself is the residual
+// graph.
 func (s *state) finalPhase() error {
 	n, eps := s.n, s.p.Epsilon
-	active := make([]bool, n)
-	wresAll := make([]float64, n)
-	numActive := 0
+	verts := make([]graph.Vertex, 0, n) // residual vertex → global vertex
+	wres := make([]float64, 0, n)
 	for v := 0; v < n; v++ {
 		if s.res.Cover[v] {
 			continue
 		}
 		if w, ok := s.residual(graph.Vertex(v)); ok {
-			active[v] = true
-			wresAll[v] = w
-			numActive++
+			verts = append(verts, graph.Vertex(v))
+			wres = append(wres, w)
 		}
 	}
 	finalEdges := s.nonfrozen
@@ -983,7 +1003,7 @@ func (s *state) finalPhase() error {
 	s.cluster.ResetResident()
 	err := s.step(func(mach *mpc.Machine) error {
 		if mach.ID() == 0 {
-			return mach.Charge(finalEdges*mpc.EdgeRecordWords + int64(numActive)*mpc.VertexRecordWords)
+			return mach.Charge(finalEdges*mpc.EdgeRecordWords + int64(len(verts))*mpc.VertexRecordWords)
 		}
 		return nil
 	})
@@ -991,43 +1011,87 @@ func (s *state) finalPhase() error {
 		return fmt.Errorf("core: final gather: %w", err)
 	}
 
-	finalInit := centralized.InitDegreeAware
-	if s.p.UniformInit {
-		finalInit = centralized.InitUniform
-	}
-	var finalThreshold centralized.ThresholdFunc
-	if s.p.FixedThresholds {
-		finalThreshold = centralized.FixedThreshold(eps)
-	} else {
-		lo, hi, seed := 1-4*eps, 1-2*eps, s.p.Seed
-		fp := uint64(s.res.Phases)
-		finalThreshold = func(v graph.Vertex, t int) float64 {
-			return rng.UniformAt(seed, lo, hi, labelThreshold, fp, uint64(v), uint64(t))
+	// When nothing froze, g is already the residual graph: no vertex is in
+	// the cover and nothing was subtracted, so every vertex is active with
+	// w′ = w and verts is the identity.
+	inst := centralized.Instance{G: s.g}
+	var edges []int32 // residual edge → global edge; nil while inst.G is g
+	if finalEdges < int64(s.m) {
+		if inst.G, edges, err = s.residualGraph(verts, wres); err != nil {
+			return fmt.Errorf("core: final residual graph: %w", err)
 		}
 	}
-	cres, err := centralized.Run(s.ctx,
-		centralized.Instance{G: s.g, Active: active, Weights: wresAll},
-		centralized.Options{Epsilon: eps, Init: finalInit, Threshold: finalThreshold},
-	)
+	if s.p.UniformInit && len(wres) > 0 {
+		// InitUniform would divide by the residual vertex count; Line 3's
+		// base is w′_min over the active vertices divided by n.
+		base := slices.Min(wres) / float64(n)
+		inst.X0 = make([]float64, inst.G.NumEdges())
+		for i := range inst.X0 {
+			inst.X0[i] = base
+		}
+	}
+	// Thresholds stay keyed by the global vertex id.
+	threshold := centralized.FixedThreshold(eps)
+	if !s.p.FixedThresholds {
+		lo, hi, seed := 1-4*eps, 1-2*eps, s.p.Seed
+		fp := uint64(s.res.Phases)
+		threshold = func(v graph.Vertex, t int) float64 {
+			return rng.UniformAt(seed, lo, hi, labelThreshold, fp, uint64(verts[v]), uint64(t))
+		}
+	}
+	cres, err := centralized.Run(s.ctx, inst, centralized.Options{Epsilon: eps, Threshold: threshold})
 	if err != nil {
 		return fmt.Errorf("core: final centralized phase: %w", err)
 	}
 	s.res.FinalPhaseIterations = cres.Iterations
 	// The LOCAL algorithm runs inside one machine, so its iterations cost no
 	// additional communication rounds.
-	for v := 0; v < n; v++ {
-		if cres.Cover[v] {
-			s.res.Cover[v] = true
+	for i, in := range cres.Cover {
+		if in {
+			s.res.Cover[verts[i]] = true
 		}
 	}
-	for e := 0; e < s.m; e++ {
-		if !s.edgeFrozen[e] {
-			s.freezeEdge(e, cres.X[e])
-			s.dualSum += cres.X[e]
+	for i, x := range cres.X {
+		e := i
+		if edges != nil {
+			e = int(edges[i])
 		}
+		s.freezeEdge(e, x)
+		s.dualSum += x
 	}
 	e := s.event(solver.KindFinalPhase)
 	e.Iterations = cres.Iterations
 	solver.Emit(s.p.Observer, e)
 	return nil
+}
+
+// residualGraph builds the graph on the active vertices verts (increasing)
+// with weights wres, whose edges are the nonfrozen edges, and returns it with
+// the global id of each of its edges.
+func (s *state) residualGraph(verts []graph.Vertex, wres []float64) (*graph.Graph, []int32, error) {
+	local := make([]graph.Vertex, s.n)
+	for i, v := range verts {
+		local[v] = graph.Vertex(i)
+	}
+	edges := make([]int32, 0, s.nonfrozen)
+	b := graph.NewCSRBuilder(len(verts)).SetWeights(wres)
+	for e, frozen := range s.edgeFrozen {
+		if frozen {
+			continue
+		}
+		edges = append(edges, int32(e))
+		if err := b.CountEdge(local[s.ep[2*e]], local[s.ep[2*e+1]]); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := b.EndCount(); err != nil {
+		return nil, nil, err
+	}
+	for _, e := range edges {
+		if err := b.AddEdge(local[s.ep[2*e]], local[s.ep[2*e+1]]); err != nil {
+			return nil, nil, err
+		}
+	}
+	rg, err := b.Build()
+	return rg, edges, err
 }
