@@ -53,24 +53,29 @@ func CoverSet(cover []bool) []graph.Vertex {
 
 // DualFeasible checks the fractional-matching constraints of Observation
 // 3.1: x_e >= 0 for all e and sum_{e∋v} x_e <= w(v) (with tolerance) for all
-// v. It returns a descriptive error naming the first violated constraint.
+// v. It returns a descriptive error naming the first violated constraint:
+// the first bad x_e, else the first overloaded vertex.
+//
+// The vertex sums accumulate in one sweep over the edges in id order. Rows
+// are sorted and edge ids are lexicographic, so a vertex's adjacency order is
+// increasing edge-id order, and each sum is the one the vertex's row gives,
+// bit for bit.
 func DualFeasible(g *graph.Graph, x []float64) error {
 	if len(x) != g.NumEdges() {
 		return fmt.Errorf("verify: dual vector length %d, want %d", len(x), g.NumEdges())
 	}
+	ep := g.EdgeEndpoints()
+	sum := make([]float64, g.NumVertices())
 	for e, xe := range x {
 		if xe < -Tolerance || math.IsNaN(xe) || math.IsInf(xe, 0) {
 			return fmt.Errorf("verify: x[%d] = %v violates nonnegativity", e, xe)
 		}
+		sum[ep[2*e]] += xe
+		sum[ep[2*e+1]] += xe
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		sum := 0.0
-		for _, e := range g.IncidentEdges(graph.Vertex(v)) {
-			sum += x[e]
-		}
-		w := g.Weight(graph.Vertex(v))
-		if sum > w*(1+Tolerance)+Tolerance {
-			return fmt.Errorf("verify: vertex %d dual constraint violated: sum=%v > w=%v", v, sum, w)
+	for v, w := range g.Weights() {
+		if sum[v] > w*(1+Tolerance)+Tolerance {
+			return fmt.Errorf("verify: vertex %d dual constraint violated: sum=%v > w=%v", v, sum[v], w)
 		}
 	}
 	return nil
