@@ -37,7 +37,8 @@ func TestCSRRoundTripBitIdenticalSolutions(t *testing.T) {
 			if err := graph.WriteEdgeList(&buf, inst.g); err != nil {
 				t.Fatal(err)
 			}
-			streamed, err := graph.ReadStream(bytes.NewReader(buf.Bytes()))
+			r := bytes.NewReader(buf.Bytes())
+			streamed, err := graph.ReadStream(r, r.Size())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -102,9 +102,11 @@ func StreamInstance(w io.Writer, generator string, n int, d float64, weights str
 }
 
 // WriteTo streams the instance to w: weights are sampled per vertex and
-// edges flow straight from the generator to the writer. The output, read
-// back through ReadStream, is bit-identical to what BuildGraph would
-// construct for the same parameters. It returns the edge count written.
+// edges flow straight from the generator to the writer, one "e <u> <v>"
+// line each — the form graph.ReadStream parses in one pass per line. The
+// output, read back through ReadStream (at any chunk count), is
+// bit-identical to what BuildGraph would construct for the same
+// parameters. It returns the edge count written.
 func (job *StreamJob) WriteTo(w io.Writer) (int64, error) {
 	nv, model, seed := job.Vertices, job.model, job.seed
 	bw := bufio.NewWriterSize(w, 1<<16)

@@ -29,7 +29,8 @@ func TestStreamInstanceMatchesBuildGraph(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.generator, err)
 		}
-		streamed, err := graph.ReadStream(bytes.NewReader(buf.Bytes()))
+		r := bytes.NewReader(buf.Bytes())
+		streamed, err := graph.ReadStream(r, r.Size())
 		if err != nil {
 			t.Fatalf("%s: reading streamed output: %v", c.generator, err)
 		}

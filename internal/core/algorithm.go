@@ -218,7 +218,7 @@ func run(ctx context.Context, g *graph.Graph, p Params, gs *GatherStats, gatherW
 		cluster: cluster, fleet: fleet, res: res, phase: -1,
 		edgeFrozen:     make([]bool, m),
 		frozenIncident: make([]float64, n),
-		resDeg:         g.DegreesWithinMaskInto(make([]int, n), nil),
+		resDeg:         degrees(g),
 		nonfrozen:      int64(m),
 	}
 	// The n-sized scratch arrays are carved out of one backing allocation
@@ -255,6 +255,16 @@ func run(ctx context.Context, g *graph.Graph, p Params, gs *GatherStats, gatherW
 	res.ClusterMetrics = cluster.Metrics()
 	res.Rounds = res.ClusterMetrics.Rounds
 	return res, nil
+}
+
+// degrees returns every vertex's degree in g: the residual degrees before
+// anything froze.
+func degrees(g *graph.Graph) []int {
+	deg := make([]int, g.NumVertices())
+	for v := range deg {
+		deg[v] = g.Degree(graph.Vertex(v))
+	}
+	return deg
 }
 
 // event returns an observer event stamped with the running phase, the

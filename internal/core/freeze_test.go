@@ -20,7 +20,7 @@ func TestFreezeBookkeepingMatchesRecount(t *testing.T) {
 		res:            &Result{Cover: make([]bool, n), X: make([]float64, m)},
 		edgeFrozen:     make([]bool, m),
 		frozenIncident: make([]float64, n),
-		resDeg:         g.DegreesWithinMaskInto(make([]int, n), nil),
+		resDeg:         degrees(g),
 		nonfrozen:      int64(m),
 	}
 	check := func(when string) {

@@ -23,18 +23,36 @@ import (
 // A CSRBuilder is single-use: Build transfers ownership of its arrays to
 // the returned Graph.
 type CSRBuilder struct {
-	n       int
-	weights []float64
-	// deg holds per-vertex counts during pass 1, the per-vertex fill
-	// cursors during pass 2, and the reverse-slot cursors during Build —
-	// one n-sized array wearing three hats so the builder's overhead
-	// beyond the final graph is a single scratch array.
-	deg       []uint32
+	n         int
+	weights   []float64
 	offsets   []uint32
 	neighbors []Vertex
-	counted   int64
-	filled    int64
-	state     csrState
+	// whole is the CountEdge/AddEdge stream, and part 0 of a partitioned
+	// one. Its deg holds per-vertex counts during pass 1, the fill cursors
+	// during pass 2, and the reverse-slot cursors during Build — one n-sized
+	// array wearing three hats so the builder's overhead beyond the final
+	// graph is a single scratch array.
+	whole csrPart
+	// parts are the parts pass 1 merged: whole alone, or a reader's chunks.
+	parts []*csrPart
+	state csrState
+}
+
+// csrPart is one part of an edge stream split into consecutive parts that
+// are counted and filled independently, possibly concurrently: the
+// arbitrarily partitioned edge set of the MPC model, with a reader's chunks
+// as the machines. Each part counts degrees privately in pass 1, and the
+// prefix sum of endCountParts merges the counts. Within row v, part k's
+// slots follow those of parts 0..k-1, so part k's pass-2 cursor starts at
+// offsets[v] + Σ_{j<k} count_j[v] and stops at part k+1's start (the last
+// part's at offsets[v+1]). No part can write another's slots, and the
+// per-vertex excess check of AddEdge holds per part. Build sorts every row,
+// so the partition never reaches the graph.
+type csrPart struct {
+	deg     []uint32 // pass-1 counts, then pass-2 fill cursors
+	lim     []uint32 // pass-2 cursor limits
+	counted int64
+	filled  int64
 }
 
 type csrState uint8
@@ -55,7 +73,7 @@ func NewCSRBuilder(n int) *CSRBuilder {
 	for i := range w {
 		w[i] = 1
 	}
-	return &CSRBuilder{n: n, weights: w, deg: make([]uint32, n)}
+	return &CSRBuilder{n: n, weights: w, whole: csrPart{deg: make([]uint32, n)}}
 }
 
 // NumVertices returns the declared vertex count.
@@ -77,9 +95,10 @@ func (b *CSRBuilder) SetWeights(w []float64) *CSRBuilder {
 	return b
 }
 
-func (b *CSRBuilder) checkEndpoints(u, v Vertex) error {
-	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
-		return fmt.Errorf("graph: edge (%d,%d) has endpoint out of range [0,%d)", u, v, b.n)
+// checkEndpoints reports an edge record that no graph on n vertices has.
+func checkEndpoints(n int, u, v Vertex) error {
+	if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+		return fmt.Errorf("graph: edge (%d,%d) has endpoint out of range [0,%d)", u, v, n)
 	}
 	if u == v {
 		return fmt.Errorf("graph: self-loop at vertex %d", u)
@@ -93,17 +112,27 @@ func (b *CSRBuilder) CountEdge(u, v Vertex) error {
 	if b.state != csrCounting {
 		return errors.New("graph: CountEdge after EndCount")
 	}
-	if err := b.checkEndpoints(u, v); err != nil {
-		return err
+	return b.countPart(&b.whole, u, v)
+}
+
+// countPart records one pass-1 edge of part p.
+func (b *CSRBuilder) countPart(p *csrPart, u, v Vertex) error {
+	if uint(u) >= uint(b.n) || uint(v) >= uint(b.n) || u == v {
+		// The test is checkEndpoints', inlined for the per-edge path.
+		return checkEndpoints(b.n, u, v)
 	}
-	if b.counted >= math.MaxInt32 {
-		return fmt.Errorf("graph: edge count exceeds %d", math.MaxInt32)
+	if p.counted >= math.MaxInt32 {
+		return errEdgeCount
 	}
-	b.deg[u]++
-	b.deg[v]++
-	b.counted++
+	p.deg[u]++
+	p.deg[v]++
+	p.counted++
 	return nil
 }
+
+// errEdgeCount rejects a stream whose 2m adjacency slots would overflow the
+// uint32 offsets.
+var errEdgeCount = fmt.Errorf("graph: edge count exceeds %d", math.MaxInt32)
 
 // EndCount finishes the first pass: it prefix-sums the degree counts into
 // the CSR offsets and allocates the adjacency array (the only O(m)
@@ -112,15 +141,42 @@ func (b *CSRBuilder) EndCount() error {
 	if b.state != csrCounting {
 		return errors.New("graph: EndCount called twice")
 	}
+	return b.endCountParts([]*csrPart{&b.whole})
+}
+
+// endCountParts is EndCount for a stream counted in parts, in stream order
+// with parts[0] = &b.whole. It turns every part's counts into its fill
+// cursors and limits (see csrPart); each part after the first costs one more
+// n-sized array, for the limits of the part before it.
+func (b *CSRBuilder) endCountParts(parts []*csrPart) error {
+	var total int64
+	for _, p := range parts {
+		total += p.counted
+	}
+	if total > math.MaxInt32 {
+		return errEdgeCount
+	}
 	b.offsets = make([]uint32, b.n+1)
+	last := len(parts) - 1
+	for _, p := range parts[:last] {
+		p.lim = make([]uint32, b.n)
+	}
+	parts[last].lim = b.offsets[1:]
 	var sum uint32
 	for v := 0; v < b.n; v++ {
 		b.offsets[v] = sum
-		sum += b.deg[v]
-		b.deg[v] = b.offsets[v] // becomes the pass-2 fill cursor
+		for k, p := range parts {
+			d := p.deg[v]
+			p.deg[v] = sum
+			if k > 0 {
+				parts[k-1].lim[v] = sum
+			}
+			sum += d
+		}
 	}
 	b.offsets[b.n] = sum
 	b.neighbors = make([]Vertex, sum)
+	b.parts = parts
 	b.state = csrFilling
 	return nil
 }
@@ -136,22 +192,27 @@ func (b *CSRBuilder) AddEdge(u, v Vertex) error {
 		}
 		return errors.New("graph: AddEdge after Build")
 	}
-	if err := b.checkEndpoints(u, v); err != nil {
-		return err
+	return b.fillPart(&b.whole, u, v)
+}
+
+// fillPart records one pass-2 edge of part p at p's fill cursors.
+func (b *CSRBuilder) fillPart(p *csrPart, u, v Vertex) error {
+	if uint(u) >= uint(b.n) || uint(v) >= uint(b.n) || u == v {
+		return checkEndpoints(b.n, u, v)
 	}
-	cu := b.deg[u]
-	if cu >= b.offsets[u+1] {
+	cu := p.deg[u]
+	if cu >= p.lim[u] {
 		return fmt.Errorf("graph: pass 2 has more edges at vertex %d than pass 1 counted", u)
 	}
-	cv := b.deg[v]
-	if cv >= b.offsets[v+1] {
+	cv := p.deg[v]
+	if cv >= p.lim[v] {
 		return fmt.Errorf("graph: pass 2 has more edges at vertex %d than pass 1 counted", v)
 	}
 	b.neighbors[cu] = v
-	b.deg[u] = cu + 1
+	p.deg[u] = cu + 1
 	b.neighbors[cv] = u
-	b.deg[v] = cv + 1
-	b.filled++
+	p.deg[v] = cv + 1
+	p.filled++
 	return nil
 }
 
@@ -169,8 +230,13 @@ func (b *CSRBuilder) Build() (*Graph, error) {
 	default:
 		return nil, errors.New("graph: CSRBuilder already built")
 	}
-	if b.filled != b.counted {
-		return nil, fmt.Errorf("graph: pass 2 delivered %d edges, pass 1 counted %d", b.filled, b.counted)
+	var counted, filled int64
+	for _, p := range b.parts {
+		counted += p.counted
+		filled += p.filled
+	}
+	if filled != counted {
+		return nil, fmt.Errorf("graph: pass 2 delivered %d edges, pass 1 counted %d", filled, counted)
 	}
 	for v, w := range b.weights {
 		if !(w > 0) || math.IsInf(w, 0) {
@@ -209,12 +275,12 @@ func (b *CSRBuilder) Build() (*Graph, error) {
 	// Assign edge ids by scanning rows in vertex order: every slot with
 	// neighbor > row vertex opens the next id; its mirror slot is the first
 	// unassigned slot of the neighbor's row (rows are sorted, and smaller
-	// endpoints are visited in increasing order), tracked by reusing deg as
-	// per-row cursors.
+	// endpoints are visited in increasing order), tracked by reusing
+	// whole.deg as per-row cursors.
 	m := slots / 2
 	slotEdges := make([]EdgeID, slots)
 	endpoints := make([]Vertex, slots)
-	cursor := b.deg
+	cursor := b.whole.deg
 	copy(cursor, b.offsets[:b.n])
 	next := EdgeID(0)
 	for u := 0; u < b.n; u++ {
@@ -247,6 +313,6 @@ func (b *CSRBuilder) Build() (*Graph, error) {
 		endpoints: endpoints,
 	}
 	b.state = csrBuilt
-	b.weights, b.offsets, b.neighbors, b.deg = nil, nil, nil, nil
+	b.weights, b.offsets, b.neighbors, b.whole, b.parts = nil, nil, nil, csrPart{}, nil
 	return g, nil
 }

@@ -24,9 +24,8 @@
 //   - CSRBuilder is the bounded-memory streaming path: the caller streams
 //     the edge list twice (CountEdge… EndCount, then AddEdge…), and the
 //     builder assembles the CSR arrays in place — no edge-list buffer, no
-//     comparison sort over m edges. ReadStream builds graphs from seekable
-//     files this way, and deterministic generators replay their edge
-//     stream for the two passes with no buffering at all.
+//     comparison sort over m edges. Deterministic generators replay their
+//     edge stream for the two passes with no buffering at all.
 //
 // # Serialization
 //
@@ -34,4 +33,11 @@
 // edge-count header, and the streaming-friendly "mwvc-el 1" without one)
 // plus the canonical writer whose byte stream defines the content hash used
 // by the serve store. See docs/FORMATS.md for the format specification.
+//
+// Read parses a one-shot stream serially into a Builder. ReadStream (and
+// OpenFile) parses a file in newline-aligned chunks, one per core but one
+// (so serially on two cores): each chunk counts degrees privately and fills
+// its own slots of every CSR row, which is a CSRBuilder fed a stream split
+// into parts — the arbitrarily partitioned edge set of the MPC model, with
+// the cores as machines. The graph is the same for every chunk count.
 package graph

@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -48,11 +49,13 @@ func declaredVertexCount(data []byte) (n int64, ok bool) {
 	return 0, false
 }
 
-// FuzzReadGraph feeds arbitrary bytes through both parse paths (the
-// buffering Read and the two-pass ReadStream) and pins two properties:
-// parsing never panics, and any accepted graph round-trips through
-// WriteEdgeList→ReadStream bit-identically — same serialized bytes, same
-// weight bit patterns, same edge-id order.
+// FuzzReadGraph feeds arbitrary bytes through every parse path and pins
+// four properties: parsing never panics; the line reader's record stream
+// equals the reference bufio.Scanner parser's, record for record and error
+// for error; Read and the chunked reader at 1, 2 and 7 chunks yield the same
+// graph (weight bits, edge-id order) or the same error text; and any
+// accepted graph round-trips through WriteEdgeList→ReadStream
+// bit-identically — same serialized bytes, same weight bit patterns.
 func FuzzReadGraph(f *testing.F) {
 	f.Add([]byte("mwvc-graph 1\n3 2\nw 0 2.5\ne 0 1\ne 1 2\n"))
 	f.Add([]byte("mwvc-el 1\n4\ne 0 1\nw 3 0.25\ne 2 3\ne 0 1\n"))
@@ -63,13 +66,27 @@ func FuzzReadGraph(f *testing.F) {
 		if n, ok := declaredVertexCount(data); !ok || n > 1<<20 {
 			t.Skip("vertex-count claim unbounded or over the harness cap")
 		}
+		for _, weights := range []bool{true, false} {
+			want, wantErr := graph.RefTrace(data, weights)
+			got, gotErr := graph.StreamTrace(data, weights)
+			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("record stream (weights %v) differs from the reference scanner:\n got %q, %v\nwant %q, %v",
+					weights, got, gotErr, want, wantErr)
+			}
+		}
 		g, err := graph.Read(bytes.NewReader(data))
-		gs, errS := graph.ReadStream(bytes.NewReader(data))
-		if (err == nil) != (errS == nil) {
-			t.Fatalf("Read err=%v but ReadStream err=%v on the same input", err, errS)
+		r := bytes.NewReader(data)
+		one := graph.Outcome(graph.ReadStreamChunks(r, r.Size(), 1))
+		if got := graph.Outcome(g, err); got != one {
+			t.Fatalf("Read disagrees with ReadStream:\n got %.300s\nwant %.300s", got, one)
+		}
+		for _, p := range []int{2, 7} {
+			if got := graph.Outcome(graph.ReadStreamChunks(r, r.Size(), p)); got != one {
+				t.Fatalf("%d chunks disagree with one:\n got %.300s\nwant %.300s", p, got, one)
+			}
 		}
 		if err != nil {
-			return // rejected cleanly by both paths
+			return // rejected cleanly by every path
 		}
 
 		// Round-trip: serialize, re-ingest through the streaming path, and
@@ -78,7 +95,8 @@ func FuzzReadGraph(f *testing.F) {
 		if err := graph.WriteEdgeList(&first, g); err != nil {
 			t.Fatal(err)
 		}
-		g2, err := graph.ReadStream(bytes.NewReader(first.Bytes()))
+		r2 := bytes.NewReader(first.Bytes())
+		g2, err := graph.ReadStream(r2, r2.Size())
 		if err != nil {
 			t.Fatalf("re-reading serialized accepted graph: %v", err)
 		}
@@ -97,15 +115,6 @@ func FuzzReadGraph(f *testing.F) {
 			a, b := g.Weight(graph.Vertex(v)), g2.Weight(graph.Vertex(v))
 			if math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("round-trip changed weight of %d: %v → %v", v, a, b)
-			}
-		}
-		ea, eb := g.EdgeEndpoints(), gs.EdgeEndpoints()
-		if len(ea) != len(eb) {
-			t.Fatalf("Read and ReadStream disagree on edge count: %d vs %d", len(ea)/2, len(eb)/2)
-		}
-		for i := range ea {
-			if ea[i] != eb[i] {
-				t.Fatalf("Read and ReadStream disagree at endpoint slot %d", i)
 			}
 		}
 	})

@@ -280,63 +280,6 @@ func (g *Graph) Induced(vertices []Vertex) (*Graph, []Vertex, error) {
 	return sub, orig, nil
 }
 
-// DegreesWithin returns, for every vertex, the number of neighbors u for
-// which include(u) is true. It is the residual-degree primitive of
-// Algorithm 2 Line (2k), where include is "u is nonfrozen". When the
-// predicate is backed by a []bool, DegreesWithinMask avoids the indirect
-// call per adjacency slot.
-func (g *Graph) DegreesWithin(include func(Vertex) bool) []int {
-	deg := make([]int, g.NumVertices())
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, u := range g.Neighbors(Vertex(v)) {
-			if include(u) {
-				deg[v]++
-			}
-		}
-	}
-	return deg
-}
-
-// DegreesWithinMask is the []bool fast path of DegreesWithin: deg[v] counts
-// the neighbors u with mask[u]. A nil mask counts every neighbor. It is the
-// form used by the residual-degree computations of the core and centralized
-// algorithms, where the membership set is already a flat boolean slice.
-func (g *Graph) DegreesWithinMask(mask []bool) []int {
-	return g.DegreesWithinMaskInto(make([]int, g.NumVertices()), mask)
-}
-
-// DegreesWithinMaskInto is DegreesWithinMask writing into caller-provided
-// storage (len must be NumVertices), for callers that recycle the slice.
-//
-//mwvc:hotpath
-func (g *Graph) DegreesWithinMaskInto(deg []int, mask []bool) []int {
-	if len(deg) != g.NumVertices() {
-		panic(badDstLen(len(deg), g.NumVertices()))
-	}
-	if mask == nil {
-		for v := range deg {
-			deg[v] = g.Degree(Vertex(v))
-		}
-		return deg
-	}
-	for v := range deg {
-		d := 0
-		for _, u := range g.Neighbors(Vertex(v)) {
-			if mask[u] {
-				d++
-			}
-		}
-		deg[v] = d
-	}
-	return deg
-}
-
-// badDstLen formats the DegreesWithinMaskInto length-mismatch panic message
-// outside the hot path, keeping fmt out of the annotated function.
-func badDstLen(got, want int) string {
-	return fmt.Sprintf("graph: DegreesWithinMaskInto dst length %d, want %d", got, want)
-}
-
 // String summarizes the graph for debugging.
 func (g *Graph) String() string {
 	return fmt.Sprintf("Graph(n=%d, m=%d, avg_deg=%.2f)", g.NumVertices(), g.NumEdges(), g.AverageDegree())

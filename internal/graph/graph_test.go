@@ -207,61 +207,6 @@ func TestInducedRejectsDuplicates(t *testing.T) {
 	}
 }
 
-func TestDegreesWithin(t *testing.T) {
-	g := mustTriangle(t)
-	deg := g.DegreesWithin(func(v Vertex) bool { return v != 2 })
-	if deg[0] != 1 || deg[1] != 1 || deg[2] != 2 {
-		t.Fatalf("DegreesWithin = %v", deg)
-	}
-	all := g.DegreesWithin(func(Vertex) bool { return true })
-	for v, d := range all {
-		if d != g.Degree(Vertex(v)) {
-			t.Fatalf("DegreesWithin(all) mismatch at %d", v)
-		}
-	}
-}
-
-func TestDegreesWithinMaskAgreesWithPredicate(t *testing.T) {
-	g := randomGraph(7, 200, 1500)
-	mask := make([]bool, g.NumVertices())
-	for v := range mask {
-		mask[v] = v%3 != 0
-	}
-	want := g.DegreesWithin(func(v Vertex) bool { return mask[v] })
-	got := g.DegreesWithinMask(mask)
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("mask fast path disagrees at vertex %d: %d vs %d", v, got[v], want[v])
-		}
-	}
-	// nil mask counts every neighbor.
-	for v, d := range g.DegreesWithinMask(nil) {
-		if d != g.Degree(Vertex(v)) {
-			t.Fatalf("DegreesWithinMask(nil) mismatch at %d", v)
-		}
-	}
-	// The Into variant writes into caller storage and returns it.
-	dst := make([]int, g.NumVertices())
-	if &g.DegreesWithinMaskInto(dst, mask)[0] != &dst[0] {
-		t.Fatal("Into variant did not reuse caller storage")
-	}
-	for v := range want {
-		if dst[v] != want[v] {
-			t.Fatalf("Into variant disagrees at vertex %d", v)
-		}
-	}
-}
-
-func TestDegreesWithinMaskIntoPanicsOnBadLength(t *testing.T) {
-	g := mustTriangle(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short dst accepted")
-		}
-	}()
-	g.DegreesWithinMaskInto(make([]int, 1), nil)
-}
-
 func TestInducedScratchReuseKeepsResultsIndependent(t *testing.T) {
 	// Back-to-back Induced calls share the pooled index scratch; results
 	// must be independent and the scratch reset between calls (a stale
@@ -317,34 +262,6 @@ func BenchmarkInduced(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkDegreesWithin compares the predicate and mask paths.
-func BenchmarkDegreesWithin(b *testing.B) {
-	g := randomGraph(3, 20000, 400000)
-	mask := make([]bool, g.NumVertices())
-	for v := range mask {
-		mask[v] = v%4 != 0
-	}
-	b.Run("predicate", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.DegreesWithin(func(v Vertex) bool { return mask[v] })
-		}
-	})
-	b.Run("mask", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.DegreesWithinMask(mask)
-		}
-	})
-	b.Run("mask-into", func(b *testing.B) {
-		dst := make([]int, g.NumVertices())
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.DegreesWithinMaskInto(dst, mask)
-		}
-	})
 }
 
 // randomGraph builds a random graph for property tests.

@@ -3,11 +3,14 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
+	"sync"
 )
 
 // Two line-oriented text formats are supported (specified in
@@ -104,38 +107,126 @@ func writeRecords(bw *bufio.Writer, g *Graph, buf []byte) error {
 	return nil
 }
 
-// recordSink receives the records of one scan over a graph file. sizes is
-// called exactly once (haveM reports whether the format carries an edge
-// count); weight and edge are called per record in file order. A nil weight
-// makes the scanner skip weight records without parsing their value (used
-// by ReadStream's second pass).
-type recordSink struct {
-	sizes  func(n, m int, haveM bool) error
-	weight func(v Vertex, wt float64) error
-	edge   func(u, v Vertex) error
+const (
+	// lineBufSize is the initial size of a line reader's buffer, which
+	// doubles for longer lines up to maxLineSize.
+	lineBufSize = 64 << 10
+	// maxLineSize caps the length of one line; a longer line fails with
+	// bufio.ErrTooLong.
+	maxLineSize = 64 << 20
+)
+
+// lineReader splits an input into lines through one reused buffer.
+type lineReader struct {
+	r    io.Reader
+	buf  []byte
+	i, j int   // buf[i:j] is read but not yet returned
+	scan int   // buf[i:scan] holds no '\n'
+	off  int64 // input offset of buf[i]
+	eof  bool
 }
 
-// scanRecords parses either text format from r, feeding records to s. It
-// reads the input in one chunked pass (bufio, no full-file buffer) and
-// performs no per-line allocations on the hot edge-record path.
-func scanRecords(r io.Reader, s recordSink) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	next := func() ([]byte, bool) {
-		for sc.Scan() {
-			b := bytes.TrimSpace(sc.Bytes())
-			if len(b) != 0 && b[0] != '#' {
-				return b, true
-			}
-		}
-		return nil, false
+// reset points lr at r, whose first byte is at input offset off, keeping
+// the buffer.
+func (lr *lineReader) reset(r io.Reader, off int64) {
+	buf := lr.buf
+	if buf == nil {
+		buf = make([]byte, lineBufSize)
 	}
-	hdr, ok := next()
-	if !ok {
-		if err := sc.Err(); err != nil {
-			return err
+	*lr = lineReader{r: r, buf: buf, off: off}
+}
+
+// next returns the next line without its "\n" or "\r\n" ending, valid until
+// the following call, and io.EOF after the last line. A last line without
+// "\n" is a line. Any other read error ends the input and is returned
+// wrapped; the line it cut short is never returned.
+func (lr *lineReader) next() ([]byte, error) {
+	for {
+		if k := bytes.IndexByte(lr.buf[lr.scan:lr.j], '\n'); k >= 0 {
+			end := lr.scan + k
+			return lr.take(end, end+1), nil
 		}
-		return fmt.Errorf("graph: empty input")
+		lr.scan = lr.j
+		if lr.eof {
+			if lr.i == lr.j {
+				return nil, io.EOF
+			}
+			return lr.take(lr.j, lr.j), nil
+		}
+		if err := lr.fill(); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// take returns buf[i:end] minus a trailing '\r' and consumes up to next.
+func (lr *lineReader) take(end, next int) []byte {
+	line := lr.buf[lr.i:end]
+	lr.off += int64(next - lr.i)
+	lr.i, lr.scan = next, next
+	if k := len(line) - 1; k >= 0 && line[k] == '\r' {
+		line = line[:k]
+	}
+	return line
+}
+
+// fill reads more input behind the unreturned bytes, moving them to the
+// front of the buffer and growing it when one line fills it.
+func (lr *lineReader) fill() error {
+	if lr.i > 0 {
+		lr.j = copy(lr.buf, lr.buf[lr.i:lr.j])
+		lr.scan -= lr.i
+		lr.i = 0
+	}
+	if lr.j == len(lr.buf) {
+		if len(lr.buf) >= maxLineSize {
+			return fmt.Errorf("graph: line longer than %d bytes: %w", maxLineSize, bufio.ErrTooLong)
+		}
+		buf := make([]byte, min(2*len(lr.buf), maxLineSize))
+		copy(buf, lr.buf[:lr.j])
+		lr.buf = buf
+	}
+	// Like bufio.Scanner, give up on a reader that keeps returning nothing.
+	for range 100 {
+		n, err := lr.r.Read(lr.buf[lr.j:])
+		lr.j += n
+		if err == io.EOF {
+			lr.eof = true
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("graph: reading input: %w", err)
+		}
+		if n > 0 {
+			return nil
+		}
+	}
+	return fmt.Errorf("graph: reading input: %w", io.ErrNoProgress)
+}
+
+// content returns the next line that is neither blank nor a '#' comment,
+// with surrounding white space trimmed.
+func (lr *lineReader) content() ([]byte, error) {
+	for {
+		line, err := lr.next()
+		if err != nil {
+			return nil, err
+		}
+		if b := bytes.TrimSpace(line); len(b) != 0 && b[0] != '#' {
+			return b, nil
+		}
+	}
+}
+
+// readHead parses the header and size lines. m is -1 for the edge-list
+// format, which declares no edge count.
+func readHead(lr *lineReader) (n, m int, err error) {
+	hdr, err := lr.content()
+	if err == io.EOF {
+		return 0, 0, errors.New("graph: empty input")
+	}
+	if err != nil {
+		return 0, 0, err
 	}
 	var haveM bool
 	switch {
@@ -144,89 +235,219 @@ func scanRecords(r io.Reader, s recordSink) error {
 	case bytes.Equal(hdr, []byte(elFormatHeader)):
 		haveM = false
 	default:
-		return fmt.Errorf("graph: bad header %q, want %q or %q", hdr, formatHeader, elFormatHeader)
+		return 0, 0, fmt.Errorf("graph: bad header %q, want %q or %q", hdr, formatHeader, elFormatHeader)
 	}
-	sizes, ok := next()
-	if !ok {
-		return fmt.Errorf("graph: missing size line")
+	sizes, err := lr.content()
+	if err == io.EOF {
+		return 0, 0, errors.New("graph: missing size line")
+	}
+	if err != nil {
+		return 0, 0, err
 	}
 	var f0, f1, f2 []byte
 	nf, err := splitFields3(sizes, &f0, &f1, &f2)
 	if err != nil {
-		return fmt.Errorf("graph: bad size line %q", sizes)
+		return 0, 0, fmt.Errorf("graph: bad size line %q", sizes)
 	}
-	var n, m int64
+	var n64, m64 int64
+	var ok bool
 	if haveM {
 		if nf != 2 {
-			return fmt.Errorf("graph: bad size line %q, want \"<n> <m>\"", sizes)
+			return 0, 0, fmt.Errorf("graph: bad size line %q, want \"<n> <m>\"", sizes)
 		}
-		if n, ok = parseInt(f0); !ok {
-			return fmt.Errorf("graph: bad size line %q", sizes)
+		if n64, ok = parseInt(f0); !ok {
+			return 0, 0, fmt.Errorf("graph: bad size line %q", sizes)
 		}
-		if m, ok = parseInt(f1); !ok {
-			return fmt.Errorf("graph: bad size line %q", sizes)
+		if m64, ok = parseInt(f1); !ok {
+			return 0, 0, fmt.Errorf("graph: bad size line %q", sizes)
 		}
 	} else {
 		if nf != 1 {
-			return fmt.Errorf("graph: bad size line %q, want \"<n>\"", sizes)
+			return 0, 0, fmt.Errorf("graph: bad size line %q, want \"<n>\"", sizes)
 		}
-		if n, ok = parseInt(f0); !ok {
-			return fmt.Errorf("graph: bad size line %q", sizes)
+		if n64, ok = parseInt(f0); !ok {
+			return 0, 0, fmt.Errorf("graph: bad size line %q", sizes)
 		}
 	}
-	if n < 0 || m < 0 {
-		return fmt.Errorf("graph: negative sizes in %q", sizes)
+	if n64 < 0 || m64 < 0 {
+		return 0, 0, fmt.Errorf("graph: negative sizes in %q", sizes)
 	}
 	// Vertex ids are int32, so a header declaring more vertices than int32
 	// can address is unusable — and sizing builder arrays from it would turn
 	// a hostile one-line header into a multi-gigabyte allocation.
-	if n > math.MaxInt32 {
-		return fmt.Errorf("graph: vertex count %d exceeds the int32 id space", n)
+	if n64 > math.MaxInt32 {
+		return 0, 0, fmt.Errorf("graph: vertex count %d exceeds the int32 id space", n64)
 	}
-	if err := s.sizes(int(n), int(m), haveM); err != nil {
-		return err
+	if !haveM {
+		m64 = -1
 	}
+	return int(n64), int(m64), nil
+}
+
+// record is one body record: an edge {u, v}, or weight w for vertex u.
+type record struct {
+	edge bool
+	u, v Vertex
+	w    float64
+}
+
+// nextRecord returns the next body record, skipping blank and comment lines,
+// and io.EOF after the last. With weights false a weight record is checked
+// up to its vertex id and skipped without parsing the weight (ReadStream's
+// second pass). Vertex ranges are the caller's to check. Lines in the form
+// WriteEdgeList emits take parseEdge and parseWeight; any other line, and
+// one whose weight strconv.ParseFloat rejects, takes parseRecord.
+func (lr *lineReader) nextRecord(weights bool) (record, error) {
 	for {
-		line, ok := next()
-		if !ok {
-			break
+		// Most lines are plain edge records: parse one straight from the
+		// buffer when its line ending is there too.
+		b := lr.buf[lr.i:lr.j]
+		if u, v, k := parseEdge(b); k > 0 {
+			if k < len(b) && b[k] == '\r' {
+				k++
+			}
+			if k < len(b) && b[k] == '\n' {
+				lr.take(lr.i+k, lr.i+k+1)
+				return record{edge: true, u: u, v: v}, nil
+			}
 		}
-		nf, err := splitFields3(line, &f0, &f1, &f2)
-		if err != nil || nf != 3 {
-			return fmt.Errorf("graph: bad record %q", line)
+		line, err := lr.next()
+		if err != nil {
+			return record{}, err
 		}
-		switch {
-		case len(f0) == 1 && f0[0] == 'e':
-			// Vertex must fit int32 before the cast; ids beyond that would
-			// silently truncate. The [0, n) range check is the sink's job.
-			u, ok1 := parseInt(f1)
-			v, ok2 := parseInt(f2)
-			if !ok1 || !ok2 || u > math.MaxInt32 || v > math.MaxInt32 || u < math.MinInt32 || v < math.MinInt32 {
-				return fmt.Errorf("graph: bad endpoint in %q", line)
+		if u, v, k := parseEdge(line); k > 0 && k == len(line) {
+			return record{edge: true, u: u, v: v}, nil
+		}
+		if v, k := parseWeight(line); k > 0 {
+			if !weights {
+				continue
 			}
-			if err := s.edge(Vertex(u), Vertex(v)); err != nil {
-				return err
+			if w, err := strconv.ParseFloat(string(line[k:]), 64); err == nil {
+				return record{u: v, w: w}, nil
 			}
-		case len(f0) == 1 && f0[0] == 'w':
-			v, ok1 := parseInt(f1)
-			if !ok1 || v > math.MaxInt32 || v < math.MinInt32 {
-				return fmt.Errorf("graph: bad vertex in %q", line)
-			}
-			if s.weight == nil {
-				continue // pass-2 rescan: weights already collected
-			}
-			wt, err := strconv.ParseFloat(string(f2), 64)
-			if err != nil {
-				return fmt.Errorf("graph: bad weight in %q: %w", line, err)
-			}
-			if err := s.weight(Vertex(v), wt); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("graph: unknown record %q", line)
+		}
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 || line[0] == '#' {
+			continue
+		}
+		rec, ok, err := parseRecord(line, weights)
+		if err != nil || ok {
+			return rec, err
 		}
 	}
-	return sc.Err()
+}
+
+// parseEdge parses the start of b as the line WriteEdgeList emits for an
+// edge — "e", blanks, up to 10 digits, blanks, up to 10 digits, with both
+// ids at most MaxInt32 — in one pass over its bytes, and returns the offset
+// after the second id, or 0 when b does not start so. A line is such a
+// record when that offset is its end; other lines take parseWeight or
+// parseRecord, which yields the same edge for every line accepted here.
+func parseEdge(b []byte) (u, v Vertex, end int) {
+	if len(b) < 5 || b[0] != 'e' {
+		return 0, 0, 0
+	}
+	var ids [2]Vertex
+	i := 1
+	for k := range ids {
+		blanks := i
+		for i < len(b) && (b[i] == ' ' || b[i] == '\t') {
+			i++
+		}
+		digits := i
+		var x uint64
+		for i < len(b) {
+			d := b[i] - '0'
+			if d > 9 {
+				break
+			}
+			x = x*10 + uint64(d)
+			i++
+		}
+		// x may have wrapped past 10 digits, which reject the id anyway.
+		if digits == blanks || i == digits || i-digits > 10 || x > math.MaxInt32 {
+			return 0, 0, 0
+		}
+		ids[k] = Vertex(x)
+	}
+	return ids[0], ids[1], i
+}
+
+// parseWeight parses line, a whole line, as the line WriteEdgeList emits for
+// a weight — "w", blanks, up to 10 digits at most MaxInt32, blanks, then one
+// more field, without blanks, to the end of the line — and returns the
+// vertex and the offset of that field, or 0 when line is not such a record.
+// parseRecord splits every line accepted here into the same three fields,
+// so where strconv.ParseFloat accepts the last one, both yield the same
+// record.
+func parseWeight(line []byte) (v Vertex, field int) {
+	if len(line) < 5 || line[0] != 'w' {
+		return 0, 0
+	}
+	i := 1
+	for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
+		i++
+	}
+	digits := i
+	var x uint64
+	for i < len(line) && line[i]-'0' <= 9 {
+		x = x*10 + uint64(line[i]-'0')
+		i++
+	}
+	blanks := i
+	for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
+		i++
+	}
+	// x may have wrapped past 10 digits, which reject the id anyway.
+	if digits == 1 || blanks == digits || blanks-digits > 10 || x > math.MaxInt32 ||
+		i == blanks || i == len(line) || bytes.ContainsAny(line[i:], " \t") {
+		return 0, 0
+	}
+	return Vertex(x), i
+}
+
+// parseRecord parses a trimmed, nonblank, noncomment body line. ok is false
+// for a weight record skipped because weights is false.
+func parseRecord(line []byte, weights bool) (rec record, ok bool, err error) {
+	var f0, f1, f2 []byte
+	nf, err := splitFields3(line, &f0, &f1, &f2)
+	if err != nil || nf != 3 {
+		return rec, false, fmt.Errorf("graph: bad record %q", line)
+	}
+	switch {
+	case len(f0) == 1 && f0[0] == 'e':
+		// Vertex must fit int32 before the cast; ids beyond that would
+		// silently truncate. The [0, n) range check is the caller's job.
+		u, ok1 := parseInt(f1)
+		v, ok2 := parseInt(f2)
+		if !ok1 || !ok2 || u > math.MaxInt32 || v > math.MaxInt32 || u < math.MinInt32 || v < math.MinInt32 {
+			return rec, false, fmt.Errorf("graph: bad endpoint in %q", line)
+		}
+		return record{edge: true, u: Vertex(u), v: Vertex(v)}, true, nil
+	case len(f0) == 1 && f0[0] == 'w':
+		v, ok1 := parseInt(f1)
+		if !ok1 || v > math.MaxInt32 || v < math.MinInt32 {
+			return rec, false, fmt.Errorf("graph: bad vertex in %q", line)
+		}
+		if !weights {
+			return rec, false, nil
+		}
+		wt, err := strconv.ParseFloat(string(f2), 64)
+		if err != nil {
+			return rec, false, fmt.Errorf("graph: bad weight in %q: %w", line, err)
+		}
+		return record{u: Vertex(v), w: wt}, true, nil
+	default:
+		return rec, false, fmt.Errorf("graph: unknown record %q", line)
+	}
+}
+
+// checkWeightVertex reports a weight record for a vertex outside [0, n).
+func checkWeightVertex(n int, v Vertex) error {
+	if v < 0 || int(v) >= n {
+		return fmt.Errorf("graph: weight vertex %d out of range [0,%d)", v, n)
+	}
+	return nil
 }
 
 // splitFields3 splits line on ASCII whitespace into at most three fields
@@ -293,120 +514,284 @@ func parseInt(b []byte) (int64, bool) {
 	return x, true
 }
 
-// Read parses a graph in either text format from a one-shot stream. It
-// buffers the edge list in a Builder, so it works for non-seekable sources
-// (network bodies, pipes); for on-disk instances prefer ReadStream or
-// OpenFile, which build the CSR arrays in two passes with no edge-list
-// buffer.
+// Read parses a graph in either text format from a one-shot stream,
+// serially. It buffers the edge list in a Builder, so it works for
+// non-seekable sources (network bodies, pipes); for on-disk instances
+// prefer ReadStream or OpenFile, which build the CSR arrays in two passes
+// with no edge-list buffer. A read error is returned wrapped.
 func Read(r io.Reader) (*Graph, error) {
-	var b *Builder
-	declaredM := -1
-	edgesSeen := 0
-	err := scanRecords(r, recordSink{
-		sizes: func(n, m int, haveM bool) error {
-			b = NewBuilder(n)
-			if haveM {
-				declaredM = m
-			}
-			return nil
-		},
-		weight: func(v Vertex, wt float64) error {
-			if v < 0 || int(v) >= b.NumVertices() {
-				return fmt.Errorf("graph: weight vertex %d out of range [0,%d)", v, b.NumVertices())
-			}
-			b.SetWeight(v, wt)
-			return nil
-		},
-		edge: func(u, v Vertex) error {
-			b.AddEdge(u, v)
-			edgesSeen++
-			return nil
-		},
-	})
+	var lr lineReader
+	lr.reset(r, 0)
+	n, m, err := readHead(&lr)
 	if err != nil {
 		return nil, err
 	}
-	if declaredM >= 0 && edgesSeen != declaredM {
-		return nil, fmt.Errorf("graph: header declares %d edges, found %d", declaredM, edgesSeen)
+	b := NewBuilder(n)
+	for {
+		rec, err := lr.nextRecord(true)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !rec.edge {
+			if err := checkWeightVertex(n, rec.u); err != nil {
+				return nil, err
+			}
+			b.SetWeight(rec.u, rec.w)
+			continue
+		}
+		if err := checkEndpoints(n, rec.u, rec.v); err != nil {
+			return nil, err
+		}
+		b.AddEdge(rec.u, rec.v)
+	}
+	if m >= 0 && b.NumPendingEdges() != m {
+		return nil, fmt.Errorf("graph: header declares %d edges, found %d", m, b.NumPendingEdges())
 	}
 	g, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
-	if declaredM >= 0 && g.NumEdges() != declaredM {
-		return nil, fmt.Errorf("graph: %d edges after dedup, header declares %d", g.NumEdges(), declaredM)
+	if m >= 0 && g.NumEdges() != m {
+		return nil, fmt.Errorf("graph: %d edges after dedup, header declares %d", g.NumEdges(), m)
 	}
 	return g, nil
 }
 
-// ReadStream parses a graph in either text format from a seekable source by
-// scanning it twice: pass 1 counts degrees and collects weights, pass 2
-// places every edge at its final CSR position. Peak memory is the final
-// graph plus one n-sized scratch array — there is no intermediate edge-list
-// buffer, which is what admits instances in the paper's regime (millions of
-// edges) on ordinary machines.
-func ReadStream(rs io.ReadSeeker) (*Graph, error) {
-	var c *CSRBuilder
-	declaredM := -1
-	counted := 0
-	err := scanRecords(rs, recordSink{
-		sizes: func(n, m int, haveM bool) error {
-			c = NewCSRBuilder(n)
-			if haveM {
-				declaredM = m
-			}
-			return nil
-		},
-		weight: func(v Vertex, wt float64) error {
-			if v < 0 || int(v) >= c.NumVertices() {
-				return fmt.Errorf("graph: weight vertex %d out of range [0,%d)", v, c.NumVertices())
-			}
-			c.SetWeight(v, wt)
-			return nil
-		},
-		edge: func(u, v Vertex) error {
-			counted++
-			return c.CountEdge(u, v)
-		},
-	})
+// ReadStream parses a graph in either text format from the first size bytes
+// of r. It parses the header and size lines serially, then cuts the body
+// into P newline-aligned chunks, P = min(GOMAXPROCS−1, body bytes / 1 MiB,
+// 1 + size/(8n)), at least 1. Each chunk runs two passes on its own
+// goroutine: pass 1 counts degrees and collects weights, pass 2 places
+// every edge at its final CSR position (see CSRBuilder). The graph is the
+// same for every P, and a later weight record for a vertex overrides an
+// earlier one, in file order. Among several malformed lines, the first in
+// file order is the one reported.
+//
+// One core stays free for the rest of the process. Each pass ends when its
+// slowest chunk does, so a chunk whose core is taken by the garbage
+// collector's background marking, another goroutine or another process
+// holds up the whole read: with a chunk on every core, the read's speed
+// would depend on what else runs. On two cores the read is therefore
+// serial.
+//
+// Peak memory is the final graph, plus one n-sized scratch array, plus two
+// n-sized arrays per chunk after the first, which the bound on P keeps
+// within the input's own size. There is no intermediate edge-list buffer,
+// which is what admits instances in the paper's regime (millions of edges)
+// on ordinary machines.
+func ReadStream(r io.ReaderAt, size int64) (*Graph, error) {
+	return readStream(r, size, 0)
+}
+
+// chunkBytes is the least body a ReadStream chunk is given.
+const chunkBytes = 1 << 20
+
+// readStream is ReadStream cutting the body into p chunks; p ≤ 0 derives
+// the count from the input.
+func readStream(r io.ReaderAt, size int64, p int) (*Graph, error) {
+	var head lineReader
+	head.reset(io.NewSectionReader(r, 0, size), 0)
+	n, m, err := readHead(&head)
 	if err != nil {
 		return nil, err
 	}
-	if declaredM >= 0 && counted != declaredM {
-		return nil, fmt.Errorf("graph: header declares %d edges, found %d", declaredM, counted)
+	body := head.off
+	if p <= 0 {
+		p = int(min(int64(runtime.GOMAXPROCS(0)-1), (size-body)/chunkBytes))
+		if n > 0 {
+			p = int(min(int64(p), 1+size/(8*int64(n))))
+		}
+		p = max(p, 1)
 	}
-	if err := c.EndCount(); err != nil {
+	cuts, err := chunkCuts(r, body, size, p)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := rs.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("graph: rewinding for pass 2: %w", err)
+
+	c := NewCSRBuilder(n)
+	chunks := make([]readChunk, p)
+	parts := make([]*csrPart, p)
+	for k := range chunks {
+		ck := &chunks[k]
+		ck.src, ck.lo, ck.hi = r, cuts[k], cuts[k+1]
+		if k == 0 {
+			ck.part = &c.whole
+			ck.lines.buf = head.buf
+		} else {
+			ck.part = &csrPart{deg: make([]uint32, n)}
+		}
+		parts[k] = ck.part
 	}
-	// A nil weight sink tells the scanner to skip weight records entirely
-	// (no float re-parsing on the rescan).
-	err = scanRecords(rs, recordSink{
-		sizes: func(n, m int, haveM bool) error { return nil },
-		edge:  c.AddEdge,
-	})
-	if err != nil {
+	if err := eachChunk(chunks, func(k int, ck *readChunk) error { return ck.count(c, k == 0) }); err != nil {
+		return nil, err
+	}
+	var counted int64
+	for _, part := range parts {
+		counted += part.counted
+	}
+	if m >= 0 && counted != int64(m) {
+		return nil, fmt.Errorf("graph: header declares %d edges, found %d", m, counted)
+	}
+	for _, ck := range chunks[1:] {
+		for _, rec := range ck.weights {
+			c.SetWeight(rec.v, rec.w)
+		}
+	}
+	if err := c.endCountParts(parts); err != nil {
+		return nil, err
+	}
+	if err := eachChunk(chunks, func(_ int, ck *readChunk) error { return ck.fill(c) }); err != nil {
 		return nil, err
 	}
 	g, err := c.Build()
 	if err != nil {
 		return nil, err
 	}
-	if declaredM >= 0 && g.NumEdges() != declaredM {
-		return nil, fmt.Errorf("graph: %d edges after dedup, header declares %d", g.NumEdges(), declaredM)
+	if m >= 0 && g.NumEdges() != m {
+		return nil, fmt.Errorf("graph: %d edges after dedup, header declares %d", g.NumEdges(), m)
 	}
 	return g, nil
 }
 
-// OpenFile reads a graph file (either text format) via the two-pass
-// streaming path.
+// readChunk is one newline-aligned range of a ReadStream body and the state
+// its two passes share.
+type readChunk struct {
+	src    io.ReaderAt
+	lo, hi int64 // the chunk's input offsets
+	lines  lineReader
+	part   *csrPart
+	// weights holds the weight records of every chunk but the first. They
+	// are applied in chunk order once pass 1 is done, after the first
+	// chunk's, so the last record in file order wins.
+	weights []weightRecord
+}
+
+type weightRecord struct {
+	v Vertex
+	w float64
+}
+
+// count is pass 1 over the chunk: degrees into its part, weights into the
+// builder for the first chunk and into ck.weights for the others.
+func (ck *readChunk) count(c *CSRBuilder, first bool) error {
+	ck.rewind()
+	for {
+		rec, err := ck.lines.nextRecord(true)
+		if err != nil {
+			return eofIsNil(err)
+		}
+		if rec.edge {
+			if err := c.countPart(ck.part, rec.u, rec.v); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := checkWeightVertex(c.n, rec.u); err != nil {
+			return err
+		}
+		if first {
+			c.SetWeight(rec.u, rec.w)
+		} else {
+			ck.weights = append(ck.weights, weightRecord{rec.u, rec.w})
+		}
+	}
+}
+
+// fill is pass 2 over the chunk: every edge into its part's slots.
+func (ck *readChunk) fill(c *CSRBuilder) error {
+	ck.rewind()
+	for {
+		rec, err := ck.lines.nextRecord(false)
+		if err != nil {
+			return eofIsNil(err)
+		}
+		if err := c.fillPart(ck.part, rec.u, rec.v); err != nil {
+			return err
+		}
+	}
+}
+
+// rewind points the chunk's line reader at the chunk's first byte.
+func (ck *readChunk) rewind() {
+	ck.lines.reset(io.NewSectionReader(ck.src, ck.lo, ck.hi-ck.lo), ck.lo)
+}
+
+func eofIsNil(err error) error {
+	if err == io.EOF {
+		return nil
+	}
+	return err
+}
+
+// eachChunk runs f on every chunk, each but the first on a goroutine of its
+// own, and returns the error of the lowest-numbered chunk that failed. A
+// chunk stops at its first error, so that is the first error in file order.
+func eachChunk(chunks []readChunk, f func(k int, ck *readChunk) error) error {
+	errs := make([]error, len(chunks))
+	var wg sync.WaitGroup
+	for k := 1; k < len(chunks); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k] = f(k, &chunks[k])
+		}()
+	}
+	errs[0] = f(0, &chunks[0])
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// chunkCuts cuts the body [lo, hi) into p ranges of about equal size that
+// each start at a line start: cut k is the first line start at or after
+// lo + k(hi-lo)/p.
+func chunkCuts(r io.ReaderAt, lo, hi int64, p int) ([]int64, error) {
+	cuts := make([]int64, p+1)
+	cuts[0], cuts[p] = lo, hi
+	var buf []byte
+	for k := 1; k < p; k++ {
+		// The byte before a line start is the '\n' that ends the line
+		// before it (lo-1 ends the size line).
+		at := max(lo+(hi-lo)*int64(k)/int64(p), cuts[k-1]) - 1
+		cuts[k] = hi
+		for at < hi {
+			if buf == nil {
+				buf = make([]byte, 4<<10)
+			}
+			n, err := r.ReadAt(buf[:min(int64(len(buf)), hi-at)], at)
+			if i := bytes.IndexByte(buf[:n], '\n'); i >= 0 {
+				cuts[k] = at + int64(i) + 1
+				break
+			}
+			at += int64(n)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, fmt.Errorf("graph: reading input: %w", err)
+			}
+		}
+	}
+	return cuts, nil
+}
+
+// OpenFile reads a graph file (either text format) through ReadStream.
 func OpenFile(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadStream(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return ReadStream(f, st.Size())
 }

@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -100,5 +104,112 @@ func TestReadRejectsDuplicateEdgesVsHeader(t *testing.T) {
 	in := "mwvc-graph 1\n2 2\ne 0 1\ne 1 0\n"
 	if _, err := Read(strings.NewReader(in)); err == nil {
 		t.Fatal("dedup mismatch accepted")
+	}
+}
+
+// failingReader yields data, then fails with err.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.err
+	}
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// failingReaderAt serves data and fails with err at every offset past it.
+type failingReaderAt struct {
+	data []byte
+	err  error
+}
+
+func (r failingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off >= int64(len(r.data)) {
+		return 0, r.err
+	}
+	n := copy(p, r.data[off:])
+	if n < len(p) {
+		return n, r.err
+	}
+	return n, nil
+}
+
+// TestReadReportsReaderError pins that a failing input is reported as its
+// own error, wrapped, wherever it cuts the input: before the size line
+// ends, mid-record, or between records. A record cut short is never
+// parsed.
+func TestReadReportsReaderError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, in := range []string{
+		"mwvc-el 1\n",
+		"mwvc-el 1\n1",
+		"mwvc-el 1\n3\ne 0",
+		"mwvc-el 1\n3\ne 0 1\n",
+		"mwvc-graph 1\n3 2\ne 0 1\ne 1",
+	} {
+		if _, err := Read(&failingReader{data: []byte(in), err: boom}); !errors.Is(err, boom) {
+			t.Errorf("Read(%q, then a read error) = %v, want the read error", in, err)
+		}
+		for _, p := range []int{0, 1, 2, 7} {
+			r := failingReaderAt{data: []byte(in), err: boom}
+			if _, err := readStream(r, int64(len(in))+64, p); !errors.Is(err, boom) {
+				t.Errorf("%d chunks (%q, then a read error) = %v, want the read error", p, in, err)
+			}
+		}
+	}
+
+	// The upload path: an over-limit body cut mid-record must still reach
+	// serve's errors.As check for the 413 response.
+	body := io.NopCloser(strings.NewReader("mwvc-el 1\n3\ne 0 1\ne 1 2\n"))
+	_, err := Read(http.MaxBytesReader(nil, body, 21))
+	var tooBig *http.MaxBytesError
+	if !errors.As(err, &tooBig) {
+		t.Errorf("Read over the byte limit = %v, want an *http.MaxBytesError", err)
+	}
+}
+
+// longInput is the prefix followed by digits up to size bytes, generated
+// on demand.
+type longInput struct {
+	prefix string
+	size   int64
+	off    int64 // Read's position
+}
+
+func (in *longInput) ReadAt(p []byte, off int64) (int, error) {
+	if off >= in.size {
+		return 0, io.EOF
+	}
+	p = p[:min(int64(len(p)), in.size-off)]
+	for i := range p {
+		if o := off + int64(i); o < int64(len(in.prefix)) {
+			p[i] = in.prefix[o]
+		} else {
+			p[i] = '7'
+		}
+	}
+	return len(p), nil
+}
+
+func (in *longInput) Read(p []byte) (int, error) {
+	n, err := in.ReadAt(p, in.off)
+	in.off += int64(n)
+	return n, err
+}
+
+// TestReadReportsOverlongSizeLine pins that a line over the length cap is
+// reported as bufio.ErrTooLong, not as a missing size line.
+func TestReadReportsOverlongSizeLine(t *testing.T) {
+	in := &longInput{prefix: "mwvc-el 1\n", size: maxLineSize + 1<<10}
+	if _, err := Read(in); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("Read = %v, want bufio.ErrTooLong", err)
+	}
+	if _, err := ReadStream(in, in.size); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("ReadStream = %v, want bufio.ErrTooLong", err)
 	}
 }

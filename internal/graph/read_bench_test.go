@@ -1,0 +1,36 @@
+package graph_test
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+var readSink *graph.Graph
+
+// BenchmarkReadStream reads the fast-ingest benchmark input, an RMAT(16, 8)
+// graph (Graph500 quadrant probabilities) with uniform[1,100) weights in
+// the "mwvc-el 1" format, from memory. Run it at -cpu 2,3 to see one chunk
+// and two (GOMAXPROCS−1); MB/s counts the input bytes. It loops over b.N
+// rather than b.Loop: under Go 1.24, b.Loop runs every iteration in the
+// first call, before -cpu has set GOMAXPROCS.
+func BenchmarkReadStream(b *testing.B) {
+	g := gen.ApplyWeights(gen.RMAT(1, 16, 8, 0.57, 0.19, 0.19), 1, gen.UniformRange{Lo: 1, Hi: 100})
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, g); err != nil {
+		b.Fatal(err)
+	}
+	r := bytes.NewReader(buf.Bytes())
+	b.SetBytes(r.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := graph.ReadStream(r, r.Size())
+		if err != nil {
+			b.Fatal(err)
+		}
+		readSink = h
+	}
+}

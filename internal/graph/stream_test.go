@@ -42,7 +42,8 @@ func TestReadStreamMatchesRead(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			two, err := ReadStream(bytes.NewReader(buf.Bytes()))
+			r := bytes.NewReader(buf.Bytes())
+			two, err := ReadStream(r, r.Size())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +65,8 @@ func TestEdgeListToleratesDuplicatesAndInterleaving(t *testing.T) {
 	if g.NumEdges() != 2 || g.Weight(0) != 2 || g.Weight(2) != 5.5 {
 		t.Fatalf("parsed wrong graph: %v", g)
 	}
-	h, err := ReadStream(strings.NewReader(in))
+	r := strings.NewReader(in)
+	h, err := ReadStream(r, r.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,8 @@ func TestReadStreamRejectsWhatReadRejects(t *testing.T) {
 		"mwvc-el 1\n10\nw 4294967299 5\ne 0 1\n",
 	}
 	for _, in := range cases {
-		if _, err := ReadStream(strings.NewReader(in)); err == nil {
+		r := strings.NewReader(in)
+		if _, err := ReadStream(r, r.Size()); err == nil {
 			t.Fatalf("ReadStream accepted malformed input %q", in)
 		}
 		if _, err := Read(strings.NewReader(in)); err == nil {

@@ -81,7 +81,9 @@ func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.Read(r) }
 
 // ReadGraphFile reads a graph file via the two-pass streaming ingestion
-// path: no in-memory edge-list buffer, peak memory ≈ the final graph.
+// path, parsing newline-aligned chunks of the file on up to GOMAXPROCS−1
+// goroutines: no in-memory edge-list buffer, peak memory ≈ the final graph
+// plus per-chunk scratch no larger than the file.
 func ReadGraphFile(path string) (*Graph, error) { return graph.OpenFile(path) }
 
 // WriteGraph serializes a graph in the repository's canonical text format.
