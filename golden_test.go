@@ -26,6 +26,7 @@ import (
 
 	mwvc "repro"
 	"repro/internal/cli"
+	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -128,6 +129,9 @@ var goldenDigests = map[string]string{
 	"pipeline/smallworld-degree/2/pdfast":       "5ad7dbf4507d97a4",
 	"pipeline/smallworld-degree/3/mpc":          "cce55082f868a1c9",
 	"pipeline/smallworld-degree/3/pdfast":       "066d446459e2ca40",
+	"split/bimodal/1/gather-1":                  "344d4cf21bc907a3",
+	"split/bimodal/1/gather-2000":               "66205bca3ea436a1",
+	"split/bimodal/2/gather-2000":               "3e3286221054340d",
 }
 
 // digester accumulates a case's fingerprint.
@@ -249,6 +253,37 @@ func pipelineDigest(t *testing.T, algo string, g *graph.Graph, seed uint64) stri
 	return d.sum()
 }
 
+// splitDigest runs compress.Run on g with the given gather budget and
+// fingerprints the raw result together with the gathered schedule's
+// measurements, so the split and fallback paths of the memory precheck are
+// pinned.
+func splitDigest(t *testing.T, g *graph.Graph, seed uint64, gatherWords int64) string {
+	t.Helper()
+	rec := &eventRecorder{}
+	p := compress.DefaultParams(0.1, seed)
+	p.MemoryWords = func(int) int64 { return 60000 }
+	p.GatherWords = func(int) int64 { return gatherWords }
+	p.Observer = rec
+	res, err := compress.Run(context.Background(), g, p)
+	if err != nil {
+		t.Fatalf("split gather %d: %v", gatherWords, err)
+	}
+	d := newDigester()
+	d.solve(res.Cover, res.X, res.Rounds, res.Phases, rec.events)
+	gs := res.GatherStats
+	if gs.Fallback {
+		d.int(1)
+	} else {
+		d.int(0)
+	}
+	d.int(int64(gs.Splits))
+	for i, k := range gs.LocalRounds {
+		d.int(int64(k))
+		d.int(int64(gs.Groups[i]))
+	}
+	return d.sum()
+}
+
 // coreDigest runs core.Run directly, so the ablation switches and the
 // coupling capture are reachable, and fingerprints the raw result. An
 // ablation may legitimately fail (a stalled run can leave a final instance
@@ -366,6 +401,15 @@ func TestGoldenDigests(t *testing.T) {
 	hubParams.UniformInit = true
 	hubParams.MemoryWords = func(int) int64 { return 1 << 24 }
 	got["core/uniform-init-hub/bimodal"] = coreDigest(withHub(bimodal), hubParams)
+
+	// The split cases are the only ones whose gathered groups outgrow the
+	// budget: at 2000 words the partition is doubled and redrawn (seed 1
+	// splits in both phases), and at 1 word every phase runs out of splits
+	// and falls back to the native schedule.
+	for _, seed := range []uint64{1, 2} {
+		got["split/bimodal/"+string(rune('0'+seed))+"/gather-2000"] = splitDigest(t, bimodal, seed, 2000)
+	}
+	got["split/bimodal/1/gather-1"] = splitDigest(t, bimodal, 1, 1)
 
 	if os.Getenv("MWVC_GOLDEN_DENSE") != "" {
 		for seed := uint64(1); seed <= 3; seed++ {
