@@ -54,18 +54,39 @@ func benchGraph(n int, d float64) *graph.Graph {
 	return gen.ApplyWeights(gen.GnpAvgDegree(1, n, d), 2, gen.UniformRange{Lo: 1, Hi: 100})
 }
 
+// BenchmarkAlgorithmMPC times the Algorithm 2 phase driver alone, without
+// the facade's reduce and verify stages. The n8k_d256 cases solve the
+// mpc-dense benchmark input, G(8000, 256) with uniform weights in [1, 100)
+// at seed 1, on both round schedules.
 func BenchmarkAlgorithmMPC(b *testing.B) {
+	dense := func() *graph.Graph {
+		return gen.ApplyWeights(gen.GnpAvgDegree(1, 8000, 256), 1, gen.UniformRange{Lo: 1, Hi: 100})
+	}
 	for _, size := range []struct {
-		name string
-		n    int
-		d    float64
-	}{{"n4k_d32", 4000, 32}, {"n16k_d64", 16000, 64}, {"n16k_d256", 16000, 256}} {
+		name     string
+		g        func() *graph.Graph
+		gathered bool
+	}{
+		{"n4k_d32", func() *graph.Graph { return benchGraph(4000, 32) }, false},
+		{"n16k_d64", func() *graph.Graph { return benchGraph(16000, 64) }, false},
+		{"n16k_d256", func() *graph.Graph { return benchGraph(16000, 256) }, false},
+		{"n8k_d256", dense, false},
+		{"n8k_d256_gathered", dense, true},
+	} {
 		b.Run(size.name, func(b *testing.B) {
-			g := benchGraph(size.n, size.d)
+			g := size.g()
+			b.ReportAllocs()
 			b.ResetTimer()
 			rounds := 0
 			for i := 0; i < b.N; i++ {
-				res, err := core.Run(context.Background(), g, core.ParamsPractical(0.1, uint64(i)+1))
+				p := core.ParamsPractical(0.1, uint64(i)+1)
+				var res *core.Result
+				var err error
+				if size.gathered {
+					res, _, err = core.RunGathered(context.Background(), g, p, nil)
+				} else {
+					res, err = core.Run(context.Background(), g, p)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}

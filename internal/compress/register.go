@@ -17,9 +17,10 @@ func init() {
 }
 
 // solveCompress adapts the round-compressed solver to the registry
-// contract. As with the native solver, the returned duals are rescaled to
-// exact feasibility (FeasibleDual) on the original graph, so the facade can
-// build a checked certificate from them directly.
+// contract. As with the native solver, core.Result.Outcome rescales the
+// duals in place to exact feasibility on the original graph (FeasibleDual's
+// α and bits), so the facade can build a checked certificate from them
+// directly.
 func solveCompress(ctx context.Context, g *graph.Graph, cfg solver.Config) (*solver.Outcome, error) {
 	params := DefaultParams(cfg.Epsilon, cfg.Seed)
 	if cfg.PaperConstants {
@@ -31,11 +32,5 @@ func solveCompress(ctx context.Context, g *graph.Graph, cfg solver.Config) (*sol
 	if err != nil {
 		return nil, err
 	}
-	scaled, _ := res.FeasibleDual(g)
-	return &solver.Outcome{
-		Cover:  res.Cover,
-		Duals:  scaled,
-		Rounds: res.Rounds,
-		Phases: res.Phases,
-	}, nil
+	return res.Outcome(g), nil
 }

@@ -36,6 +36,10 @@ const (
 // noFreeze marks a vertex that stayed active through a local simulation.
 const noFreeze = -1
 
+// partitioned, when a test sets it, sees the driver after each phase's
+// partition and before the phase's rounds.
+var partitioned func(*driver)
+
 // maxSplits bounds how often the gathered schedule doubles and redraws an
 // oversized partition before the phase falls back to the native schedule.
 const maxSplits = 4
@@ -73,18 +77,21 @@ type GatherStats struct {
 }
 
 // machScratch is one simulated machine's reusable working set: the
-// per-destination counters and arena-backed message buffers of the scatter
-// and result rounds, the decoded local instance, and the local-simulation
-// arrays. One machScratch per machine id lives for the whole run; messages
-// are staged straight into the machine's outgoing arena (count → Reserve →
-// Alloc → fill), so the per-phase MPC rounds allocate nothing at steady
-// state and only arena growth on the first phase.
+// co-located edges it ships as a home machine, the per-destination counters
+// and arena-backed message buffers of the scatter and result rounds, the
+// decoded local instance, and the local-simulation arrays. One machScratch
+// per machine id lives for the whole run; messages are staged straight into
+// the machine's outgoing arena (count → Reserve → Alloc → fill), so the
+// per-phase MPC rounds allocate nothing at steady state and only arena
+// growth on the first phase.
 type machScratch struct {
 	vCnt, eCnt []int32    // per-destination record counts, then write cursors
 	vBuf, eBuf [][]uint64 // per-destination Alloc'd message buffers
-	edgeIDs    []int32    // co-located edges found by the count pass
-	li         localInstance
-	sim        simScratch
+	// edgeIDs lists this home's co-located E[V^high] edges (both endpoints
+	// in one part) in increasing id order; partition fills it.
+	edgeIDs []int32
+	li      localInstance
+	sim     simScratch
 }
 
 // ensure sizes the per-destination arrays for a fleet of `total` machines.
@@ -121,7 +128,10 @@ func RunGathered(ctx context.Context, g *graph.Graph, p Params, gatherWords func
 // the simulated cluster, the result being built, and the freeze
 // bookkeeping. frozenIncident[v] accumulates Σ_{e∋v frozen} x_e so that
 // w′(v) = w(v) − frozenIncident[v] (Line 2b); the residual degrees and the
-// nonfrozen count are updated at every edge freeze (Line 2k).
+// nonfrozen count are updated at every edge freeze (Line 2k). res.X[e] is 0
+// for a nonfrozen edge outside the running phase; inside a phase it holds
+// the phase dual of each E[V^high] edge, from Line 2c until the edge
+// freezes at its Line 2h weight or is reset to 0.
 type state struct {
 	ctx     context.Context
 	g       *graph.Graph
@@ -151,14 +161,16 @@ type driver struct {
 	// machine that owns it this phase (-1 otherwise). The partition assigns
 	// each vertex to exactly one machine and the scatter only ships
 	// co-located edges, so concurrent machines touch disjoint entries; each
-	// machine resets its own entries after its simulation.
+	// machine resets its own entries after its simulation. factor[v] is
+	// v's Line 2h growth factor. homeCount[h] is home machine h's
+	// nonfrozen-edge count, recounted from edgeFrozen by the Line 2c sweep.
 	high                                    []bool
-	wres, shares, yMPC, xPhase              []float64
+	wres, shares, yMPC, factor              []float64
 	highIndex, partOf, freezeIter, localIdx []int32
 	highList, newlyFrozen                   []graph.Vertex
 	highEdges                               []int32
 	pow                                     []float64
-	partWords, localEdges                   []int64
+	partWords, localEdges, homeCount        []int64
 	scratch                                 []machScratch
 
 	// The running phase's schedule and parameters.
@@ -223,21 +235,22 @@ func run(ctx context.Context, g *graph.Graph, p Params, gs *GatherStats, gatherW
 	}
 	// The n-sized scratch arrays are carved out of one backing allocation
 	// per element type.
-	f64 := make([]float64, 3*n)
+	f64 := make([]float64, 4*n)
 	i32 := make([]int32, 4*n)
 	d := &driver{
 		state: s, gs: gs, budget: memWords / 2,
 		high:       make([]bool, n),
 		wres:       f64[:n:n],
 		shares:     f64[n : 2*n : 2*n],
-		yMPC:       f64[2*n:],
-		xPhase:     make([]float64, m),
+		yMPC:       f64[2*n : 3*n : 3*n],
+		factor:     f64[3*n:],
 		highIndex:  i32[:n:n],
 		partOf:     i32[n : 2*n : 2*n],
 		freezeIter: i32[2*n : 3*n : 3*n],
 		localIdx:   i32[3*n:],
 		partWords:  make([]int64, fleet),
 		localEdges: make([]int64, fleet),
+		homeCount:  make([]int64, fleet),
 		scratch:    make([]machScratch, fleet),
 	}
 	if gatherWords != nil {
@@ -411,6 +424,9 @@ func (d *driver) phases() (int, error) {
 		if err := d.partition(); err != nil {
 			return 0, err
 		}
+		if partitioned != nil {
+			partitioned(d)
+		}
 		d.iters = max(1, p.PhaseIterations(d.parts, eps))
 		d.emit(solver.KindPhaseStart)
 		lo, hi := 1-4*eps, 1-2*eps
@@ -431,7 +447,7 @@ func (d *driver) phases() (int, error) {
 			return 0, err
 		}
 		if p.CollectCoupling {
-			d.capture() // before Line (2h) rescales xPhase in place
+			d.capture() // before Line (2h) rescales res.X in place
 		}
 		frozenAtSim, frozenAt2i := d.reconcile()
 
@@ -475,11 +491,17 @@ func (d *driver) phases() (int, error) {
 // prices each V^high vertex once, w′(v)/d(v), and each edge takes the smaller
 // share of its endpoints. The shares are computed here rather than while
 // classifying: residual() can freeze a vertex there, which lowers the
-// residual degree of neighbors classified before it. The gathered
-// schedule prices each group's induced instance (vertex and co-located edge
-// records; attempt 0 is priced inside the Line 2c walk) and splits — doubles
-// the group count and redraws — until the largest group fits the gather
-// budget. When the splits run out, the phase runs on the native schedule.
+// residual degree of neighbors classified before it.
+//
+// The partition is drawn before the edge sweep, so the sweep does all the
+// per-edge work the phase's rounds need: it recounts each home machine's
+// nonfrozen edges (edge e lives on home e mod fleet), lists E[V^high] with
+// its Line 2c duals written into res.X, and files every co-located edge
+// under its home in increasing id order. The gathered schedule prices each
+// group's induced instance (vertex and co-located edge records; attempt 0 is
+// priced in the sweep) and splits — doubles the group count and redraws —
+// until the largest group fits the gather budget. When the splits run out,
+// the phase runs on the native schedule.
 func (d *driver) partition() error {
 	p, ep := d.p, d.ep
 	machines := min(max(p.NumMachines(d.deg), 1), d.fleet)
@@ -487,15 +509,16 @@ func (d *driver) partition() error {
 	if d.gs != nil {
 		d.sched = gathered
 		d.drawGroups(0)
+	} else {
+		d.drawPartition()
 	}
 
 	if d.highEdges == nil {
 		// The first phase's nonfrozen count bounds |E[V^high]| in every phase.
 		d.highEdges = make([]int32, 0, d.nonfrozen)
 	}
-	d.highEdges = d.highEdges[:0]
-	uniformBase := 0.0
-	if p.UniformInit {
+	uniform, uniformBase := p.UniformInit, 0.0
+	if uniform {
 		wmin := math.Inf(1)
 		for _, v := range d.highList {
 			wmin = math.Min(wmin, d.wres[v])
@@ -506,24 +529,35 @@ func (d *driver) partition() error {
 			d.shares[v] = d.wres[v] / float64(d.resDeg[v])
 		}
 	}
-	for e := 0; e < d.m; e++ {
-		if d.edgeFrozen[e] {
-			continue
+	d.clearHomes()
+	clear(d.homeCount)
+	priced := d.sched == gathered
+	x, frozen, high, shares, partOf := d.res.X, d.edgeFrozen, d.high, d.shares, d.partOf
+	homeCount, partWords, scratch, highEdges := d.homeCount, d.partWords, d.scratch, d.highEdges[:0]
+	for e, h := 0, 0; e < d.m; e++ {
+		if !frozen[e] {
+			homeCount[h]++
+			if u, v := ep[2*e], ep[2*e+1]; high[u] && high[v] {
+				highEdges = append(highEdges, int32(e))
+				if uniform {
+					x[e] = uniformBase
+				} else {
+					x[e] = min(shares[u], shares[v])
+				}
+				if pu := partOf[u]; pu == partOf[v] {
+					sc := &scratch[h]
+					sc.edgeIDs = append(sc.edgeIDs, int32(e))
+					if priced {
+						partWords[pu] += mpc.EdgeRecordWords
+					}
+				}
+			}
 		}
-		u, v := ep[2*e], ep[2*e+1]
-		if !d.high[u] || !d.high[v] {
-			continue
-		}
-		d.highEdges = append(d.highEdges, int32(e))
-		if p.UniformInit {
-			d.xPhase[e] = uniformBase
-		} else {
-			d.xPhase[e] = min(d.shares[u], d.shares[v])
-		}
-		if d.sched == gathered && d.partOf[u] == d.partOf[v] {
-			d.partWords[d.partOf[u]] += mpc.EdgeRecordWords
+		if h++; h == d.fleet {
+			h = 0
 		}
 	}
+	d.highEdges = highEdges
 
 	for attempt := 0; d.sched == gathered; {
 		if err := d.ctx.Err(); err != nil {
@@ -535,23 +569,24 @@ func (d *driver) partition() error {
 		if attempt >= maxSplits || d.parts >= d.fleet {
 			d.gs.Fallback = true
 			d.sched, d.parts = native, machines
-			break
+			d.drawPartition()
+		} else {
+			d.parts = min(2*d.parts, d.fleet)
+			attempt++
+			d.gs.Splits++
+			d.drawGroups(attempt)
 		}
-		d.parts = min(2*d.parts, d.fleet)
-		attempt++
-		d.gs.Splits++
-		d.drawGroups(attempt)
-		for _, e := range d.highEdges {
-			u, v := ep[2*e], ep[2*e+1]
-			if d.partOf[u] == d.partOf[v] {
-				d.partWords[d.partOf[u]] += mpc.EdgeRecordWords
-			}
-		}
-	}
-	for _, v := range d.highList {
-		d.partOf[v] = int32(rng.ChooseAt(p.Seed, d.parts, labelPartition, uint64(d.phase), uint64(v)))
+		d.colocate()
 	}
 	return nil
+}
+
+// drawPartition draws the native schedule's 'P' partition of V^high over
+// d.parts machines.
+func (d *driver) drawPartition() {
+	for _, v := range d.highList {
+		d.partOf[v] = int32(rng.ChooseAt(d.p.Seed, d.parts, labelPartition, uint64(d.phase), uint64(v)))
+	}
 }
 
 // drawGroups draws the gathered schedule's group partition for one split
@@ -565,13 +600,39 @@ func (d *driver) drawGroups(attempt int) {
 	}
 }
 
+// clearHomes empties every home machine's co-located edge list.
+func (d *driver) clearHomes() {
+	for i := range d.scratch {
+		d.scratch[i].edgeIDs = d.scratch[i].edgeIDs[:0]
+	}
+}
+
+// colocate rebuilds the home machines' co-located edge lists from highEdges
+// after a redraw of the partition, and prices the co-located edges when the
+// phase is still gathered. highEdges is in increasing id order, so every list
+// is too. Only this rare path divides per edge to find a home.
+func (d *driver) colocate() {
+	d.clearHomes()
+	for _, e := range d.highEdges {
+		pu := d.partOf[d.ep[2*e]]
+		if pu != d.partOf[d.ep[2*e+1]] {
+			continue
+		}
+		sc := &d.scratch[int(e)%d.fleet]
+		sc.edgeIDs = append(sc.edgeIDs, e)
+		if d.sched == gathered {
+			d.partWords[pu] += mpc.EdgeRecordWords
+		}
+	}
+}
+
 // rounds runs the phase's cluster rounds under its schedule.
 func (d *driver) rounds() error {
 	d.cluster.ResetResident()
 	if d.sched == native {
 		// Rounds A0/A1 (aggregate + share): the average residual degree is
-		// computed through the cluster — each home machine counts its
-		// nonfrozen edges, a single fan-in-M tree level combines the counts
+		// computed through the cluster — each home machine reports its
+		// nonfrozen-edge count, a single fan-in-M tree level combines them
 		// at machine 0 (the [GSZ11] O(1)-round aggregation primitive), and
 		// machine 0 shares the result with the fleet, which checks it in the
 		// scatter round.
@@ -598,16 +659,10 @@ func (d *driver) rounds() error {
 	return nil
 }
 
-// aggregate (native) sends each home machine's nonfrozen-edge count to
-// machine 0.
+// aggregate (native) sends each home machine's nonfrozen-edge count, as the
+// Line 2c sweep recounted it, to machine 0.
 func (d *driver) aggregate(mach *mpc.Machine) error {
-	cnt := uint64(0)
-	for e := mach.ID(); e < d.m; e += d.fleet {
-		if !d.edgeFrozen[e] {
-			cnt++
-		}
-	}
-	return mach.Send(0, []uint64{tagScalar, cnt})
+	return mach.Send(0, []uint64{tagScalar, uint64(d.homeCount[mach.ID()])})
 }
 
 // checkCount is machine 0's cross-check of the aggregated nonfrozen-edge
@@ -650,9 +705,10 @@ func (d *driver) share(mach *mpc.Machine) error {
 }
 
 // scatter routes each home machine's V^high vertex records and co-located
-// E[V^high] edges to the machine that simulates them. Under the native
-// schedule it first checks the shared average degree; under the gathered
-// one it piggybacks its nonfrozen-edge count to machine 0.
+// E[V^high] edges (the list partition filed under it) to the machine that
+// simulates them. Under the native schedule it first checks the shared
+// average degree; under the gathered one it piggybacks its nonfrozen-edge
+// count to machine 0.
 func (d *driver) scatter(mach *mpc.Machine) error {
 	id := mach.ID()
 	if d.sched == native {
@@ -682,18 +738,8 @@ func (d *driver) scatter(mach *mpc.Machine) error {
 			vCnt[d.partOf[v]]++
 		}
 	}
-	sc.edgeIDs = sc.edgeIDs[:0]
-	home := uint64(0)
-	for e := id; e < d.m; e += d.fleet {
-		if d.edgeFrozen[e] {
-			continue
-		}
-		home++
-		u, v := d.ep[2*e], d.ep[2*e+1]
-		if d.high[u] && d.high[v] && d.partOf[u] == d.partOf[v] {
-			eCnt[d.partOf[u]]++
-			sc.edgeIDs = append(sc.edgeIDs, int32(e))
-		}
+	for _, e := range sc.edgeIDs {
+		eCnt[d.partOf[d.ep[2*e]]]++
 	}
 	total := int64(0)
 	if d.sched == gathered {
@@ -709,7 +755,7 @@ func (d *driver) scatter(mach *mpc.Machine) error {
 	}
 	mach.Reserve(total)
 	if d.sched == gathered {
-		if err := mach.Send(0, []uint64{tagScalar, home}); err != nil {
+		if err := mach.Send(0, []uint64{tagScalar, uint64(d.homeCount[id])}); err != nil {
 			return err
 		}
 	}
@@ -744,7 +790,7 @@ func (d *driver) scatter(mach *mpc.Machine) error {
 	for _, e := range sc.edgeIDs {
 		u, v := d.ep[2*e], d.ep[2*e+1]
 		dst := d.partOf[u]
-		mpc.SetEdgeRecord(eBuf[dst], int(eCnt[dst]), u, v, d.xPhase[e])
+		mpc.SetEdgeRecord(eBuf[dst], int(eCnt[dst]), u, v, d.res.X[e])
 		eCnt[dst]++
 	}
 	return nil
@@ -884,7 +930,8 @@ func (d *driver) collect(mach *mpc.Machine) error {
 	return nil
 }
 
-// capture records the phase for the coupling analysis.
+// capture records the phase for the coupling analysis, with the Line 2c
+// duals that res.X holds before reconcile rescales them.
 func (d *driver) capture() {
 	cp := CouplingPhase{
 		Phase:          d.phase,
@@ -905,7 +952,7 @@ func (d *driver) capture() {
 	for i, e := range d.highEdges {
 		u, v := d.ep[2*e], d.ep[2*e+1]
 		cp.Edges[i] = [2]int32{d.highIndex[u], d.highIndex[v]}
-		cp.X0[i] = d.xPhase[e]
+		cp.X0[i] = d.res.X[e]
 	}
 	d.res.Coupling = append(d.res.Coupling, cp)
 }
@@ -914,8 +961,10 @@ func (d *driver) capture() {
 // returns how many vertices froze in the simulation and at Line 2i.
 func (d *driver) reconcile() (frozenAtSim, frozenAt2i int) {
 	// Line (2h): every edge of E[V^high] gets the weight implied by the
-	// earliest endpoint freeze (t′ = I when both stayed active). The Line
-	// (2i) per-vertex sums accumulate in the same walk.
+	// earliest endpoint freeze (t′ = I when both stayed active). Each V^high
+	// vertex looks up its factor pow[t(v)] once; pow increases, so an edge's
+	// min(f(u), f(v)) is pow[min(t(u), t(v))]. The Line (2i) per-vertex sums
+	// accumulate in the same walk.
 	iters := d.iters
 	if cap(d.pow) < iters+1 {
 		d.pow = make([]float64, iters+1)
@@ -926,21 +975,21 @@ func (d *driver) reconcile() (frozenAtSim, frozenAt2i int) {
 	for t := 1; t <= iters; t++ {
 		pow[t] = pow[t-1] * growth
 	}
-	fiOf := func(v graph.Vertex) int {
-		if fi := d.freezeIter[v]; fi >= 0 {
-			return int(fi)
-		}
-		return iters
-	}
 	for _, v := range d.highList {
+		t := iters
+		if fi := d.freezeIter[v]; fi >= 0 {
+			t = int(fi)
+		}
+		d.factor[v] = pow[t]
 		d.yMPC[v] = 0
 	}
+	x, f, y, ep := d.res.X, d.factor, d.yMPC, d.ep
 	for _, e := range d.highEdges {
-		u, v := d.ep[2*e], d.ep[2*e+1]
-		x := d.xPhase[e] * pow[min(fiOf(u), fiOf(v))]
-		d.xPhase[e] = x
-		d.yMPC[u] += x
-		d.yMPC[v] += x
+		u, v := ep[2*e], ep[2*e+1]
+		xe := x[e] * min(f[u], f[v])
+		x[e] = xe
+		y[u] += xe
+		y[v] += xe
 	}
 
 	// Freeze set 1: vertices frozen by their local simulation. Line (2i):
@@ -955,28 +1004,38 @@ func (d *driver) reconcile() (frozenAtSim, frozenAt2i int) {
 	}
 	frozenAtSim = len(d.newlyFrozen)
 	for _, v := range d.highList {
-		if d.freezeIter[v] < 0 && d.yMPC[v] >= d.wres[v]*(1-1e-12) {
+		if d.freezeIter[v] < 0 && y[v] >= d.wres[v]*(1-1e-12) {
 			d.newlyFrozen = append(d.newlyFrozen, v)
 		}
 	}
 	frozenAt2i = len(d.newlyFrozen) - frozenAtSim
+	cover := d.res.Cover
 	for _, v := range d.newlyFrozen {
-		d.res.Cover[v] = true
+		cover[v] = true
 	}
 
 	// Finalize edges: E[V^high] edges with a frozen endpoint keep their
-	// Line (2h) weight; Line (2j) freezes the rest of a frozen vertex's
-	// edges at 0.
+	// Line (2h) weight (freezeEdge's bookkeeping, with the totals held in
+	// locals), and the rest go back to 0 until a later phase prices them.
+	// Line (2j) freezes the rest of a frozen vertex's edges at 0.
+	frozen, resDeg, incident := d.edgeFrozen, d.resDeg, d.frozenIncident
+	nonfrozen, dualSum := d.nonfrozen, d.dualSum
 	for _, e := range d.highEdges {
-		u, v := d.ep[2*e], d.ep[2*e+1]
-		if d.res.Cover[u] || d.res.Cover[v] {
-			x := d.xPhase[e]
-			d.freezeEdge(int(e), x)
-			d.frozenIncident[u] += x
-			d.frozenIncident[v] += x
-			d.dualSum += x
+		u, v := ep[2*e], ep[2*e+1]
+		if !cover[u] && !cover[v] {
+			x[e] = 0
+			continue
 		}
+		xe := x[e]
+		frozen[e] = true
+		resDeg[u]--
+		resDeg[v]--
+		nonfrozen--
+		incident[u] += xe
+		incident[v] += xe
+		dualSum += xe
 	}
+	d.nonfrozen, d.dualSum = nonfrozen, dualSum
 	for _, v := range d.newlyFrozen {
 		d.freezeVertex(v)
 	}

@@ -372,6 +372,16 @@ func TestFeasibleDualScaling(t *testing.T) {
 			t.Fatal("scaling inconsistent")
 		}
 	}
+	// Outcome scales X in place to the same bits.
+	out := res.Outcome(g)
+	for e := range scaled {
+		if math.Float64bits(out.Duals[e]) != math.Float64bits(scaled[e]) {
+			t.Fatalf("edge %d: Outcome dual %v, FeasibleDual %v", e, out.Duals[e], scaled[e])
+		}
+	}
+	if out.Rounds != res.Rounds || out.Phases != res.Phases || &out.Cover[0] != &res.Cover[0] {
+		t.Fatal("Outcome does not carry the result's cover and counts")
+	}
 }
 
 func TestMaxPhasesGuard(t *testing.T) {

@@ -16,9 +16,9 @@ func init() {
 	}, solver.Func(solveMPC))
 }
 
-// solveMPC adapts Algorithm 2 to the registry contract. The returned duals
-// are rescaled to exact feasibility (FeasibleDual), so the facade can build a
-// checked certificate from them directly.
+// solveMPC adapts Algorithm 2 to the registry contract. Result.Outcome
+// rescales the duals in place to exact feasibility (FeasibleDual's α and
+// bits), so the facade can build a checked certificate from them directly.
 func solveMPC(ctx context.Context, g *graph.Graph, cfg solver.Config) (*solver.Outcome, error) {
 	params := ParamsPractical(cfg.Epsilon, cfg.Seed)
 	if cfg.PaperConstants {
@@ -30,11 +30,5 @@ func solveMPC(ctx context.Context, g *graph.Graph, cfg solver.Config) (*solver.O
 	if err != nil {
 		return nil, err
 	}
-	scaled, _ := res.FeasibleDual(g)
-	return &solver.Outcome{
-		Cover:  res.Cover,
-		Duals:  scaled,
-		Rounds: res.Rounds,
-		Phases: res.Phases,
-	}, nil
+	return res.Outcome(g), nil
 }

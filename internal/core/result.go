@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
+	"repro/internal/solver"
 )
 
 // PhaseStat records what one phase of Algorithm 2 did — the raw material
@@ -72,8 +73,9 @@ type Result struct {
 	Cover []bool
 	// X holds the finalized edge weights x^MPC_e. They form a fractional
 	// matching that is feasible up to the (1+6ε) one-sided estimator error
-	// of Lemma 4.6; FeasibleDual rescales them into an exactly feasible
-	// certificate and reports the violation factor actually observed.
+	// of Lemma 4.6; FeasibleDual rescales a copy into an exactly feasible
+	// certificate and reports the violation factor actually observed, and
+	// Outcome rescales X itself.
 	X []float64
 	// Phases is the number of sampled phases executed (excluding the final
 	// centralized phase).
@@ -98,21 +100,7 @@ type Result struct {
 // violation factor alpha = max(1, max_v Σ_{e∋v} x_e / w(v)). Theorem 4.7
 // proves alpha ≤ 1+6ε w.h.p.; experiments record the measured value.
 func (r *Result) FeasibleDual(g *graph.Graph) (scaled []float64, alpha float64) {
-	alpha = 1.0
-	incident := make([]float64, g.NumVertices())
-	ep := g.EdgeEndpoints()
-	for e := 0; e < g.NumEdges(); e++ {
-		u, v := ep[2*e], ep[2*e+1]
-		incident[u] += r.X[e]
-		incident[v] += r.X[e]
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if w := g.Weight(graph.Vertex(v)); w > 0 {
-			if f := incident[v] / w; f > alpha {
-				alpha = f
-			}
-		}
-	}
+	alpha = r.alpha(g)
 	scaled = make([]float64, len(r.X))
 	inv := 1 / alpha
 	for e, x := range r.X {
@@ -121,22 +109,54 @@ func (r *Result) FeasibleDual(g *graph.Graph) (scaled []float64, alpha float64) 
 	return scaled, alpha
 }
 
+// Outcome scales X in place to the feasible dual FeasibleDual returns (the
+// same α and the same products, so the same bits) and returns the registry
+// outcome built on it. It is for adapters that hand the certificate on and
+// drop the result: no second m-sized vector is allocated, and afterwards X
+// no longer holds the raw x^MPC.
+func (r *Result) Outcome(g *graph.Graph) *solver.Outcome {
+	inv := 1 / r.alpha(g)
+	for e, x := range r.X {
+		r.X[e] = x * inv
+	}
+	return &solver.Outcome{Cover: r.Cover, Duals: r.X, Rounds: r.Rounds, Phases: r.Phases}
+}
+
+// alpha is FeasibleDual's violation factor max(1, max_v Σ_{e∋v} x_e / w(v)),
+// over the vertices of positive weight.
+func (r *Result) alpha(g *graph.Graph) float64 {
+	alpha := 1.0
+	for v, sum := range r.incident(g) {
+		if w := g.Weight(graph.Vertex(v)); w > 0 {
+			if f := sum / w; f > alpha {
+				alpha = f
+			}
+		}
+	}
+	return alpha
+}
+
+// incident returns Σ_{e∋v} x_e for every vertex of g, summed in edge-id
+// order.
+func (r *Result) incident(g *graph.Graph) []float64 {
+	sums := make([]float64, g.NumVertices())
+	ep := g.EdgeEndpoints()
+	for e, x := range r.X {
+		sums[ep[2*e]] += x
+		sums[ep[2*e+1]] += x
+	}
+	return sums
+}
+
 // CoverTightness returns the minimum over cover vertices of
 // Σ_{e∋v} x_e / w(v) — the paper proves ≥ 1−16ε w.h.p. (Theorem 4.7), which
 // is what makes the cover weight chargeable to the dual. Returns +Inf for an
 // empty cover.
 func (r *Result) CoverTightness(g *graph.Graph) float64 {
-	incident := make([]float64, g.NumVertices())
-	ep := g.EdgeEndpoints()
-	for e := 0; e < g.NumEdges(); e++ {
-		u, v := ep[2*e], ep[2*e+1]
-		incident[u] += r.X[e]
-		incident[v] += r.X[e]
-	}
 	minTight := math.Inf(1)
-	for v := 0; v < g.NumVertices(); v++ {
+	for v, sum := range r.incident(g) {
 		if r.Cover[v] {
-			if t := incident[v] / g.Weight(graph.Vertex(v)); t < minTight {
+			if t := sum / g.Weight(graph.Vertex(v)); t < minTight {
 				minTight = t
 			}
 		}

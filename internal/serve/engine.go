@@ -220,7 +220,7 @@ type Request struct {
 	followers []*Request
 
 	mu        sync.Mutex
-	completed bool // finish ran; all later finishes are no-ops
+	completed bool // settle ran; all later settles are no-ops
 	cached    bool
 	coalesced bool
 	// interest counts attached waiters that may still cancel: the submitter
@@ -477,17 +477,21 @@ func (r *Request) observe(e mwvc.Event) {
 	}
 }
 
-// finish records the outcome, closes subscriber channels and releases
-// waiters. It is idempotent — the first call wins and returns true, later
-// calls (a worker's panic guard firing after a normal completion path, a
-// racing Close) are no-ops returning false. The cover cardinality is
-// computed once here, not on every status poll.
-func (r *Request) finish(sol *mwvc.Solution, err error, errMsg string) bool {
+// settle records the outcome and detaches the subscribers, and returns the
+// release step that closes their channels and done, waking every waiter. The
+// engine counts the request between the two steps, so a waiter that returns
+// from Wait sees it in Metrics. running reports that the request was in the
+// in-flight gauge. The first call wins; later calls (a worker's panic guard
+// firing after a normal completion path, a racing Close) return a nil
+// release. The cover cardinality is computed once here, not on every status
+// poll.
+func (r *Request) settle(sol *mwvc.Solution, err error, errMsg string) (release func(), running bool) {
 	r.mu.Lock()
 	if r.completed {
 		r.mu.Unlock()
-		return false
+		return nil, false
 	}
+	running = r.status == StatusRunning
 	r.completed = true
 	r.sol = sol
 	r.err = err
@@ -510,11 +514,12 @@ func (r *Request) finish(sol *mwvc.Solution, err error, errMsg string) bool {
 	subs := r.subs
 	r.subs = nil
 	r.mu.Unlock()
-	for _, ch := range subs {
-		close(ch)
-	}
-	close(r.done)
-	return true
+	return func() {
+		for _, ch := range subs {
+			close(ch)
+		}
+		close(r.done)
+	}, running
 }
 
 // Engine runs solves. Create with NewEngine, stop with Close.
@@ -746,11 +751,11 @@ func (e *Engine) completeCacheHitLocked(req *Request, sol *mwvc.Solution, now ti
 	req.rounds = sol.Rounds
 	req.startedAt = now
 	req.doneAt = now
-	close(req.done)
 	e.met.cacheHits.Add(1)
 	e.met.done.Add(1)
 	e.requests[req.ID] = req
 	e.retainLocked(req.ID)
+	close(req.done)
 }
 
 // retainLocked records a finished request id and evicts beyond the retention
@@ -807,17 +812,19 @@ func (e *Engine) dispatch(req *Request) {
 
 // complete finalizes a request — and every coalesced follower riding on it
 // — with one outcome, updating metrics, the in-flight index and the
-// retention ring. It is idempotent per request (finish's first-call-wins
-// contract), so the dispatch panic guard can call it unconditionally.
+// retention ring. Every request is settled and counted before any of them
+// is released, so whoever returns from Wait reads metrics that include it.
+// It is idempotent per request (settle's first-call-wins contract), so the
+// dispatch panic guard can call it unconditionally.
 func (e *Engine) complete(req *Request, sol *mwvc.Solution, err error, errMsg string) {
-	if !req.finish(sol, err, errMsg) {
+	release, running := req.settle(sol, err, errMsg)
+	if release == nil {
 		return
 	}
-	if err == nil {
-		e.met.done.Add(1)
-	} else {
-		e.met.failed.Add(1)
+	if running {
+		e.met.inFlight.Add(-1)
 	}
+	e.countOutcome(err)
 	e.mu.Lock()
 	key := keyOf(req.Params)
 	if cur, ok := e.inflight[key]; ok && cur == req {
@@ -830,14 +837,24 @@ func (e *Engine) complete(req *Request, sol *mwvc.Solution, err error, errMsg st
 		e.retainLocked(f.ID)
 	}
 	e.mu.Unlock()
+	releases := []func(){release}
 	for _, f := range followers {
-		if f.finish(sol, err, errMsg) {
-			if err == nil {
-				e.met.done.Add(1)
-			} else {
-				e.met.failed.Add(1)
-			}
+		if r, _ := f.settle(sol, err, errMsg); r != nil {
+			e.countOutcome(err)
+			releases = append(releases, r)
 		}
+	}
+	for _, r := range releases {
+		r()
+	}
+}
+
+// countOutcome counts one finished request as done or failed.
+func (e *Engine) countOutcome(err error) {
+	if err == nil {
+		e.met.done.Add(1)
+	} else {
+		e.met.failed.Add(1)
 	}
 }
 
@@ -911,9 +928,8 @@ func (e *Engine) run(req *Request) {
 	}
 	req.status = StatusRunning
 	req.startedAt = time.Now()
+	e.met.inFlight.Add(1) // complete takes it out before it releases the waiters
 	req.mu.Unlock()
-	e.met.inFlight.Add(1)
-	defer e.met.inFlight.Add(-1)
 
 	// The deadline was fixed at admission; a request that exhausted it in
 	// the queue fails here without wasting a solver execution on it.

@@ -205,6 +205,81 @@ func TestSolveAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestMetricsCountedBeforeWaitReturns pins the completion order: the engine
+// moves every counter and gauge a finished request touches before it
+// releases the request's waiters, so a Metrics snapshot taken as soon as
+// Wait returns already includes the request. Each cycle runs, one after the
+// other, a fresh solve, a cache hit at admission, a coalesced follower and a
+// failure, and compares the snapshot with the running totals.
+func TestMetricsCountedBeforeWaitReturns(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 4})
+	hash := addGraph(t, e, testGraph(t, 1, 60, 4))
+	var done, failed, hits, coalesced int64
+	check := func(what string) {
+		t.Helper()
+		m := e.Metrics()
+		if m.Done != done || m.Failed != failed || m.CacheHits != hits || m.Coalesced != coalesced || m.InFlight != 0 {
+			t.Fatalf("%s: metrics %+v; want done %d, failed %d, cache hits %d, coalesced %d, none in flight",
+				what, m, done, failed, hits, coalesced)
+		}
+	}
+	submitWait := func(p SolveParams) *Request {
+		t.Helper()
+		r, err := e.Submit(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for i := uint64(0); i < 25; i++ {
+		p := SolveParams{GraphHash: hash, Algorithm: "mpc", Epsilon: 0.1, Seed: 100 + i}
+		submitWait(p)
+		done++
+		check("fresh solve")
+
+		if !submitWait(p).IsCached() {
+			t.Fatal("repeat not served from the cache")
+		}
+		done++
+		hits++
+		check("cache hit")
+
+		release := setGate(t)
+		gated := SolveParams{GraphHash: hash, Algorithm: "test-gated", Seed: 1000 + i}
+		leader, err := e.Submit(gated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitStatus(t, leader, StatusRunning)
+		follower, err := e.Submit(gated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !follower.IsCoalesced() {
+			t.Fatal("duplicate of a running request not coalesced")
+		}
+		release()
+		if err := follower.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		done += 2
+		coalesced++
+		check("coalesced follower")
+
+		release = setGate(t) // held: the deadline fails the request
+		r := submitWait(SolveParams{GraphHash: hash, Algorithm: "test-gated", Seed: 2000 + i, Timeout: time.Millisecond})
+		release()
+		if _, err := r.Result(); err == nil {
+			t.Fatal("request past its deadline succeeded")
+		}
+		failed++
+		check("failure")
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 2})
 	hash := addGraph(t, e, testGraph(t, 1, 30, 3))
