@@ -124,12 +124,32 @@ func BenchmarkAlgorithmGreedy(b *testing.B) {
 	}
 }
 
+// BenchmarkFacadeSolve times whole mwvc.Solve calls with the defaults
+// (mpc, reduction on, GOMAXPROCS parallelism, no observer). The n8k_d256
+// case is the mpc-dense benchmark input, G(8000, 256) with uniform weights
+// in [1, 100) at seed 1: only domination could reduce it, so with two or
+// more cores the pipeline solves beside reduce, and with one it runs them
+// one after the other. `go test -bench FacadeSolve -cpu 1,2` shows what the
+// overlap saves.
 func BenchmarkFacadeSolve(b *testing.B) {
-	g := mwvc.RandomGraph(1, 4000, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mwvc.Solve(context.Background(), g, mwvc.WithSeed(uint64(i)+1)); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		g    func() *mwvc.Graph
+	}{
+		{"n4k_d32", func() *mwvc.Graph { return mwvc.RandomGraph(1, 4000, 32) }},
+		{"n8k_d256", func() *mwvc.Graph {
+			return gen.ApplyWeights(gen.GnpAvgDegree(1, 8000, 256), 1, gen.UniformRange{Lo: 1, Hi: 100})
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.g()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mwvc.Solve(context.Background(), g, mwvc.WithSeed(uint64(i)+1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

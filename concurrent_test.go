@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/cli"
+	"repro/internal/reduce"
 )
 
 // TestConcurrentSolvesAreIsolated pins the facade's concurrency contract
@@ -20,11 +23,24 @@ import (
 //  3. lifecycle isolation: per-solve MPC clusters start and stop without
 //     interfering (exercised by AlgoMPC and AlgoCongestedClique running in
 //     many goroutines at once).
+//
+// A further set of solves runs without observers on a random 4-regular
+// unit-weight graph, which passes the reduce gate and does not reduce: each
+// of them starts its solve on a second goroutine beside reduce (the
+// pipeline's overlap) and must still return the sequential solution.
 func TestConcurrentSolvesAreIsolated(t *testing.T) {
 	graphs := []*Graph{
 		RandomGraph(1, 90, 5),  // unit weights: every algorithm applies (ggk too)
 		RandomGraph(2, 140, 8), // denser; forces real MPC traffic
 	}
+	regular, err := cli.BuildGraph("regular", 500, 4, "unit", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reduce.OnlyDomination(regular) {
+		t.Fatal("the regular graph fails the reduce gate, so its solves would not overlap")
+	}
+	overlapAlgos := []Algorithm{AlgoMPC, AlgoMPCCompress, AlgoPDFast}
 	algos := []Algorithm{
 		AlgoMPC, AlgoCentralized, AlgoLocalUniform, AlgoBYE,
 		AlgoGreedy, AlgoCongestedClique, AlgoGGK,
@@ -50,6 +66,15 @@ func TestConcurrentSolvesAreIsolated(t *testing.T) {
 			want[key{gi, a}] = sol
 		}
 	}
+	// The overlap's references come from the sequential pipeline.
+	wantOverlap := map[Algorithm]*Solution{}
+	for _, a := range overlapAlgos {
+		sol, err := Solve(context.Background(), regular, WithAlgorithm(a), WithSeed(42), WithParallelism(1))
+		if err != nil {
+			t.Fatalf("serial %s on the regular graph: %v", a, err)
+		}
+		wantOverlap[a] = sol
+	}
 
 	const perCombo = 3 // goroutines per (graph, algorithm) pair
 	var wg sync.WaitGroup
@@ -58,12 +83,26 @@ func TestConcurrentSolvesAreIsolated(t *testing.T) {
 	// a blocked observer would wedge Solve and turn the failure into a
 	// silent test timeout. Overflowing errors are dropped; the first ones
 	// carry the diagnosis.
-	errs := make(chan error, 4*len(graphs)*len(algos)*perCombo)
+	errs := make(chan error, 4*(len(graphs)*len(algos)+len(overlapAlgos))*perCombo)
 	report := func(err error) {
 		select {
 		case errs <- err:
 		default:
 		}
+	}
+	// diverged describes how sol differs from the serial reference ref, or
+	// returns nil when they agree.
+	diverged := func(sol, ref *Solution) error {
+		if sol.Weight != ref.Weight || sol.Bound != ref.Bound || sol.Rounds != ref.Rounds {
+			return fmt.Errorf("concurrent solve diverged: weight %v/%v bound %v/%v rounds %d/%d",
+				sol.Weight, ref.Weight, sol.Bound, ref.Bound, sol.Rounds, ref.Rounds)
+		}
+		for v := range sol.Cover {
+			if sol.Cover[v] != ref.Cover[v] {
+				return fmt.Errorf("cover bit %d diverged under concurrency", v)
+			}
+		}
+		return nil
 	}
 	for gi, g := range graphs {
 		for _, a := range algos {
@@ -87,17 +126,9 @@ func TestConcurrentSolvesAreIsolated(t *testing.T) {
 						report(fmt.Errorf("%s/g%d: %v", a, gi, err))
 						return
 					}
-					ref := want[key{gi, a}]
-					if sol.Weight != ref.Weight || sol.Bound != ref.Bound || sol.Rounds != ref.Rounds {
-						report(fmt.Errorf("%s/g%d: concurrent solve diverged: weight %v/%v bound %v/%v rounds %d/%d",
-							a, gi, sol.Weight, ref.Weight, sol.Bound, ref.Bound, sol.Rounds, ref.Rounds))
+					if err := diverged(sol, want[key{gi, a}]); err != nil {
+						report(fmt.Errorf("%s/g%d: %v", a, gi, err))
 						return
-					}
-					for v := range sol.Cover {
-						if sol.Cover[v] != ref.Cover[v] {
-							report(fmt.Errorf("%s/g%d: cover bit %d diverged under concurrency", a, gi, v))
-							return
-						}
 					}
 					if roundAccounting[a] && rounds != sol.Rounds {
 						report(fmt.Errorf("%s/g%d: observer saw %d round events, solution has %d rounds — fan-out leaked across solves",
@@ -105,6 +136,21 @@ func TestConcurrentSolvesAreIsolated(t *testing.T) {
 					}
 				}(gi, g, a)
 			}
+		}
+	}
+	for _, a := range overlapAlgos {
+		for rep := 0; rep < perCombo; rep++ {
+			wg.Add(1)
+			go func(a Algorithm) {
+				defer wg.Done()
+				sol, err := Solve(context.Background(), regular, WithAlgorithm(a), WithSeed(42), WithParallelism(2))
+				if err == nil {
+					err = diverged(sol, wantOverlap[a])
+				}
+				if err != nil {
+					report(fmt.Errorf("%s/regular without observer: %v", a, err))
+				}
+			}(a)
 		}
 	}
 	wg.Wait()

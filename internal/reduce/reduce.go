@@ -34,6 +34,7 @@ package reduce
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/graph"
 )
@@ -61,8 +62,8 @@ type Stats struct {
 	ForcedVertices int     `json:"forced_vertices,omitempty"`
 	ForcedWeight   float64 `json:"forced_weight,omitempty"`
 
-	// ReduceNS is the wall-clock cost of the reduction stage, filled by the
-	// pipeline that invoked it.
+	// ReduceNS is the wall-clock time of Run alone, filled by the pipeline
+	// that invoked it. A solve the pipeline runs beside Run is not in it.
 	ReduceNS int64 `json:"reduce_ns,omitempty"`
 }
 
@@ -150,11 +151,42 @@ type Result struct {
 // reads g. The context is polled throughout, so cancellation aborts a
 // long reduction promptly.
 func Run(ctx context.Context, g *graph.Graph) (*Result, error) {
-	r := &reducer{g: g, ctx: ctx}
+	return RunNotify(ctx, g, nil)
+}
+
+// RunNotify is Run with a first-change callback: changed, when non-nil, is
+// called once on the calling goroutine, just before the first rule removes
+// a vertex. Every rule removes one, so a returned Result carries a Trace
+// exactly when changed ran. A caller that bets on the input being
+// irreducible learns at once, without waiting for the fixpoint, that it
+// lost.
+func RunNotify(ctx context.Context, g *graph.Graph, changed func()) (*Result, error) {
+	r := &reducer{g: g, ctx: ctx, changed: changed}
 	if err := r.fixpoint(); err != nil {
 		return nil, err
 	}
 	return r.result()
+}
+
+// OnlyDomination reports whether, on g as given, neither the isolated, the
+// pendant nor the neighborhood-weight rule can fire, so only domination
+// could reduce it. It is one O(n) pass: every vertex needs degree at least
+// 2, and w(v) < deg(v)·w_min ≤ Σ w(N(v)), since every neighbor weighs at
+// least w_min. It predicts cheaply, before Run, that the kernel is likely
+// to be g itself (the large-d G(n, p) regime), and decides nothing that
+// correctness depends on.
+func OnlyDomination(g *graph.Graph) bool {
+	wmin, ratio := math.Inf(1), 0.0 // ratio is max over v of w(v)/deg(v)
+	for v := 0; v < g.NumVertices(); v++ {
+		d := g.Degree(graph.Vertex(v))
+		if d < 2 {
+			return false
+		}
+		w := g.Weight(graph.Vertex(v))
+		wmin = min(wmin, w)
+		ratio = max(ratio, w/float64(d))
+	}
+	return ratio < wmin
 }
 
 // result assembles the kernel, the trace and the stats from the fixpoint
@@ -200,9 +232,10 @@ func (r *reducer) result() (*Result, error) {
 
 // reducer is the mutable fixpoint state over one immutable graph.
 type reducer struct {
-	g   *graph.Graph
-	ctx context.Context
-	st  Stats // rule counts; result fills in the rest
+	g       *graph.Graph
+	ctx     context.Context
+	changed func() // RunNotify's callback; nil once called
+	st      Stats  // rule counts; result fills in the rest
 
 	alive   []bool  // vertex still in the residual instance
 	inCover []bool  // vertex forced into the cover
@@ -222,6 +255,15 @@ func (r *reducer) poll() error {
 		return r.ctx.Err()
 	}
 	return nil
+}
+
+// change runs the first-change callback, if it has not run yet. Every rule
+// calls it before it removes its first vertex.
+func (r *reducer) change() {
+	if r.changed != nil {
+		r.changed()
+		r.changed = nil
+	}
 }
 
 func (r *reducer) push(v graph.Vertex) {
@@ -294,6 +336,7 @@ func (r *reducer) drain() error {
 		case r.deg[v] == 0:
 			// Isolated: every incident edge already has a forced endpoint
 			// (or never existed), so v is never needed.
+			r.change()
 			r.alive[v] = false
 			r.st.Isolated++
 		case r.deg[v] == 1:
@@ -301,6 +344,7 @@ func (r *reducer) drain() error {
 			if r.g.Weight(v) >= r.g.Weight(u) {
 				// Pendant: covering the single edge (v, u) from the u side
 				// costs no more and covers at least as much.
+				r.change()
 				r.force(u)
 				r.alive[v] = false
 				r.st.Pendant++
@@ -315,6 +359,7 @@ func (r *reducer) drain() error {
 			if r.g.Weight(v) >= s {
 				// Neighborhood weight: swapping v for all of N(v) in any
 				// cover never costs more, so N(v) is forced and v dropped.
+				r.change()
 				for _, u := range r.g.Neighbors(v) {
 					if r.alive[u] {
 						r.force(u)
@@ -355,6 +400,7 @@ func (r *reducer) dominationSweep() (bool, error) {
 			return false, err
 		}
 		if u := r.dominatorOf(graph.Vertex(v)); u >= 0 {
+			r.change()
 			r.force(u)
 			r.st.Domination++
 			changed = true // v's residual degree changed; the worklist revisits it

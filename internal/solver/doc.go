@@ -17,6 +17,15 @@
 // solve path bit for bit; with it enabled, kernel stats thread through
 // Outcome into the facade's Solution.
 //
+// When only the domination rule could shrink the input
+// (reduce.OnlyDomination), no observer is attached and Parallelism allows
+// two goroutines, the pipeline starts the solve on the input beside
+// reduce.Run: the overlap. Reduce reports its first rule application at
+// once; the pipeline then cancels the overlap, waits for it and solves
+// the kernel. If nothing reduces, the overlap made exactly the call the
+// solve stage would make next, so its result is used and every output bit
+// is the same as solving after reduce.
+//
 // The package sits below every algorithm package (it imports only
 // internal/graph, internal/reduce and internal/verify), which is what lets
 // the algorithm packages both implement the interface and emit Observer

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"repro/internal/graph"
@@ -64,6 +65,18 @@ type Pipeline struct {
 // Run executes the pipeline on g. The returned Result is fully verified
 // against g: an invalid cover or infeasible certificate — from any solver,
 // on any kernel — is an error, never a silently wrong answer.
+//
+// With reduction on, Run may start Solver.Solve(ctx, g, Config) on its own
+// goroutine just before reduce.Run (the overlap). It does so when only the
+// domination rule could shrink g (reduce.OnlyDomination), no observer is
+// attached, and Config.Parallelism (GOMAXPROCS when 0) is at least 2. If
+// nothing reduces, that is the very call the solve stage would make next,
+// so Run uses its outcome, error or panic as if it had made the call
+// itself: every output bit is the same. If a rule fires, reduce reports it
+// at once; Run cancels the overlap and solves the kernel as without it. On
+// every path Run waits for the overlap's goroutine before the kernel solve
+// starts or Run returns, and a discarded overlap's error or panic is
+// dropped, as the solve it stands for never runs.
 func (p Pipeline) Run(ctx context.Context, g *graph.Graph) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -71,11 +84,18 @@ func (p Pipeline) Run(ctx context.Context, g *graph.Graph) (*Result, error) {
 	work := g
 	var tr *reduce.Trace
 	var stats *reduce.Stats
+	var spec *overlap // the solve of g beside reduce.Run, while it may be used
 	if p.Reduce {
 		Emit(p.Config.Observer, Event{Kind: KindReduceStart, Phase: -1, ActiveEdges: int64(g.NumEdges())})
+		var changed func()
+		if p.overlaps(g) {
+			spec = startOverlap(ctx, p.Solver, g, p.Config)
+			changed = spec.cancel // a rule fired: the kernel is not g
+		}
 		start := time.Now()
-		red, err := reduce.Run(ctx, g)
+		red, err := runReduce(ctx, g, changed)
 		if err != nil {
+			spec.discard()
 			return nil, err
 		}
 		// Point at a copy: &red.Stats would keep the whole reduce.Result,
@@ -86,22 +106,27 @@ func (p Pipeline) Run(ctx context.Context, g *graph.Graph) (*Result, error) {
 		Emit(p.Config.Observer, Event{Kind: KindReduceEnd, Phase: -1, ActiveEdges: int64(red.Kernel.NumEdges())})
 		if red.Trace != nil {
 			work, tr = red.Kernel, red.Trace
+			spec.discard()
+			spec = nil
 		}
 		// A nil trace means nothing reduced; solve the original directly.
 	}
 
 	var out *Outcome
-	if tr != nil && work.NumVertices() == 0 {
+	var err error
+	switch {
+	case spec != nil:
+		out, err = spec.result()
+	case tr != nil && work.NumVertices() == 0:
 		// Fully reduced: the rules alone determined an optimal cover
 		// (OPT(g) = forced weight + OPT(∅) = forced weight), so the solver
 		// is skipped and the lifted cover is exact regardless of algorithm.
 		out = &Outcome{Cover: []bool{}, Exact: true}
-	} else {
-		var err error
+	default:
 		out, err = p.Solver.Solve(ctx, work, p.Config)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	var imp *improve.Stats
@@ -139,6 +164,72 @@ func (p Pipeline) Run(ctx context.Context, g *graph.Graph) (*Result, error) {
 	}
 	res.Improvement = imp
 	return res, nil
+}
+
+// runReduce is the reduce stage; tests replace it to order events around
+// reduce.Run.
+var runReduce = reduce.RunNotify
+
+// overlaps reports whether Run starts the solver on g beside reduce.Run:
+// the gate predicts that the kernel is g itself, no observer needs its
+// events in stage order on the caller's goroutine, and the solve may use a
+// second goroutine.
+func (p Pipeline) overlaps(g *graph.Graph) bool {
+	par := p.Config.Parallelism
+	if par == 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	return p.Config.Observer == nil && par >= 2 && reduce.OnlyDomination(g)
+}
+
+// overlap is a solve of the unreduced input running on its own goroutine.
+type overlap struct {
+	cancel context.CancelFunc
+	done   chan overlapResult // buffered for the goroutine's one send
+}
+
+// overlapResult is what the overlap's solve returned, or the value it
+// panicked with.
+type overlapResult struct {
+	out      *Outcome
+	err      error
+	panicked any
+}
+
+// startOverlap starts s.Solve(ctx, g, cfg) on its own goroutine, under a
+// child of ctx that cancel stops.
+func startOverlap(ctx context.Context, s Solver, g *graph.Graph, cfg Config) *overlap {
+	sctx, cancel := context.WithCancel(ctx)
+	o := &overlap{cancel: cancel, done: make(chan overlapResult, 1)}
+	go func() {
+		var r overlapResult
+		defer func() {
+			r.panicked = recover()
+			o.done <- r
+		}()
+		r.out, r.err = s.Solve(sctx, g, cfg)
+	}()
+	return o
+}
+
+// result waits for the solve and returns its outcome and error unchanged,
+// re-raising its panic on the caller's goroutine.
+func (o *overlap) result() (*Outcome, error) {
+	r := <-o.done
+	o.cancel()
+	if r.panicked != nil {
+		panic(r.panicked)
+	}
+	return r.out, r.err
+}
+
+// discard cancels the solve and waits for it, dropping whatever it
+// returned. A nil overlap is a no-op.
+func (o *overlap) discard() {
+	if o != nil {
+		o.cancel()
+		<-o.done
+	}
 }
 
 // verifyStage checks the lifted cover against the original graph g, checks

@@ -46,11 +46,7 @@ func (r *recordingSolver) Solve(ctx context.Context, g *graph.Graph, cfg Config)
 	if r.out != nil {
 		return r.out, nil
 	}
-	cover := make([]bool, g.NumVertices())
-	for i := range cover {
-		cover[i] = true
-	}
-	return &Outcome{Cover: cover}, nil
+	return allCover(g), nil
 }
 
 func TestPipelineEmitsReduceEvents(t *testing.T) {
@@ -132,11 +128,7 @@ type kernelWatcher struct{ kernel weak.Pointer[graph.Graph] }
 
 func (k *kernelWatcher) Solve(_ context.Context, g *graph.Graph, _ Config) (*Outcome, error) {
 	k.kernel = weak.Make(g)
-	cover := make([]bool, g.NumVertices())
-	for i := range cover {
-		cover[i] = true
-	}
-	return &Outcome{Cover: cover}, nil
+	return allCover(g), nil
 }
 
 // TestPipelineResultDoesNotPinKernel holds a reduced solve's Result and

@@ -27,7 +27,12 @@ type Config struct {
 	Epsilon float64
 	// Seed drives all randomness; same seed ⇒ same output.
 	Seed uint64
-	// Parallelism bounds concurrent simulated machines (0 = GOMAXPROCS).
+	// Parallelism bounds the worker goroutines a solve runs at once
+	// (0 = GOMAXPROCS): the simulated machines of mpc and mpc-compress and
+	// the sweep workers of pdfast-par. The sequential solvers ignore it. At
+	// 2 or more, Pipeline may start an observer-free solve beside the
+	// reduce stage, which then uses one goroutine beyond it until reduce
+	// returns (see Pipeline.Run).
 	Parallelism int
 	// PaperConstants selects the literal asymptotic constants of the paper
 	// for the MPC algorithm (core.ParamsPaper); default is the practical

@@ -11,6 +11,18 @@ func noop(ctx context.Context, g *graph.Graph, cfg Config) (*Outcome, error) {
 	return &Outcome{Cover: make([]bool, g.NumVertices())}, nil
 }
 
+// registerForTest registers s under meta.Name until t ends, so a test that
+// registers fixed names can run again in the same process (-count=N).
+func registerForTest(t *testing.T, meta Meta, s Solver) {
+	t.Helper()
+	Register(meta, s)
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		delete(registry, meta.Name)
+	})
+}
+
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -27,7 +39,7 @@ func TestRegisterRejectsBadRegistrations(t *testing.T) {
 
 	mustPanic(t, "unknown tier", func() { Register(Meta{Name: "test-tierless"}, Func(noop)) })
 
-	Register(Meta{Name: "test-dup", Rank: 1000, Tier: TierFast}, Func(noop))
+	registerForTest(t, Meta{Name: "test-dup", Rank: 1000, Tier: TierFast}, Func(noop))
 	mustPanic(t, "duplicate name", func() {
 		Register(Meta{Name: "test-dup", Tier: TierFast}, Func(noop))
 	})
@@ -40,8 +52,8 @@ func TestLookupUnknown(t *testing.T) {
 }
 
 func TestRegistrationsOrdered(t *testing.T) {
-	Register(Meta{Name: "test-z", Rank: 2000, Tier: TierExact}, Func(noop))
-	Register(Meta{Name: "test-a", Rank: 2001, Tier: TierAccurate}, Func(noop))
+	registerForTest(t, Meta{Name: "test-z", Rank: 2000, Tier: TierExact}, Func(noop))
+	registerForTest(t, Meta{Name: "test-a", Rank: 2001, Tier: TierAccurate}, Func(noop))
 	regs := Registrations()
 	for i := 1; i < len(regs); i++ {
 		a, b := regs[i-1], regs[i]
@@ -56,8 +68,8 @@ func TestRegistrationsOrdered(t *testing.T) {
 }
 
 func TestByTier(t *testing.T) {
-	Register(Meta{Name: "test-fast-b", Rank: 3001, Tier: TierFast}, Func(noop))
-	Register(Meta{Name: "test-fast-a", Rank: 3000, Tier: TierFast}, Func(noop))
+	registerForTest(t, Meta{Name: "test-fast-b", Rank: 3001, Tier: TierFast}, Func(noop))
+	registerForTest(t, Meta{Name: "test-fast-a", Rank: 3000, Tier: TierFast}, Func(noop))
 	fast := ByTier(TierFast)
 	var mine []string
 	for _, r := range fast {

@@ -238,7 +238,13 @@ func WithSeed(seed uint64) Option {
 	return func(s *settings) { s.cfg.Seed = seed }
 }
 
-// WithParallelism bounds concurrent simulated machines (0 = GOMAXPROCS).
+// WithParallelism bounds the worker goroutines a solve runs at once
+// (0 = GOMAXPROCS): the simulated machines of AlgoMPC and AlgoMPCCompress
+// and the sweep workers of AlgoPDFastPar; the sequential algorithms ignore
+// it. At 2 or more, a solve without an observer may start beside the
+// reduction stage, when only the domination rule could shrink the graph,
+// and use one goroutine beyond n until that stage ends. The result is the
+// same bit for bit.
 func WithParallelism(n int) Option {
 	return func(s *settings) { s.cfg.Parallelism = n }
 }
@@ -251,7 +257,10 @@ func WithPaperConstants() Option {
 }
 
 // WithObserver streams solve-progress events to obs. Observers are invoked
-// synchronously from the solve loop and must be fast.
+// synchronously from the solve loop and must be fast. A solve with an
+// observer never starts beside the reduction stage, so its events arrive
+// in stage order on the calling goroutine: reduce-start and reduce-end
+// before any solver event.
 func WithObserver(obs Observer) Option {
 	return func(s *settings) { s.cfg.Observer = obs }
 }
@@ -424,8 +433,10 @@ func (s *Solution) UnmarshalJSON(data []byte) error {
 // per-call: an Observer passed to one Solve sees only that solve's events,
 // invoked synchronously on that call's goroutine (an observer shared across
 // concurrent solves must itself be concurrency-safe). Total CPU is
-// bounded per call via WithParallelism; concurrent callers running heavy
-// algorithms should split GOMAXPROCS between them (as internal/serve does).
+// bounded per call via WithParallelism, plus one goroutine while the
+// reduction stage runs beside an observer-free solve; concurrent callers
+// running heavy algorithms should split GOMAXPROCS between them (as
+// internal/serve does).
 func Solve(ctx context.Context, g *Graph, opts ...Option) (*Solution, error) {
 	if g == nil {
 		return nil, fmt.Errorf("mwvc: nil graph")
