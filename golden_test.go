@@ -6,6 +6,11 @@ package mwvc_test
 // the digests, so a refactor of the phase driver that moves a single bit of
 // output, or reorders a single event, fails here with the case's name.
 //
+// The diff grid also pins the standalone Algorithm 1 solvers, `centralized`
+// and `local-uniform`. Algorithm 2's final phase runs the same loop, but
+// with core's threshold closure and degree-aware initialization only, so
+// RandomThresholds and the uniform initialization are pinned here alone.
+//
 // The pipeline cases run the whole mwvc.Solve path with reduction on, so the
 // kernelization stage is pinned too: the lifted cover, Weight and Bound bits,
 // and every reduction count.
@@ -66,34 +71,64 @@ var goldenDigests = map[string]string{
 	"core/uniform-init-hub/bimodal":             "7f5a3b487104514b",
 	"core/uniform-init/bimodal":                 "e1b68d17e197522a",
 	"core/uniform-init/gnp-uniform":             "be50e2ed5a6fd84d",
+	"diff/bipartite-loguniform/1/centralized":   "2215e313392bb86b",
+	"diff/bipartite-loguniform/1/local-uniform": "4a6bc3cac7646d9b",
 	"diff/bipartite-loguniform/1/mpc":           "8fee41fd4d776047",
 	"diff/bipartite-loguniform/1/mpc-compress":  "8fee41fd4d776047",
+	"diff/bipartite-loguniform/2/centralized":   "158aa11081117fcb",
+	"diff/bipartite-loguniform/2/local-uniform": "86c10d2193fe3f24",
 	"diff/bipartite-loguniform/2/mpc":           "c8d8fb51df031eb8",
 	"diff/bipartite-loguniform/2/mpc-compress":  "c8d8fb51df031eb8",
+	"diff/bipartite-loguniform/3/centralized":   "84e583dc4fd7c2b9",
+	"diff/bipartite-loguniform/3/local-uniform": "5af93c190019e040",
 	"diff/bipartite-loguniform/3/mpc":           "a08eb118f0dd13c5",
 	"diff/bipartite-loguniform/3/mpc-compress":  "a08eb118f0dd13c5",
+	"diff/gnp-uniform/1/centralized":            "be1fc75bf7bc54bb",
+	"diff/gnp-uniform/1/local-uniform":          "ab03a3d6211c520f",
 	"diff/gnp-uniform/1/mpc":                    "ad3e6b563c7be83b",
 	"diff/gnp-uniform/1/mpc-compress":           "ad3e6b563c7be83b",
+	"diff/gnp-uniform/2/centralized":            "116364092e8be14b",
+	"diff/gnp-uniform/2/local-uniform":          "f951562fcf0a71f9",
 	"diff/gnp-uniform/2/mpc":                    "dbf04b88490ee94d",
 	"diff/gnp-uniform/2/mpc-compress":           "dbf04b88490ee94d",
+	"diff/gnp-uniform/3/centralized":            "93c0188b35cfc417",
+	"diff/gnp-uniform/3/local-uniform":          "87b1ee0c3269e7c9",
 	"diff/gnp-uniform/3/mpc":                    "4be3192c80004050",
 	"diff/gnp-uniform/3/mpc-compress":           "4be3192c80004050",
+	"diff/powerlaw-exp/1/centralized":           "0b35a22825db120f",
+	"diff/powerlaw-exp/1/local-uniform":         "2e80169400909a3f",
 	"diff/powerlaw-exp/1/mpc":                   "6aa2ad60c9a7e1d0",
 	"diff/powerlaw-exp/1/mpc-compress":          "6aa2ad60c9a7e1d0",
+	"diff/powerlaw-exp/2/centralized":           "b9b5960501f46740",
+	"diff/powerlaw-exp/2/local-uniform":         "c76f2d716ccc29d9",
 	"diff/powerlaw-exp/2/mpc":                   "87c995676e6665ba",
 	"diff/powerlaw-exp/2/mpc-compress":          "87c995676e6665ba",
+	"diff/powerlaw-exp/3/centralized":           "e5ccd99c3b35a296",
+	"diff/powerlaw-exp/3/local-uniform":         "cc23a9a1d7c8fc78",
 	"diff/powerlaw-exp/3/mpc":                   "6fe9cc06b4634628",
 	"diff/powerlaw-exp/3/mpc-compress":          "6fe9cc06b4634628",
+	"diff/regular-unit/1/centralized":           "6c8103cadfce510c",
+	"diff/regular-unit/1/local-uniform":         "2586e0984be6e788",
 	"diff/regular-unit/1/mpc":                   "8f754c5417871adb",
 	"diff/regular-unit/1/mpc-compress":          "8f754c5417871adb",
+	"diff/regular-unit/2/centralized":           "be03a0380fddc5d1",
+	"diff/regular-unit/2/local-uniform":         "a4fd935b1a174fb2",
 	"diff/regular-unit/2/mpc":                   "19a018e13b49136b",
 	"diff/regular-unit/2/mpc-compress":          "19a018e13b49136b",
+	"diff/regular-unit/3/centralized":           "1353ef7878d32155",
+	"diff/regular-unit/3/local-uniform":         "abb6bc22c911a85c",
 	"diff/regular-unit/3/mpc":                   "b64684044265f2f3",
 	"diff/regular-unit/3/mpc-compress":          "b64684044265f2f3",
+	"diff/smallworld-degree/1/centralized":      "0027bec734dda70a",
+	"diff/smallworld-degree/1/local-uniform":    "1473061f8fadd83e",
 	"diff/smallworld-degree/1/mpc":              "358b80ea83509e69",
 	"diff/smallworld-degree/1/mpc-compress":     "358b80ea83509e69",
+	"diff/smallworld-degree/2/centralized":      "93e086c00e0d7464",
+	"diff/smallworld-degree/2/local-uniform":    "7fdf44d01032a1ef",
 	"diff/smallworld-degree/2/mpc":              "8016055aee1d5407",
 	"diff/smallworld-degree/2/mpc-compress":     "8016055aee1d5407",
+	"diff/smallworld-degree/3/centralized":      "4c5b2154fa335137",
+	"diff/smallworld-degree/3/local-uniform":    "d3cb4dde0840265b",
 	"diff/smallworld-degree/3/mpc":              "7505b985640cf672",
 	"diff/smallworld-degree/3/mpc-compress":     "7505b985640cf672",
 	"paper/gnp-uniform/1/mpc":                   "70f33f96493c9995",
@@ -336,16 +371,16 @@ func TestGoldenDigests(t *testing.T) {
 		fams = append(fams, family{"diff/" + f.name, f.gen, f.n, f.d, f.weights})
 	}
 	for _, f := range fams {
-		seeds := diffSeeds
+		seeds, solvers := diffSeeds, []string{"mpc", "mpc-compress", "centralized", "local-uniform"}
 		if f.name[:4] != "diff" {
-			seeds = compressSeeds
+			seeds, solvers = compressSeeds, algos
 		}
 		for _, seed := range seeds {
 			g, err := cli.BuildGraph(f.gen, f.n, f.d, f.weights, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, algo := range algos {
+			for _, algo := range solvers {
 				name := f.name + "/" + string(rune('0'+seed)) + "/" + algo
 				got[name] = registryDigest(t, algo, g, solver.Config{Epsilon: 0.1, Seed: seed})
 			}
