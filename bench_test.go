@@ -98,13 +98,28 @@ func BenchmarkAlgorithmMPC(b *testing.B) {
 	}
 }
 
+// BenchmarkAlgorithmCentralized times Algorithm 1 alone. n10k_d16 is the
+// serve-mixed benchmark's graph shape, G(10000, 16) with uniform weights in
+// [1, 100); below the switch-over Algorithm 1 is the whole mpc solve there.
 func BenchmarkAlgorithmCentralized(b *testing.B) {
-	g := benchGraph(16000, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := centralized.Run(context.Background(), centralized.Instance{G: g}, centralized.Options{Epsilon: 0.1, Seed: uint64(i) + 1}); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []struct {
+		name string
+		n    int
+		d    float64
+	}{
+		{"n16k_d64", 16000, 64},
+		{"n10k_d16", 10000, 16},
+	} {
+		b.Run(size.name, func(b *testing.B) {
+			g := benchGraph(size.n, size.d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := centralized.Run(context.Background(), centralized.Instance{G: g}, centralized.Options{Epsilon: 0.1, Seed: uint64(i) + 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

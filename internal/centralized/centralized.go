@@ -48,6 +48,8 @@ const (
 	InitUniform
 )
 
+// String returns the policy's name: "degree-aware", "uniform", or
+// "InitPolicy(n)" for a value outside the two.
 func (p InitPolicy) String() string {
 	switch p {
 	case InitDegreeAware:
@@ -125,11 +127,9 @@ type Result struct {
 	Cover []bool
 	// X holds the final dual variables (a feasible fractional matching).
 	X []float64
-	// FreezeIter[v] is the iteration at which v froze, or -1.
+	// FreezeIter[v] is the iteration at which v froze, or -1. An edge froze
+	// with the earlier of its endpoints.
 	FreezeIter []int
-	// EdgeFreezeIter[e] is the iteration at which e froze, or -1 if e was
-	// still active when Options.StopAfter ended the run.
-	EdgeFreezeIter []int
 	// Iterations is the number of executed iterations of the main loop
 	// (equivalently: rounds when the algorithm is read as a LOCAL/PRAM
 	// baseline, one iteration per communication round).
@@ -152,9 +152,13 @@ func DeriveX0(g *graph.Graph, policy InitPolicy) ([]float64, error) {
 	x0 := make([]float64, g.NumEdges())
 	switch policy {
 	case InitDegreeAware:
+		// w(v)/d(v) once per vertex; an isolated vertex's +Inf is never read.
+		share := make([]float64, len(w))
+		for v := range share {
+			share[v] = w[v] / float64(g.Degree(graph.Vertex(v)))
+		}
 		for e := range x0 {
-			u, v := ep[2*e], ep[2*e+1]
-			x0[e] = min(w[u]/float64(g.Degree(u)), w[v]/float64(g.Degree(v)))
+			x0[e] = min(share[ep[2*e]], share[ep[2*e+1]])
 		}
 	case InitUniform:
 		// x_e = w_min/n is feasible: Σ_{e∋v} x_e ≤ d(v)·w_min/n ≤ w_min ≤ w(v).
@@ -186,19 +190,18 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 	}
 	n, m := g.NumVertices(), g.NumEdges()
 	w := g.Weights()
-	active := make([]bool, n)
-	for v := range active {
-		active[v] = true
-	}
 
-	x0 := inst.X0
-	if x0 == nil {
+	// x is DeriveX0's fresh vector; a caller's X0 is copied, never written.
+	x := inst.X0
+	if x == nil {
 		var err error
-		if x0, err = DeriveX0(g, opts.Init); err != nil {
+		if x, err = DeriveX0(g, opts.Init); err != nil {
 			return nil, err
 		}
-	} else if len(x0) != m {
-		return nil, fmt.Errorf("centralized: X0 length %d, want %d", len(x0), m)
+	} else if len(x) != m {
+		return nil, fmt.Errorf("centralized: X0 length %d, want %d", len(x), m)
+	} else {
+		x = slices.Clone(x)
 	}
 
 	threshold := opts.Threshold
@@ -208,28 +211,21 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 
 	growth := 1 / (1 - opts.Epsilon)
 
-	// Edge activity and the incremental incident sums.
+	// The incremental incident sums:
 	// yActive[v] = Σ over active incident edges of the *current* x_e;
 	// yFrozen[v] = Σ over frozen incident edges of their final x_e.
-	x := make([]float64, m)
-	edgeActive := make([]bool, m)
-	edgeFreeze := make([]int, m)
+	ep := g.EdgeEndpoints()
 	yActive := make([]float64, n)
 	yFrozen := make([]float64, n)
-	activeEdges := 0
 	maxRatio := 1.0
-	for e := 0; e < m; e++ {
-		edgeFreeze[e] = -1
-		u, v := g.Edge(graph.EdgeID(e))
-		if !(x0[e] > 0) {
-			return nil, fmt.Errorf("centralized: initial x[%d] = %v, want positive", e, x0[e])
+	for e, xe := range x {
+		u, v := ep[2*e], ep[2*e+1]
+		if !(xe > 0) {
+			return nil, fmt.Errorf("centralized: initial x[%d] = %v, want positive", e, xe)
 		}
-		x[e] = x0[e]
-		edgeActive[e] = true
-		activeEdges++
-		yActive[u] += x0[e]
-		yActive[v] += x0[e]
-		if r := math.Min(w[u], w[v]) / x0[e]; r > maxRatio {
+		yActive[u] += xe
+		yActive[v] += xe
+		if r := min(w[u], w[v]) / xe; r > maxRatio {
 			maxRatio = r
 		}
 	}
@@ -248,12 +244,27 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 	}
 
 	res := &Result{
-		Cover:          make([]bool, n),
-		FreezeIter:     make([]int, n),
-		EdgeFreezeIter: edgeFreeze,
+		Cover:      make([]bool, n),
+		FreezeIter: make([]int, n),
 	}
 	for v := range res.FreezeIter {
 		res.FreezeIter[v] = -1
+	}
+
+	// live holds the active (unfrozen) vertices and edges the active edges,
+	// both in increasing id order. Each growth step drops what froze and
+	// keeps the order: the freeze list follows it, and the freeze walk's
+	// float sums depend on the freeze list's order (run_ref_test.go pins
+	// every bit against a sweep over all ids).
+	live := make([]graph.Vertex, n)
+	for v := range live {
+		live[v] = graph.Vertex(v)
+	}
+	edges := make([]graph.EdgeID, m)
+	edgeActive := make([]bool, m)
+	for e := range edges {
+		edges[e] = graph.EdgeID(e)
+		edgeActive[e] = true
 	}
 
 	// frozenDualSum tracks Σ x_e over frozen (finalized) edges for observer
@@ -261,7 +272,7 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 	frozenDualSum := 0.0
 	var freezeList []graph.Vertex
 	t := 0
-	for ; activeEdges > 0; t++ {
+	for ; len(edges) > 0; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -269,9 +280,9 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 			break
 		}
 		if t >= maxIter {
-			return nil, fmt.Errorf("centralized: no termination after %d iterations (%d active edges remain)", t, activeEdges)
+			return nil, fmt.Errorf("centralized: no termination after %d iterations (%d active edges remain)", t, len(edges))
 		}
-		res.ActiveEdgesPerIter = append(res.ActiveEdgesPerIter, activeEdges)
+		res.ActiveEdgesPerIter = append(res.ActiveEdgesPerIter, len(edges))
 		if opts.RecordTrace {
 			snap := make([]float64, n)
 			for v := 0; v < n; v++ {
@@ -282,27 +293,24 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 
 		// Line (4a): simultaneous freeze test against start-of-iteration y.
 		freezeList = freezeList[:0]
-		for v := 0; v < n; v++ {
-			if active[v] && yActive[v]+yFrozen[v] >= threshold(graph.Vertex(v), t)*w[v] {
-				freezeList = append(freezeList, graph.Vertex(v))
+		for _, v := range live {
+			if yActive[v]+yFrozen[v] >= threshold(v, t)*w[v] {
+				freezeList = append(freezeList, v)
 			}
 		}
 		for _, v := range freezeList {
-			active[v] = false
 			res.Cover[v] = true
 			res.FreezeIter[v] = t
 		}
 		for _, v := range freezeList {
-			ids := g.IncidentEdges(v)
-			for _, e := range ids {
+			nbrs := g.Neighbors(v)
+			for i, e := range g.IncidentEdges(v) {
 				if !edgeActive[e] {
 					continue
 				}
 				edgeActive[e] = false
-				edgeFreeze[e] = t
-				activeEdges--
 				frozenDualSum += x[e]
-				u := g.Other(e, v)
+				u := nbrs[i]
 				// Move the edge's weight from the active to the frozen sum of
 				// the surviving endpoint (and of v itself, harmlessly).
 				yActive[u] -= x[e]
@@ -313,23 +321,31 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 		}
 
 		// Lines (4b)/(4c): active edges grow by 1/(1−ε); frozen stay.
-		if activeEdges > 0 {
-			for e := 0; e < m; e++ {
-				if edgeActive[e] {
-					x[e] *= growth
-				}
+		k := 0
+		for _, e := range edges {
+			if edgeActive[e] {
+				x[e] *= growth
+				edges[k] = e
+				k++
 			}
-			for v := 0; v < n; v++ {
-				if active[v] {
+		}
+		edges = edges[:k]
+		if len(edges) > 0 {
+			k = 0
+			for _, v := range live {
+				if !res.Cover[v] {
 					yActive[v] *= growth
+					live[k] = v
+					k++
 				}
 			}
+			live = live[:k]
 		}
 		solver.Emit(opts.Observer, solver.Event{
 			Kind:        solver.KindRound,
 			Phase:       -1,
 			Round:       t + 1,
-			ActiveEdges: int64(activeEdges),
+			ActiveEdges: int64(len(edges)),
 			DualBound:   frozenDualSum,
 		})
 	}

@@ -296,20 +296,25 @@ func TestActiveEdgeTraceMonotone(t *testing.T) {
 	}
 }
 
+// TestFreezeIterConsistency checks that an edge froze with the earlier of
+// its endpoints: growth multiplies x_e by 1/(1−ε) once per iteration before
+// that, so x_e is x0_e grown exactly t* times, bit for bit.
 func TestFreezeIterConsistency(t *testing.T) {
 	g := gen.ApplyWeights(gen.Gnp(7, 120, 0.08), 3, gen.UniformRange{Lo: 1, Hi: 9})
-	res := run(t, g, defaultOpts())
+	opts := defaultOpts()
+	res := run(t, g, opts)
+	x0, err := DeriveX0(g, opts.Init)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := 0; v < g.NumVertices(); v++ {
 		if res.Cover[v] != (res.FreezeIter[v] >= 0) {
 			t.Fatalf("vertex %d cover/freeze mismatch", v)
 		}
 	}
+	growth := 1 / (1 - opts.Epsilon)
 	for e := 0; e < g.NumEdges(); e++ {
 		u, v := g.Edge(graph.EdgeID(e))
-		fe := res.EdgeFreezeIter[e]
-		if fe < 0 {
-			t.Fatalf("edge %d never froze", e)
-		}
 		fu, fv := res.FreezeIter[u], res.FreezeIter[v]
 		earliest := -1
 		if fu >= 0 {
@@ -318,8 +323,15 @@ func TestFreezeIterConsistency(t *testing.T) {
 		if fv >= 0 && (earliest < 0 || fv < earliest) {
 			earliest = fv
 		}
-		if fe != earliest {
-			t.Fatalf("edge %d froze at %d, endpoints froze at %d/%d", e, fe, fu, fv)
+		if earliest < 0 {
+			t.Fatalf("edge %d never froze", e)
+		}
+		want := x0[e]
+		for range earliest {
+			want *= growth
+		}
+		if math.Float64bits(res.X[e]) != math.Float64bits(want) {
+			t.Fatalf("edge %d: x = %v, want x0 grown %d times = %v (endpoints froze at %d/%d)", e, res.X[e], earliest, want, fu, fv)
 		}
 	}
 }
