@@ -52,11 +52,11 @@ fmt:
 	gofmt -w .
 
 # Documentation gate: markdown link integrity and doc-comment coverage for
-# the documented packages (cmd/mwvc-docs docPackages: internal/graph,
-# internal/centralized, internal/mpc, internal/reduce, internal/improve,
-# internal/pdfast, internal/compress, internal/solver, internal/serve,
-# internal/fault, internal/lint). Depends on lint rather than running vet
-# again. Run by the CI docs job.
+# the documented packages (cmd/mwvc-docs docPackages: the root facade
+# package, internal/graph, internal/centralized, internal/mpc,
+# internal/reduce, internal/improve, internal/pdfast, internal/compress,
+# internal/solver, internal/serve, internal/fault, internal/lint). Depends
+# on lint rather than running vet again. Run by the CI docs job.
 docs-check: lint
 	$(GO) run ./cmd/mwvc-docs
 

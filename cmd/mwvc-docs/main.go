@@ -5,12 +5,12 @@
 //  1. Markdown link integrity: every relative link in the repository's
 //     *.md files must point at an existing file (anchors and external
 //     URLs are not checked).
-//  2. Doc-comment coverage: the packages in docPackages (internal/graph,
-//     internal/centralized, internal/mpc, internal/reduce, internal/improve,
-//     internal/pdfast, internal/compress, internal/solver, internal/serve,
-//     internal/fault, internal/lint) must have a package comment and a doc
-//     comment on every exported top-level identifier, so their `go doc`
-//     output stays useful.
+//  2. Doc-comment coverage: the packages in docPackages (the root facade
+//     package mwvc, internal/graph, internal/centralized, internal/mpc,
+//     internal/reduce, internal/improve, internal/pdfast, internal/compress,
+//     internal/solver, internal/serve, internal/fault, internal/lint) must
+//     have a package comment and a doc comment on every exported top-level
+//     identifier, so their `go doc` output stays useful.
 //
 // It prints one line per finding and exits nonzero if there are any.
 //
@@ -30,8 +30,10 @@ import (
 	"strings"
 )
 
-// docPackages are the packages whose go doc output the docs job guards.
+// docPackages are the packages whose go doc output the docs job guards;
+// "." is the public facade.
 var docPackages = []string{
+	".",
 	"internal/graph",
 	"internal/centralized",
 	"internal/mpc",

@@ -267,13 +267,36 @@ func registryDigest(t *testing.T, algo string, g *graph.Graph, cfg solver.Config
 
 // pipelineDigest solves g through the facade with reduction on and
 // fingerprints the lifted solution and the reduction counts (the reduce time
-// is left out: it is a measurement, not an output).
+// is left out: it is a measurement, not an output). It then solves g twice
+// more through one shared Kernel, which the first of those fills and the
+// second takes, and requires both to give the same digest.
 func pipelineDigest(t *testing.T, algo string, g *graph.Graph, seed uint64) string {
 	t.Helper()
-	sol, err := mwvc.Solve(context.Background(), g, mwvc.WithAlgorithm(mwvc.Algorithm(algo)),
-		mwvc.WithEpsilon(0.1), mwvc.WithSeed(seed))
+	digest := pipelineSolveDigest(t, algo, g, seed, nil, false)
+	var k mwvc.Kernel
+	for i, run := range []string{"filling", "taking"} {
+		if d := pipelineSolveDigest(t, algo, g, seed, &k, i == 1); d != digest {
+			t.Errorf("%s seed %d: digest %s %s a Kernel, %s without", algo, seed, d, run, digest)
+		}
+	}
+	return digest
+}
+
+// pipelineSolveDigest is one solve of pipelineDigest, through k when k is
+// non-nil. A solve that takes the stored kernel (took) must report
+// ReduceNS 0, and any other the time it spent reducing.
+func pipelineSolveDigest(t *testing.T, algo string, g *graph.Graph, seed uint64, k *mwvc.Kernel, took bool) string {
+	t.Helper()
+	opts := []mwvc.Option{mwvc.WithAlgorithm(mwvc.Algorithm(algo)), mwvc.WithEpsilon(0.1), mwvc.WithSeed(seed)}
+	if k != nil {
+		opts = append(opts, mwvc.WithKernel(k))
+	}
+	sol, err := mwvc.Solve(context.Background(), g, opts...)
 	if err != nil {
 		t.Fatalf("%s: %v", algo, err)
+	}
+	if (sol.Reduction.ReduceNS == 0) != took {
+		t.Errorf("%s seed %d: ReduceNS %d; want 0 exactly when the solve takes the stored kernel", algo, seed, sol.Reduction.ReduceNS)
 	}
 	d := newDigester()
 	d.solve(sol.Cover, nil, sol.Rounds, sol.Phases, nil)

@@ -64,6 +64,8 @@ type Stats struct {
 
 	// ReduceNS is the wall-clock time of Run alone, filled by the pipeline
 	// that invoked it. A solve the pipeline runs beside Run is not in it.
+	// It is 0 when the pipeline took a kernel stored in a solver.Kernel
+	// instead of calling Run, and at least 1 when Run ran.
 	ReduceNS int64 `json:"reduce_ns,omitempty"`
 }
 

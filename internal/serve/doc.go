@@ -12,7 +12,8 @@
 // control (backpressure via ErrQueueFull), resource partitioning (Workers
 // × SolverParallelism ≈ GOMAXPROCS) and result reuse (the cache keyed by
 // graph hash + solve parameters — solves are deterministic given a seed,
-// so a cached solution is indistinguishable from a fresh one).
+// so a cached solution is indistinguishable from a fresh one — and each
+// stored graph's kernel, shared by all of its fresh solves).
 //
 // # Pieces
 //
@@ -20,7 +21,10 @@
 //     (queued → running → done|failed), per-request observer fan-out.
 //   - GraphStore (store.go): graphs keyed by "sha256:" of their canonical
 //     serialization (docs/FORMATS.md §content-hash canonicalization), so
-//     repeat uploads and solve requests never re-parse an instance.
+//     repeat uploads and solve requests never re-parse an instance. Each
+//     stored graph keeps its kernel (mwvc.Kernel): only the first
+//     successful solve with reduction on runs the reduction rules, and
+//     later solves of the graph take the stored kernel.
 //   - Durable store (diskstore.go): with Config.DataDir, uploads are
 //     fsynced to disk (atomic temp → rename) before they are
 //     acknowledged, and a startup recovery scan rebuilds the index —

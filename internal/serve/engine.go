@@ -43,8 +43,9 @@ type Config struct {
 	// MaxTraceEvents bounds the per-request trace buffer; events beyond it
 	// are counted but not retained (default 65536).
 	MaxTraceEvents int
-	// MaxCacheEntries bounds the solution cache; when full an arbitrary
-	// entry is evicted to admit the new one (default 4096).
+	// MaxCacheEntries bounds the solution cache; when full the entry with
+	// the smallest key, under a total order on keys, is evicted to admit
+	// the new one (default 4096).
 	MaxCacheEntries int
 	// RetainRequests bounds how many finished requests stay addressable for
 	// GET /v1/solve/{id} after completion (default 1024, FIFO eviction).
@@ -967,6 +968,8 @@ func (e *Engine) run(req *Request) {
 	}
 	if p.NoReduce {
 		opts = append(opts, mwvc.WithoutReduction())
+	} else {
+		opts = append(opts, mwvc.WithKernel(&sg.kernel))
 	}
 	if p.ImproveBudgetMS > 0 {
 		opts = append(opts, mwvc.WithImprovement(time.Duration(p.ImproveBudgetMS)*time.Millisecond))
@@ -986,6 +989,9 @@ func (e *Engine) run(req *Request) {
 	if err == nil && sol.Reduction != nil {
 		r := sol.Reduction
 		e.met.reduceCount.Add(1)
+		if r.ReduceNS == 0 { // the stored graph's kernel stood in for the reduction
+			e.met.reduceReused.Add(1)
+		}
 		e.met.reduceNanos.Add(r.ReduceNS)
 		e.met.reduceVerticesRemoved.Add(int64(r.OriginalVertices - r.KernelVertices))
 		e.met.reduceEdgesRemoved.Add(int64(r.OriginalEdges - r.KernelEdges))
@@ -1066,8 +1072,10 @@ type engineMetrics struct {
 	// ran the reduction stage. Failed solves are excluded by necessity, not
 	// by choice: the stats travel on the Solution, which an errored
 	// mwvc.Solve does not return. Cache hits re-run nothing and are
-	// likewise excluded.
+	// likewise excluded. reduceReused counts the solves among them that
+	// took their stored graph's kernel, which add 0 to reduceNanos.
 	reduceCount           atomic.Int64
+	reduceReused          atomic.Int64
 	reduceNanos           atomic.Int64
 	reduceVerticesRemoved atomic.Int64
 	reduceEdgesRemoved    atomic.Int64

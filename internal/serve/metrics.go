@@ -52,7 +52,10 @@ type Metrics struct {
 	// the reduction stage (requests submitted with NoReduce, failed solves
 	// — whose stats are lost with the errored solve — and cache hits
 	// excluded; unlike SolveSeconds, which deliberately includes failures).
+	// ReduceReused counts those that took their stored graph's kernel
+	// instead of reducing; ReduceSeconds sums only the reductions that ran.
 	ReduceCount           int64
+	ReduceReused          int64
 	ReduceSeconds         float64
 	ReduceVerticesRemoved int64
 	ReduceEdgesRemoved    int64
@@ -92,6 +95,7 @@ func (e *Engine) Metrics() Metrics {
 		SolveSeconds:  time.Duration(e.met.solveNanos.Load()).Seconds(),
 
 		ReduceCount:           e.met.reduceCount.Load(),
+		ReduceReused:          e.met.reduceReused.Load(),
 		ReduceSeconds:         time.Duration(e.met.reduceNanos.Load()).Seconds(),
 		ReduceVerticesRemoved: e.met.reduceVerticesRemoved.Load(),
 		ReduceEdgesRemoved:    e.met.reduceEdgesRemoved.Load(),
@@ -153,8 +157,9 @@ func WriteMetrics(w io.Writer, m Metrics) error {
 		{"mwvc_observer_events_total", "Observer events fanned into the metrics stream.", "counter", float64(m.EventsTotal)},
 		{"mwvc_solve_seconds_sum", "Total wall-clock seconds spent solving (failed solves included).", "counter", m.SolveSeconds},
 		{"mwvc_solve_seconds_count", "Solver executions timed, successful or failed (cache hits excluded).", "counter", float64(m.SolveCount)},
-		{"mwvc_reduce_total", "Successful solver executions that ran the kernelization stage.", "counter", float64(m.ReduceCount)},
-		{"mwvc_reduce_seconds_sum", "Total wall-clock seconds spent kernelizing (successful solves).", "counter", m.ReduceSeconds},
+		{"mwvc_reduce_total", "Successful solver executions that ran the kernelization stage, reused kernels included.", "counter", float64(m.ReduceCount)},
+		{"mwvc_reduce_reused_total", "Successful solver executions that took their stored graph's kernel instead of reducing.", "counter", float64(m.ReduceReused)},
+		{"mwvc_reduce_seconds_sum", "Total wall-clock seconds spent kernelizing (successful solves; only reductions that ran).", "counter", m.ReduceSeconds},
 		{"mwvc_reduce_vertices_removed_total", "Vertices removed by kernelization across successful solves.", "counter", float64(m.ReduceVerticesRemoved)},
 		{"mwvc_reduce_edges_removed_total", "Edges removed by kernelization across successful solves.", "counter", float64(m.ReduceEdgesRemoved)},
 		{"mwvc_improve_total", "Successful solver executions that ran the anytime improvement stage.", "counter", float64(m.ImproveCount)},

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -508,29 +510,49 @@ func TestRequestRetention(t *testing.T) {
 	}
 }
 
+// solveFresh submits one solve to e, waits for it, and requires a solver
+// execution rather than a cache hit.
+func solveFresh(t *testing.T, e *Engine, p SolveParams) *mwvc.Solution {
+	t.Helper()
+	req, err := e.Submit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := req.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sol, err := req.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.IsCached() {
+		t.Fatalf("%+v answered from cache on first submission", p)
+	}
+	return sol
+}
+
+// sameSolution reports whether a and b agree on every output bit, the
+// reduce time aside.
+func sameSolution(a, b *mwvc.Solution) bool {
+	ca, cb := *a, *b
+	ra, rb := *a.Reduction, *b.Reduction
+	ra.ReduceNS, rb.ReduceNS = 0, 0
+	ca.Reduction, cb.Reduction = &ra, &rb
+	return reflect.DeepEqual(ca, cb) &&
+		math.Float64bits(a.Weight) == math.Float64bits(b.Weight) &&
+		math.Float64bits(a.Bound) == math.Float64bits(b.Bound)
+}
+
 func TestReductionCacheKeyAndMetrics(t *testing.T) {
 	// The same (graph, algorithm, ε, seed) tuple with and without reduction
 	// is two different solves: the kernelized run must not be answered from
 	// the raw run's cache entry, and vice versa — only true repeats hit.
 	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 8})
-	hash := addGraph(t, e, testGraph(t, 3, 60, 3)) // sparse: reduction bites
+	g := testGraph(t, 3, 60, 3) // sparse: reduction bites
+	hash := addGraph(t, e, g)
 	run := func(noReduce bool) *mwvc.Solution {
 		t.Helper()
-		req, err := e.Submit(SolveParams{GraphHash: hash, Algorithm: "mpc", Seed: 5, NoReduce: noReduce})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := req.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		sol, err := req.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if req.IsCached() {
-			t.Fatalf("noReduce=%v answered from cache on first submission", noReduce)
-		}
-		return sol
+		return solveFresh(t, e, SolveParams{GraphHash: hash, Algorithm: "mpc", Seed: 5, NoReduce: noReduce})
 	}
 	reduced := run(false)
 	raw := run(true)
@@ -566,6 +588,35 @@ func TestReductionCacheKeyAndMetrics(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "mwvc_reduce_total 1") {
 		t.Fatalf("Prometheus exposition lacks mwvc_reduce_total:\n%s", b.String())
+	}
+
+	// A third fresh solve of the graph, with another seed, takes the kernel
+	// the first one stored: it adds to the reduce count but no reduce time,
+	// and its result is the fresh engine's bit for bit.
+	p := SolveParams{GraphHash: hash, Algorithm: "mpc", Seed: 6}
+	reused := solveFresh(t, e, p)
+	m2 := e.Metrics()
+	if m2.ReduceCount != 2 || m2.ReduceReused != 1 || m2.ReduceSeconds != m.ReduceSeconds {
+		t.Fatalf("reduce count %d, reused %d, seconds %v→%v; want 2, 1 and unchanged",
+			m2.ReduceCount, m2.ReduceReused, m.ReduceSeconds, m2.ReduceSeconds)
+	}
+	if reused.Reduction == nil || reused.Reduction.ReduceNS != 0 {
+		t.Fatalf("reduction stats of the reused kernel: %+v", reused.Reduction)
+	}
+	e2 := newTestEngine(t, Config{Workers: 1, QueueDepth: 8})
+	want := solveFresh(t, e2, SolveParams{GraphHash: addGraph(t, e2, g), Algorithm: "mpc", Seed: 6})
+	if want.Reduction.ReduceNS == 0 || e2.Metrics().ReduceReused != 0 {
+		t.Fatal("the fresh engine's first solve did not reduce")
+	}
+	if !sameSolution(reused, want) {
+		t.Fatalf("solve through the stored kernel %+v, fresh engine %+v", reused, want)
+	}
+	b.Reset()
+	if err := WriteMetrics(&b, m2); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\nmwvc_reduce_reused_total 1\n") {
+		t.Fatalf("Prometheus exposition lacks mwvc_reduce_reused_total:\n%s", b.String())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	mwvc "repro"
 	"repro/internal/graph"
 )
 
@@ -24,18 +25,28 @@ func HashGraph(g *graph.Graph) (string, error) {
 	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// StoredGraph is a graph held by the store under its content hash.
+// StoredGraph is a graph held by the store under its content hash, with
+// the slot that keeps its reduction for every solve after the first.
 type StoredGraph struct {
 	Hash     string
 	Graph    *graph.Graph
 	Vertices int
 	Edges    int
+
+	kernel mwvc.Kernel
 }
 
 // GraphStore is the content-addressed graph repository behind POST
 // /v1/graphs: clients upload a graph once and refer to it by hash in any
 // number of solve requests, so repeated solves of the same instance never
 // re-upload (or re-parse) it. All methods are safe for concurrent use.
+//
+// Each stored graph also keeps its kernel (mwvc.Kernel): the engine reduces
+// a graph on its first successful solve with reduction on, and every later
+// solve, whatever its algorithm, seed, ε or budget, takes that kernel. The
+// store never evicts and holds at most max graphs, so it keeps at most one
+// kernel per stored graph; an irreducible graph's kernel is the graph
+// itself and costs only its reduction stats.
 //
 // A store opened with OpenGraphStore is additionally durable: every Add is
 // spilled to dir as an "mwvc-el 1" file named by the graph's sha256 digest

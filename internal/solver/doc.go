@@ -26,6 +26,12 @@
 // solve stage would make next, so its result is used and every output bit
 // is the same as solving after reduce.
 //
+// A Kernel slot, set as Pipeline.Kernel, keeps one graph's reduction for
+// the runs after the first: a caller that solves one graph many times
+// (the solve service does, under many seeds and algorithms) reduces it
+// once. The caller owns the slot and so decides how long the kernel stays
+// in memory; the pipeline itself keeps nothing between runs.
+//
 // The package sits below every algorithm package (it imports only
 // internal/graph, internal/reduce and internal/verify), which is what lets
 // the algorithm packages both implement the interface and emit Observer

@@ -60,6 +60,11 @@ type Pipeline struct {
 	// kernelization stage and KindImproveStart/Step/End events from the
 	// improvement stage; its ImproveBudget enables that stage.
 	Config Config
+	// Kernel, when non-nil and Reduce is set, remembers the input's
+	// reduction across runs: an empty slot is filled by the first
+	// successful reduction, and a filled one replaces the reduce stage.
+	// It must only ever be used with one graph.
+	Kernel *Kernel
 }
 
 // Run executes the pipeline on g. The returned Result is fully verified
@@ -77,6 +82,11 @@ type Pipeline struct {
 // every path Run waits for the overlap's goroutine before the kernel solve
 // starts or Run returns, and a discarded overlap's error or panic is
 // dropped, as the solve it stands for never runs.
+//
+// With a filled Kernel, Run skips reduce.Run and the overlap: it emits the
+// same reduce events and solves, lifts and verifies from the stored kernel
+// and trace, with ReduceNS 0. A Kernel filled from another graph is an
+// error.
 func (p Pipeline) Run(ctx context.Context, g *graph.Graph) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -86,22 +96,31 @@ func (p Pipeline) Run(ctx context.Context, g *graph.Graph) (*Result, error) {
 	var stats *reduce.Stats
 	var spec *overlap // the solve of g beside reduce.Run, while it may be used
 	if p.Reduce {
-		Emit(p.Config.Observer, Event{Kind: KindReduceStart, Phase: -1, ActiveEdges: int64(g.NumEdges())})
-		var changed func()
-		if p.overlaps(g) {
-			spec = startOverlap(ctx, p.Solver, g, p.Config)
-			changed = spec.cancel // a rule fired: the kernel is not g
-		}
-		start := time.Now()
-		red, err := runReduce(ctx, g, changed)
+		red, err := p.Kernel.load(g)
 		if err != nil {
-			spec.discard()
 			return nil, err
+		}
+		Emit(p.Config.Observer, Event{Kind: KindReduceStart, Phase: -1, ActiveEdges: int64(g.NumEdges())})
+		var ns int64 // 0 when the stored kernel stands in for reduce.Run
+		if red == nil {
+			var changed func()
+			if p.overlaps(g) {
+				spec = startOverlap(ctx, p.Solver, g, p.Config)
+				changed = spec.cancel // a rule fired: the kernel is not g
+			}
+			start := time.Now()
+			if red, err = runReduce(ctx, g, changed); err != nil {
+				spec.discard()
+				return nil, err
+			}
+			// At least 1, so that 0 tells a taken kernel from a fast run.
+			ns = max(time.Since(start).Nanoseconds(), 1)
+			p.Kernel.store(g, red)
 		}
 		// Point at a copy: &red.Stats would keep the whole reduce.Result,
 		// kernel and trace included, alive in every returned Result.
 		st := red.Stats
-		st.ReduceNS = time.Since(start).Nanoseconds()
+		st.ReduceNS = ns
 		stats = &st
 		Emit(p.Config.Observer, Event{Kind: KindReduceEnd, Phase: -1, ActiveEdges: int64(red.Kernel.NumEdges())})
 		if red.Trace != nil {

@@ -134,7 +134,8 @@ func (k *kernelWatcher) Solve(_ context.Context, g *graph.Graph, _ Config) (*Out
 // TestPipelineResultDoesNotPinKernel holds a reduced solve's Result and
 // requires the kernel graph to be collectable: the reduction stats the
 // Result carries must not keep the whole reduce.Result (kernel and trace)
-// alive in every returned or cached solution.
+// alive in every returned or cached solution. A Kernel slot does keep it,
+// until the slot itself is dropped.
 func TestPipelineResultDoesNotPinKernel(t *testing.T) {
 	w := &kernelWatcher{}
 	res, err := Pipeline{Solver: w, Reduce: true}.Run(context.Background(), starPlusPath(t))
@@ -150,6 +151,22 @@ func TestPipelineResultDoesNotPinKernel(t *testing.T) {
 	}
 	if res.Reduction == nil || res.Reduction.KernelVertices != 4 {
 		t.Fatalf("reduction stats lost: %+v", res.Reduction)
+	}
+	runtime.KeepAlive(res)
+
+	slot := new(Kernel)
+	res, err = Pipeline{Solver: w, Reduce: true, Kernel: slot}.Run(context.Background(), starPlusPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if k := w.kernel.Value(); k == nil || k.NumVertices() != 4 {
+		t.Fatal("the filled slot does not keep its kernel graph")
+	}
+	runtime.KeepAlive(slot)
+	runtime.GC() // the slot is unreachable from here on
+	if w.kernel.Value() != nil {
+		t.Fatal("the kernel graph outlives its slot: the Result keeps it alive")
 	}
 	runtime.KeepAlive(res)
 }

@@ -219,6 +219,7 @@ type Option func(*settings)
 type settings struct {
 	algo   Algorithm
 	reduce bool
+	kernel *Kernel
 	cfg    solver.Config
 }
 
@@ -281,6 +282,26 @@ func WithReduction() Option {
 // bit. Solution.Reduction is nil on this path.
 func WithoutReduction() Option {
 	return func(s *settings) { s.reduce = false }
+}
+
+// Kernel is a slot that remembers one graph's reduction, so that repeated
+// solves of that graph under any algorithm, seed, ε or budget run the
+// kernelization stage once. Pass it with WithKernel. The zero Kernel is
+// empty and ready to use; it is safe for concurrent use and must not be
+// copied after first use. See internal/solver for the full contract.
+type Kernel = solver.Kernel
+
+// WithKernel lets the solve take g's reduction from k, or store it there.
+// With k empty, the solve reduces as usual and stores a successful result;
+// with k filled, it skips the reduction rules and solves, lifts and
+// verifies from the stored kernel, with Solution.Reduction.ReduceNS 0.
+// Every other output bit, and every observer event, is the same as
+// without the option. A Kernel serves one graph: solving
+// another graph through a filled k is an error. The slot keeps the kernel
+// alive for as long as k is reachable, which is why Solve keeps none of
+// its own. WithoutReduction leaves k untouched.
+func WithKernel(k *Kernel) Option {
+	return func(s *settings) { s.kernel = k }
 }
 
 // WithImprovement enables the anytime local-search improvement stage
@@ -458,7 +479,7 @@ func Solve(ctx context.Context, g *Graph, opts ...Option) (*Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := solver.Pipeline{Solver: reg.Solver, Reduce: s.reduce, Config: s.cfg}
+	p := solver.Pipeline{Solver: reg.Solver, Reduce: s.reduce, Config: s.cfg, Kernel: s.kernel}
 	res, err := p.Run(ctx, g)
 	if err != nil {
 		return nil, err

@@ -20,7 +20,10 @@ import (
 // the diff families, regular-unit passes the gate and stays irreducible
 // (the overlap is used), smallworld-degree passes and then reduces (it is
 // discarded), and the rest fail the gate. The dense case, G(3000, 200),
-// uses the overlap on the benchmark's large-d regime.
+// uses the overlap on the benchmark's large-d regime. The Kernel variant
+// fills one slot at parallelism 2, through the overlap where the gate
+// passes, and takes it at parallelism 1 and 2; those solves must agree
+// too.
 func TestOverlapBitIdentical(t *testing.T) {
 	type instance struct {
 		name string
@@ -45,28 +48,40 @@ func TestOverlapBitIdentical(t *testing.T) {
 
 	for _, c := range cases {
 		for _, algo := range []mwvc.Algorithm{mwvc.AlgoMPC, mwvc.AlgoMPCCompress, mwvc.AlgoPDFast} {
-			solve := func(par int) *mwvc.Solution {
-				sol, err := mwvc.Solve(context.Background(), c.g, mwvc.WithAlgorithm(algo),
-					mwvc.WithSeed(c.seed), mwvc.WithParallelism(par))
+			solve := func(par int, opts ...mwvc.Option) *mwvc.Solution {
+				sol, err := mwvc.Solve(context.Background(), c.g, append([]mwvc.Option{mwvc.WithAlgorithm(algo),
+					mwvc.WithSeed(c.seed), mwvc.WithParallelism(par)}, opts...)...)
 				if err != nil {
 					t.Fatalf("%s/%s at parallelism %d: %v", c.name, algo, par, err)
 				}
 				sol.Reduction.ReduceNS = 0 // a measurement, not an output
 				return sol
 			}
-			seq, par := solve(1), solve(2)
-			if math.Float64bits(seq.Weight) != math.Float64bits(par.Weight) ||
-				math.Float64bits(seq.Bound) != math.Float64bits(par.Bound) ||
-				seq.Rounds != par.Rounds || seq.Phases != par.Phases {
-				t.Fatalf("%s/%s: weight %v/%v bound %v/%v rounds %d/%d phases %d/%d at parallelism 1/2",
-					c.name, algo, seq.Weight, par.Weight, seq.Bound, par.Bound,
-					seq.Rounds, par.Rounds, seq.Phases, par.Phases)
-			}
-			if !reflect.DeepEqual(seq.Cover, par.Cover) {
-				t.Fatalf("%s/%s: covers differ at parallelism 1 and 2", c.name, algo)
-			}
-			if !reflect.DeepEqual(*seq.Reduction, *par.Reduction) {
-				t.Fatalf("%s/%s: reduction %+v at parallelism 1, %+v at 2", c.name, algo, *seq.Reduction, *par.Reduction)
+			var k mwvc.Kernel
+			seq := solve(1)
+			for _, v := range []struct {
+				name string
+				sol  *mwvc.Solution
+			}{
+				{"parallelism 2", solve(2)},
+				{"filling a Kernel at parallelism 2", solve(2, mwvc.WithKernel(&k))},
+				{"taking the Kernel at parallelism 1", solve(1, mwvc.WithKernel(&k))},
+				{"taking the Kernel at parallelism 2", solve(2, mwvc.WithKernel(&k))},
+			} {
+				par := v.sol
+				if math.Float64bits(seq.Weight) != math.Float64bits(par.Weight) ||
+					math.Float64bits(seq.Bound) != math.Float64bits(par.Bound) ||
+					seq.Rounds != par.Rounds || seq.Phases != par.Phases {
+					t.Fatalf("%s/%s: weight %v/%v bound %v/%v rounds %d/%d phases %d/%d at parallelism 1 and %s",
+						c.name, algo, seq.Weight, par.Weight, seq.Bound, par.Bound,
+						seq.Rounds, par.Rounds, seq.Phases, par.Phases, v.name)
+				}
+				if !reflect.DeepEqual(seq.Cover, par.Cover) {
+					t.Fatalf("%s/%s: covers differ at parallelism 1 and %s", c.name, algo, v.name)
+				}
+				if !reflect.DeepEqual(*seq.Reduction, *par.Reduction) {
+					t.Fatalf("%s/%s: reduction %+v at parallelism 1, %+v %s", c.name, algo, *seq.Reduction, *par.Reduction, v.name)
+				}
 			}
 		}
 	}
