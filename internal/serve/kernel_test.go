@@ -67,10 +67,11 @@ func TestKernelNotStoredAfterDeadline(t *testing.T) {
 	// More than 4096 vertices, so reduce polls its context at least once.
 	hash := addGraph(t, e, testGraph(t, 8, 5000, 4))
 	// The first observer event of the solve is reduce-start; stalling it
-	// past the deadline makes reduce run on an expired context.
+	// past the deadline makes reduce run on an expired context. The
+	// deadline leaves the idle worker ample time to start the solve.
 	restore := fault.Enable(fault.NewInjector(0, fault.Rule{
-		Point: fault.SolverStep, Every: 1, Limit: 1, Action: fault.ActDelay, Delay: 300 * time.Millisecond}))
-	p := SolveParams{GraphHash: hash, Algorithm: "mpc", Seed: 1, Timeout: 100 * time.Millisecond}
+		Point: fault.SolverStep, Every: 1, Limit: 1, Action: fault.ActDelay, Delay: 500 * time.Millisecond}))
+	p := SolveParams{GraphHash: hash, Algorithm: "mpc", Seed: 1, Timeout: 250 * time.Millisecond}
 	req, err := e.Submit(p)
 	if err != nil {
 		restore()
