@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-regress lint fmt tables serve docs-check readme-check
+.PHONY: all build test bench lint fmt tables serve docs-check readme-check
 
 all: lint test
 
@@ -19,23 +19,6 @@ test: lint
 # Per-algorithm micro-benchmarks plus the quick-mode experiment benches.
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
-
-# Refresh the tracked perf snapshot: rolls BENCH.json's current numbers into
-# its baseline and measures the fixed MPC workload matrix (ns/op, allocs/op,
-# words routed per round), the million-edge streaming tier, the
-# kernelization tier (reduce+solve vs solve-alone on a pendant-heavy
-# 1M-edge instance), and the anytime-improvement tier (mpc vs mpc+200ms
-# local-search budget on a million-edge G(n,p)).
-bench-json:
-	$(GO) run ./cmd/mwvc-bench -json BENCH.json
-
-# bench-json with the regression gate armed: fails on >1.5x ns/op or
-# allocs/op regressions against the snapshot's baseline, on the kernel
-# tier whenever reduce+solve does not beat solve-alone, and on the improve
-# tier whenever the 200ms budget buys no strictly lower weight. A failed
-# gate leaves BENCH.json untouched.
-bench-regress:
-	$(GO) run ./cmd/mwvc-bench -json BENCH.json -regress 1.5
 
 # The lint gate: go vet (its single run — test and docs-check depend on
 # this target instead of re-running it), gofmt cleanliness, and the

@@ -2,9 +2,9 @@ package mwvc_test
 
 // The benchmark harness exposes every experiment from internal/experiments
 // as a testing.B target (one per table/claim of the paper — see DESIGN.md's
-// per-experiment index) plus per-algorithm micro-benchmarks. The experiment
-// benches run the quick configuration; the full tables in EXPERIMENTS.md
-// come from `go run ./cmd/mwvc-bench`.
+// "Experiment index") plus per-algorithm micro-benchmarks. The experiment
+// benches run the quick configuration; the full-size tables come from
+// `go run ./cmd/mwvc-bench`.
 
 import (
 	"context"

@@ -1,14 +1,12 @@
-// Command mwvc-bench regenerates the evaluation tables in EXPERIMENTS.md.
-// Each experiment corresponds to one theorem or lemma of the paper (the
-// paper has no empirical tables of its own; DESIGN.md maps the claims).
+// Command mwvc-bench regenerates the evaluation tables of DESIGN.md's
+// "Experiment index". Each experiment corresponds to one theorem or lemma of
+// the paper (the paper has no empirical tables of its own).
 //
 //	mwvc-bench                 # run everything, full size
 //	mwvc-bench -quick          # reduced sizes (seconds instead of minutes)
 //	mwvc-bench -run E1,E4      # a subset
 //	mwvc-bench -list           # what exists
 //	mwvc-bench -csv out/       # additionally dump each table as CSV
-//	mwvc-bench -json BENCH.json        # write/roll the perf snapshot
-//	mwvc-bench -json BENCH.json -regress 1.3   # fail on >1.3x regressions
 package main
 
 import (
@@ -25,23 +23,13 @@ import (
 
 func main() {
 	var (
-		runIDs   = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
-		quick    = flag.Bool("quick", false, "reduced instance sizes")
-		seed     = flag.Uint64("seed", 1, "random seed for the whole suite")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
-		jsonPath = flag.String("json", "", "write a perf snapshot (ns/op, allocs/op, words per round) to this file and exit")
-		regress  = flag.Float64("regress", 0, "with -json: exit nonzero if ns/op or allocs/op regress beyond this factor vs the snapshot's baseline (0 = report only)")
+		runIDs = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
+		quick  = flag.Bool("quick", false, "reduced instance sizes")
+		seed   = flag.Uint64("seed", 1, "random seed for the whole suite")
+		list   = flag.Bool("list", false, "list experiments and exit")
+		csvDir = flag.String("csv", "", "also write each table as CSV into this directory")
 	)
 	flag.Parse()
-
-	if *jsonPath != "" {
-		if err := runPerfSnapshot(*jsonPath, *regress); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.All() {

@@ -9,14 +9,11 @@
 //     (O(log Δ) rounds) and the classic uniform x_e = 1/n (O(log nW)
 //     rounds, the "best known O(log n)" the paper improves on, cf. [KY09]);
 //   - greedy weighted vertex cover (price-per-uncovered-edge), a quality
-//     reference without approximation guarantee for the weighted case;
-//   - the maximal-matching 2-approximation for the unweighted special case
-//     (the [II86] building block used by the unweighted MPC literature).
+//     reference without approximation guarantee for the weighted case.
 package baselines
 
 import (
 	"context"
-	"errors"
 	"math"
 
 	"repro/internal/centralized"
@@ -126,28 +123,4 @@ func Greedy(g *graph.Graph) *Solution {
 		}
 	}
 	return &Solution{Cover: cover}
-}
-
-// MaximalMatchingCover computes a greedy maximal matching and returns both
-// endpoints of every matched edge — the textbook 2-approximation for
-// *unweighted* vertex cover. The matching itself (x_e = 1 on matched edges)
-// is a feasible dual for unit weights, so the certificate is carried along.
-// It errors on non-unit weights, where the guarantee does not hold.
-func MaximalMatchingCover(g *graph.Graph) (*Solution, error) {
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.Weight(graph.Vertex(v)) != 1 {
-			return nil, errors.New("baselines: maximal-matching cover requires unit weights")
-		}
-	}
-	cover := make([]bool, g.NumVertices())
-	duals := make([]float64, g.NumEdges())
-	ep := g.EdgeEndpoints()
-	for e := 0; e < g.NumEdges(); e++ {
-		u, v := ep[2*e], ep[2*e+1]
-		if !cover[u] && !cover[v] {
-			cover[u], cover[v] = true, true
-			duals[e] = 1
-		}
-	}
-	return &Solution{Cover: cover, Duals: duals}, nil
 }

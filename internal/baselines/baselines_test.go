@@ -118,32 +118,6 @@ func TestGreedyPrefersCheapHub(t *testing.T) {
 	}
 }
 
-func TestMaximalMatchingCover(t *testing.T) {
-	g := gen.Gnp(11, 300, 0.03)
-	sol, err := MaximalMatchingCover(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cert, err := verify.NewCertificate(g, sol.Cover, sol.Duals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cert.Ratio() > 2+1e-9 {
-		t.Fatalf("matching cover ratio %v", cert.Ratio())
-	}
-	// Cover size is exactly twice the matching size.
-	if int(cert.Weight) != 2*int(cert.Bound) {
-		t.Fatalf("cover %v vs matching %v", cert.Weight, cert.Bound)
-	}
-}
-
-func TestMaximalMatchingRejectsWeights(t *testing.T) {
-	g := gen.ApplyWeights(gen.Gnp(1, 20, 0.2), 1, gen.UniformRange{Lo: 1, Hi: 2})
-	if _, err := MaximalMatchingCover(g); err == nil {
-		t.Fatal("weighted graph accepted")
-	}
-}
-
 func TestBaselinesOnEdgeless(t *testing.T) {
 	g := graph.NewBuilder(4).MustBuild()
 	if w := verify.CoverWeight(g, BarYehudaEven(g).Cover); w != 0 {
@@ -151,13 +125,6 @@ func TestBaselinesOnEdgeless(t *testing.T) {
 	}
 	if w := verify.CoverWeight(g, Greedy(g).Cover); w != 0 {
 		t.Fatalf("greedy edgeless weight %v", w)
-	}
-	mm, err := MaximalMatchingCover(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := verify.CoverWeight(g, mm.Cover); w != 0 {
-		t.Fatalf("matching edgeless weight %v", w)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package cli holds the instance-construction helpers shared by the
-// command-line tools (cmd/mwvc, cmd/mwvc-gen, cmd/mwvc-bench).
+// command-line tools (cmd/mwvc, cmd/mwvc-gen) and the solve service.
 package cli
 
 import (

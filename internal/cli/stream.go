@@ -88,19 +88,6 @@ func PrepareStream(generator string, n int, d float64, weights string, seed uint
 	return &StreamJob{Vertices: nv, seed: seed, stream: stream, model: model}, nil
 }
 
-// StreamInstance generates the requested instance and writes it to w in the
-// streaming "mwvc-el 1" format without ever holding the graph in memory. It
-// is PrepareStream + WriteTo in one call, returning the written vertex and
-// edge counts.
-func StreamInstance(w io.Writer, generator string, n int, d float64, weights string, seed uint64) (vertices int, edges int64, err error) {
-	job, err := PrepareStream(generator, n, d, weights, seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	m, err := job.WriteTo(w)
-	return job.Vertices, m, err
-}
-
 // WriteTo streams the instance to w: weights are sampled per vertex and
 // edges flow straight from the generator to the writer, one "e <u> <v>"
 // line each — the form graph.ReadStream parses in one pass per line. The

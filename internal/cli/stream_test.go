@@ -24,11 +24,17 @@ func TestStreamInstanceMatchesBuildGraph(t *testing.T) {
 		{"star", 64, 0, "uniform"},
 	}
 	for _, c := range cases {
-		var buf bytes.Buffer
-		nv, m, err := StreamInstance(&buf, c.generator, c.n, c.d, c.weights, 7)
+		// PrepareStream + WriteTo, as mwvc-gen -stream runs them.
+		job, err := PrepareStream(c.generator, c.n, c.d, c.weights, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", c.generator, err)
 		}
+		var buf bytes.Buffer
+		m, err := job.WriteTo(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", c.generator, err)
+		}
+		nv := job.Vertices
 		r := bytes.NewReader(buf.Bytes())
 		streamed, err := graph.ReadStream(r, r.Size())
 		if err != nil {
@@ -56,14 +62,13 @@ func TestStreamInstanceMatchesBuildGraph(t *testing.T) {
 }
 
 func TestStreamInstanceRejections(t *testing.T) {
-	var buf bytes.Buffer
-	if _, _, err := StreamInstance(&buf, "powerlaw", 100, 8, "unit", 1); err == nil {
+	if _, err := PrepareStream("powerlaw", 100, 8, "unit", 1); err == nil {
 		t.Fatal("non-streamable generator accepted")
 	}
-	if _, _, err := StreamInstance(&buf, "gnp", 100, 8, "degree", 1); err == nil {
+	if _, err := PrepareStream("gnp", 100, 8, "degree", 1); err == nil {
 		t.Fatal("degree-correlated weight model accepted for streaming")
 	}
-	if _, _, err := StreamInstance(&buf, "gnp", -1, 8, "unit", 1); err == nil {
+	if _, err := PrepareStream("gnp", -1, 8, "unit", 1); err == nil {
 		t.Fatal("negative n accepted")
 	}
 }

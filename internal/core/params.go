@@ -51,10 +51,10 @@ type Params struct {
 	// constants are 2 and 15 (ParamsPaper); they are sized so the bias
 	// dominates the worst-case deviation recursion of Lemma 4.13, which
 	// needs m ≥ (4/ε)^10 machines before the bias itself drops below ε·w′.
-	// ParamsPractical uses ε/4 and 2: the same functional form with the
-	// cushion scaled to finite machine counts, so the estimator stays
-	// one-sided against observed (not worst-case) sampling noise without
-	// freezing every vertex outright.
+	// ParamsPractical uses ε/4 and 1: the same functional form with the
+	// cushion scaled to finite machine counts and held constant across
+	// iterations, so the estimator stays one-sided against observed (not
+	// worst-case) sampling noise without freezing every vertex outright.
 	BiasCoefficient float64
 	BiasGrowth      float64
 	// SwitchThreshold returns the average-degree level at which the

@@ -1,13 +1,12 @@
 // Package experiments contains the evaluation harness. The paper is a
 // theory paper — it proves claims instead of tabulating measurements — so
 // every theorem and lemma of its analysis becomes a registered experiment
-// that regenerates a table. EXPERIMENTS.md records paper-claim vs measured
-// for each; `cmd/mwvc-bench` reruns any or all of them, and the root
+// that regenerates a table. DESIGN.md's "Experiment index" maps each to the
+// claim it checks; `cmd/mwvc-bench` reruns any or all of them, and the root
 // bench_test.go exposes each as a testing.B benchmark.
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"sort"
 )
@@ -15,8 +14,8 @@ import (
 // Config controls an experiment run.
 type Config struct {
 	// Quick shrinks instance sizes so the whole suite finishes in seconds —
-	// used by unit tests and the bench harness's default mode. Full-size
-	// runs are what EXPERIMENTS.md records.
+	// used by unit tests and the root bench_test.go. Full-size runs are what
+	// `mwvc-bench` renders by default.
 	Quick bool
 	// Seed makes the whole suite reproducible.
 	Seed uint64
@@ -78,19 +77,4 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// RunAndRender executes the experiment and renders its tables to w.
-func (e Experiment) RunAndRender(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "## %s — %s\n\nClaim (%s)\n\n", e.ID, e.Title, e.Claim)
-	arts, err := e.Run(cfg)
-	if err != nil {
-		return fmt.Errorf("%s: %w", e.ID, err)
-	}
-	for _, a := range arts {
-		if err := a.Render(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

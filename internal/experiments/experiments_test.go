@@ -66,12 +66,18 @@ func TestAllExperimentsQuick(t *testing.T) {
 
 func TestRunAndRender(t *testing.T) {
 	e, _ := ByID("E8") // fast even in full mode
-	var sb strings.Builder
-	if err := e.RunAndRender(&sb, Config{Quick: true, Seed: 2}); err != nil {
+	arts, err := e.Run(Config{Quick: true, Seed: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
+	var sb strings.Builder
+	for _, a := range arts {
+		if err := a.Render(&sb); err != nil {
+			t.Fatal(err)
+		}
+	}
 	out := sb.String()
-	for _, want := range []string{"## E8", "Lemma 3.2", "| instance"} {
+	for _, want := range []string{"E8: dual ≤ OPT", "| instance"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered output missing %q:\n%s", want, out)
 		}

@@ -1,6 +1,7 @@
 // Package gen produces the synthetic graph instances and vertex-weight
 // models used by the experiments. All generators are deterministic given a
-// seed, so every table in EXPERIMENTS.md is exactly reproducible.
+// seed, so every experiment table (DESIGN.md's "Experiment index") is
+// exactly reproducible.
 //
 // The paper states its result for "any input graph with n vertices and
 // average degree d"; the generators here sweep those two quantities across

@@ -313,80 +313,3 @@ func TestEdgeIDsCoverAllEdges(t *testing.T) {
 		}
 	}
 }
-
-func TestOrientation(t *testing.T) {
-	// Star: center 0 with leaves 1..4. ratio[0] lowest → all edges leave 0.
-	g, err := FromEdgeList(5, [][2]Vertex{{0, 1}, {0, 2}, {0, 3}, {0, 4}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := []float64{0.1, 1, 1, 1, 1}
-	o := Orient(g, ratio)
-	out := o.OutDegrees()
-	if out[0] != 4 {
-		t.Fatalf("center out-degree %d, want 4", out[0])
-	}
-	for v := 1; v < 5; v++ {
-		if out[v] != 0 {
-			t.Fatalf("leaf %d out-degree %d", v, out[v])
-		}
-	}
-	for e := 0; e < g.NumEdges(); e++ {
-		if o.Tail(EdgeID(e)) != 0 {
-			t.Fatalf("edge %d tail %d", e, o.Tail(EdgeID(e)))
-		}
-		if o.Head(EdgeID(e)) == 0 {
-			t.Fatalf("edge %d head is the center", e)
-		}
-	}
-}
-
-func TestOrientationTieBreak(t *testing.T) {
-	g, err := FromEdgeList(2, [][2]Vertex{{0, 1}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := Orient(g, []float64{0.5, 0.5})
-	if o.Tail(0) != 0 {
-		t.Fatalf("tie should orient from smaller id, got tail %d", o.Tail(0))
-	}
-}
-
-func TestOrientationOutDegreeSum(t *testing.T) {
-	g := randomGraph(99, 30, 120)
-	ratio := make([]float64, g.NumVertices())
-	src := rng.New(1)
-	for v := range ratio {
-		ratio[v] = src.Float64()
-	}
-	o := Orient(g, ratio)
-	sum := 0
-	for _, d := range o.OutDegrees() {
-		sum += d
-	}
-	if sum != g.NumEdges() {
-		t.Fatalf("out-degree sum %d != m %d", sum, g.NumEdges())
-	}
-}
-
-func TestOutDegreesWhere(t *testing.T) {
-	g := randomGraph(5, 20, 60)
-	ratio := make([]float64, g.NumVertices())
-	for v := range ratio {
-		ratio[v] = float64(v)
-	}
-	o := Orient(g, ratio)
-	all := o.OutDegreesWhere(func(Vertex) bool { return true })
-	plain := o.OutDegrees()
-	for v := range all {
-		if all[v] != plain[v] {
-			t.Fatalf("OutDegreesWhere(all) mismatch at %d", v)
-		}
-	}
-	none := o.OutDegreesWhere(func(Vertex) bool { return false })
-	for v, d := range none {
-		if d != 0 {
-			t.Fatalf("OutDegreesWhere(none)[%d] = %d", v, d)
-		}
-	}
-}

@@ -54,6 +54,23 @@ func TestReadStreamMatchesRead(t *testing.T) {
 			assertSameGraph(t, g, two)
 		})
 	}
+
+	// ReadStream sizes its CSR arrays once, where Read's Builder grows its
+	// pending edge list by appending, so on an input large enough to grow
+	// that list the streaming path allocates fewer objects.
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, randomGraph(7, 5000, 40000)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	read := testing.AllocsPerRun(3, func() { Read(bytes.NewReader(data)) })
+	stream := testing.AllocsPerRun(3, func() {
+		r := bytes.NewReader(data)
+		ReadStream(r, r.Size())
+	})
+	if stream >= read {
+		t.Fatalf("ReadStream allocates %v objects per read, not below Read's %v", stream, read)
+	}
 }
 
 func TestEdgeListToleratesDuplicatesAndInterleaving(t *testing.T) {

@@ -22,14 +22,8 @@ func GetFloat(w uint64) float64 { return math.Float64frombits(w) }
 // one weight.
 const EdgeRecordWords = 3
 
-// AppendEdgeRecord appends (u, v, weight) to buf.
-func AppendEdgeRecord(buf []uint64, u, v int32, weight float64) []uint64 {
-	return append(buf, uint64(uint32(u)), uint64(uint32(v)), PutFloat(weight))
-}
-
 // SetEdgeRecord writes (u, v, weight) at record index i of a pre-sized
-// buffer (the in-place counterpart of AppendEdgeRecord, for arena-backed
-// message buffers obtained from Machine.Alloc).
+// buffer (an arena-backed message buffer obtained from Machine.Alloc).
 func SetEdgeRecord(buf []uint64, i int, u, v int32, weight float64) {
 	o := i * EdgeRecordWords
 	buf[o] = uint64(uint32(u))
@@ -45,11 +39,6 @@ func DecodeEdgeRecord(buf []uint64, i int) (u, v int32, weight float64) {
 
 // VertexRecordWords is the size of an encoded vertex record: id and value.
 const VertexRecordWords = 2
-
-// AppendVertexRecord appends (v, value) to buf.
-func AppendVertexRecord(buf []uint64, v int32, value float64) []uint64 {
-	return append(buf, uint64(uint32(v)), PutFloat(value))
-}
 
 // SetVertexRecord writes (v, value) at record index i of a pre-sized buffer.
 func SetVertexRecord(buf []uint64, i int, v int32, value float64) {
@@ -67,11 +56,6 @@ func DecodeVertexRecord(buf []uint64, i int) (v int32, value float64) {
 // ResultRecordWords is the size of a local-simulation result record:
 // vertex id and the iteration at which it froze (or sentinel).
 const ResultRecordWords = 2
-
-// AppendResultRecord appends (v, freezeIter) to buf.
-func AppendResultRecord(buf []uint64, v int32, freezeIter int) []uint64 {
-	return append(buf, uint64(uint32(v)), uint64(int64(freezeIter)))
-}
 
 // SetResultRecord writes (v, freezeIter) at record index i of a pre-sized
 // buffer.

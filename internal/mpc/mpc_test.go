@@ -631,9 +631,9 @@ func TestSendCopiesPayload(t *testing.T) {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	var buf []uint64
-	buf = AppendEdgeRecord(buf, 5, 9, 3.25)
-	buf = AppendEdgeRecord(buf, -1, 2, -0.5)
+	buf := make([]uint64, 2*EdgeRecordWords)
+	SetEdgeRecord(buf, 0, 5, 9, 3.25)
+	SetEdgeRecord(buf, 1, -1, 2, -0.5)
 	n, err := CheckRecordCount(buf, EdgeRecordWords)
 	if err != nil || n != 2 {
 		t.Fatalf("record count %d err %v", n, err)
@@ -647,15 +647,15 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("decoded (%d,%d,%v)", u, v, w)
 	}
 
-	var vb []uint64
-	vb = AppendVertexRecord(vb, 7, 1.5)
+	vb := make([]uint64, VertexRecordWords)
+	SetVertexRecord(vb, 0, 7, 1.5)
 	id, val := DecodeVertexRecord(vb, 0)
 	if id != 7 || val != 1.5 {
 		t.Fatalf("vertex record (%d,%v)", id, val)
 	}
 
-	var rb []uint64
-	rb = AppendResultRecord(rb, 3, -1)
+	rb := make([]uint64, ResultRecordWords)
+	SetResultRecord(rb, 0, 3, -1)
 	rv, fi := DecodeResultRecord(rb, 0)
 	if rv != 3 || fi != -1 {
 		t.Fatalf("result record (%d,%d)", rv, fi)

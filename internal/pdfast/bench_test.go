@@ -8,8 +8,8 @@ import (
 	"repro/internal/graph"
 )
 
-// benchGraph is the 1,047,265-edge instance of the n64k_d32_pdfast BENCH
-// tier, shared across benchmark iterations.
+// benchGraph is a 1,047,265-edge G(65536, 32) instance with uniform weights,
+// shared across benchmark iterations.
 var benchGraph *graph.Graph
 
 func getBenchGraph(b *testing.B) *graph.Graph {

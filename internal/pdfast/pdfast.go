@@ -1,6 +1,6 @@
 // Package pdfast implements the serve tier's fast path: an O(m) primal–dual
-// MWVC 2-approximation over the flat CSR arrays, in a serial and a
-// deterministic shared-memory parallel variant.
+// MWVC 2-approximation over the flat CSR arrays, whose synchronized sweeps
+// split across shared-memory workers without changing a bit of the output.
 //
 // The algorithm has two stages. Synchronized dual-raising rounds — the
 // Khuller–Vishkin–Young deterministic parallel primal–dual technique
@@ -19,16 +19,18 @@
 // productivity rule caps the synchronized stage at a constant number of
 // full sweeps.
 //
-// Both registered variants (`pdfast`, `pdfast-par`) execute the identical
-// computation: within a round every per-vertex step reads only state
-// committed before the round (cover bits, bids) and writes only its own
-// slots, each edge's dual is written by exactly one endpoint (the smaller
-// vertex id), and the tail is serial in both variants. Work partitioning
-// therefore cannot change any floating-point operation order, making the
-// parallel output bit-for-bit identical to the serial output at any
-// GOMAXPROCS. Every covered vertex is exactly saturated in exact
-// arithmetic, so the primal weight is at most twice the dual value: the
-// returned dual certifies ratio ≤ 2.
+// The worker count is a property of how the sweep runs, not of the
+// algorithm: the one registered solver (`pdfast`) takes it from
+// solver.Config.Parallelism (0 = GOMAXPROCS), and every count executes the
+// identical computation. Within a round every per-vertex step reads only
+// state committed before the round (cover bits, bids) and writes only its
+// own slots, each edge's dual is written by exactly one endpoint (the
+// smaller vertex id), and the tail is serial. Work partitioning therefore
+// cannot change any floating-point operation order, making the output
+// bit-for-bit identical at any worker count and any GOMAXPROCS. Every
+// covered vertex is exactly saturated in exact arithmetic, so the primal
+// weight is at most twice the dual value: the returned dual certifies
+// ratio ≤ 2.
 package pdfast
 
 import (
@@ -260,8 +262,8 @@ func (s *state) settleRange(lo, hi int) {
 // surviving subgraph in vertex-id order, charging δ = min(gap[u], gap[v])
 // per live edge. Subtracting the minimum zeroes the smaller residual
 // exactly (a − a = 0 in floating point), so saturation here is bitwise
-// exact. Both variants run this stage serially, which is what makes the
-// parallel output identical to the serial one.
+// exact. It runs serially at every worker count, which is what keeps the
+// output independent of that count.
 //
 //mwvc:hotpath
 func (s *state) tail() {

@@ -161,21 +161,19 @@ func TestSteadyStateAllocations(t *testing.T) {
 }
 
 func TestRegistered(t *testing.T) {
-	for _, name := range []string{"pdfast", "pdfast-par"} {
-		reg, ok := solver.Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		if reg.Tier != solver.TierFast {
-			t.Fatalf("%s tier %q, want %q", name, reg.Tier, solver.TierFast)
-		}
-		g := testGraph(11, 300, 6)
-		out, err := reg.Solver.Solve(context.Background(), g, solver.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := verify.NewCertificate(g, out.Cover, out.Duals); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	reg, ok := solver.Lookup("pdfast")
+	if !ok {
+		t.Fatal("pdfast not registered")
+	}
+	if reg.Tier != solver.TierFast {
+		t.Fatalf("pdfast tier %q, want %q", reg.Tier, solver.TierFast)
+	}
+	g := testGraph(11, 300, 6)
+	out, err := reg.Solver.Solve(context.Background(), g, solver.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := verify.NewCertificate(g, out.Cover, out.Duals); err != nil {
+		t.Fatalf("pdfast: %v", err)
 	}
 }

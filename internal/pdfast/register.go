@@ -2,7 +2,6 @@ package pdfast
 
 import (
 	"context"
-	"runtime"
 
 	"repro/internal/graph"
 	"repro/internal/solver"
@@ -14,34 +13,14 @@ func init() {
 		Rank:    25,
 		Tier:    solver.TierFast,
 		Summary: "O(m) primal–dual CSR sweep, certified 2-approximation (serve fast tier)",
-	}, solver.Func(solveSerial))
-	solver.Register(solver.Meta{
-		Name:    "pdfast-par",
-		Rank:    26,
-		Tier:    solver.TierFast,
-		Summary: "parallel pdfast (KVY sweeps, bit-identical to serial at any GOMAXPROCS)",
-	}, solver.Func(solveParallel))
+	}, solver.Func(solve))
 }
 
-// solveSerial runs the round-synchronized sweep with plain serial loops.
-func solveSerial(ctx context.Context, g *graph.Graph, cfg solver.Config) (*solver.Outcome, error) {
-	return solve(ctx, g, 1, cfg)
-}
-
-// solveParallel runs the identical computation with chunked sweeps across
-// cfg.Parallelism workers (0 = GOMAXPROCS). Chunk boundaries cannot change
-// any floating-point operation order, so the outcome matches solveSerial
-// bit for bit.
-func solveParallel(ctx context.Context, g *graph.Graph, cfg solver.Config) (*solver.Outcome, error) {
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return solve(ctx, g, workers, cfg)
-}
-
-func solve(ctx context.Context, g *graph.Graph, workers int, cfg solver.Config) (*solver.Outcome, error) {
-	res, err := Run(ctx, g, workers, cfg.Observer)
+// solve runs the sweep across cfg.Parallelism workers (0 = GOMAXPROCS). The
+// worker count cannot change any floating-point operation order, so the
+// outcome is the same bit for bit at every setting.
+func solve(ctx context.Context, g *graph.Graph, cfg solver.Config) (*solver.Outcome, error) {
+	res, err := Run(ctx, g, cfg.Parallelism, cfg.Observer)
 	if err != nil {
 		return nil, err
 	}

@@ -11,10 +11,7 @@
 // their coordinates rather than a side effect of evaluation order.
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // splitmix64 is the canonical splitmix64 finalizer step. It is a bijection
 // on uint64 with excellent avalanche behaviour, which makes it suitable both
@@ -126,28 +123,6 @@ func (s *Source) InRange(lo, hi float64) float64 {
 		panic("rng: InRange called with hi < lo")
 	}
 	return lo + (hi-lo)*s.Float64()
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with mean 1.
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// NormFloat64 returns a standard normal float64 via the Box–Muller transform.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u1 := s.Float64()
-		if u1 <= 0 {
-			continue
-		}
-		u2 := s.Float64()
-		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	}
 }
 
 // Perm returns a random permutation of [0, n) as a slice.

@@ -130,41 +130,6 @@ func TestInRangeDegenerate(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	s := New(10)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := s.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 negative: %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("ExpFloat64 mean %v too far from 1", mean)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	s := New(11)
-	const n = 200000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := s.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("NormFloat64 mean %v too far from 0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Fatalf("NormFloat64 variance %v too far from 1", variance)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(12)
 	for _, n := range []int{0, 1, 2, 10, 1000} {

@@ -20,7 +20,8 @@ import (
 var ErrUnsupported = errors.New("unsupported instance or parameters")
 
 // Config carries the cross-algorithm solve parameters. Solvers ignore fields
-// that do not apply to them (e.g. Parallelism outside the MPC simulation).
+// that do not apply to them (e.g. Parallelism outside the MPC simulation and
+// pdfast).
 type Config struct {
 	// Epsilon is the accuracy parameter for the primal–dual algorithms; the
 	// facade defaults it to 0.1.
@@ -29,7 +30,7 @@ type Config struct {
 	Seed uint64
 	// Parallelism bounds the worker goroutines a solve runs at once
 	// (0 = GOMAXPROCS): the simulated machines of mpc and mpc-compress and
-	// the sweep workers of pdfast-par. The sequential solvers ignore it. At
+	// the sweep workers of pdfast. The sequential solvers ignore it. At
 	// 2 or more, Pipeline may start an observer-free solve beside the
 	// reduce stage, which then uses one goroutine beyond it until reduce
 	// returns (see Pipeline.Run).

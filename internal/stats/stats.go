@@ -10,40 +10,6 @@ import (
 	"sort"
 )
 
-// Summary holds the usual descriptive statistics of a sample.
-type Summary struct {
-	N            int
-	Min, Max     float64
-	Mean, Stddev float64
-	Median, P90  float64
-}
-
-// Summarize computes a Summary. An empty sample yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Mean = sum / float64(len(xs))
-	varsum := 0.0
-	for _, x := range xs {
-		d := x - s.Mean
-		varsum += d * d
-	}
-	if len(xs) > 1 {
-		s.Stddev = math.Sqrt(varsum / float64(len(xs)-1))
-	}
-	s.Median = Quantile(xs, 0.5)
-	s.P90 = Quantile(xs, 0.9)
-	return s
-}
-
 // Quantile returns the q-quantile (0<=q<=1) of xs using linear
 // interpolation between order statistics. It copies the input.
 func Quantile(xs []float64, q float64) float64 {
@@ -63,21 +29,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return ys[lo]*(1-frac) + ys[hi]*frac
-}
-
-// GeometricMean returns the geometric mean of strictly positive samples.
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if !(x > 0) {
-			return math.NaN()
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }
 
 // LinearFit fits y = a + b·x by least squares and returns (a, b, r²).

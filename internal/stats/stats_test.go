@@ -8,33 +8,6 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || !almost(s.Mean, 3) {
-		t.Fatalf("summary %+v", s)
-	}
-	if !almost(s.Median, 3) {
-		t.Fatalf("median %v", s.Median)
-	}
-	if !almost(s.Stddev, math.Sqrt(2.5)) {
-		t.Fatalf("stddev %v", s.Stddev)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 {
-		t.Fatalf("empty summary N=%d", s.N)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s := Summarize([]float64{7})
-	if s.N != 1 || s.Min != 7 || s.Max != 7 || s.Mean != 7 || s.Stddev != 0 {
-		t.Fatalf("single summary %+v", s)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	if q := Quantile(xs, 0); q != 1 {
@@ -62,21 +35,6 @@ func TestQuantilePanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	Quantile([]float64{1}, 2)
-}
-
-func TestGeometricMean(t *testing.T) {
-	if g := GeometricMean([]float64{1, 4}); !almost(g, 2) {
-		t.Fatalf("geomean %v", g)
-	}
-	if g := GeometricMean([]float64{2, 2, 2}); !almost(g, 2) {
-		t.Fatalf("geomean %v", g)
-	}
-	if !math.IsNaN(GeometricMean(nil)) {
-		t.Fatal("geomean of empty not NaN")
-	}
-	if !math.IsNaN(GeometricMean([]float64{1, -1})) {
-		t.Fatal("geomean with negative not NaN")
-	}
 }
 
 func TestLinearFitExact(t *testing.T) {

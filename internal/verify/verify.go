@@ -40,17 +40,6 @@ func CoverWeight(g *graph.Graph, cover []bool) float64 {
 	return t
 }
 
-// CoverSet converts a boolean cover mask into a vertex list.
-func CoverSet(cover []bool) []graph.Vertex {
-	var s []graph.Vertex
-	for v, in := range cover {
-		if in {
-			s = append(s, graph.Vertex(v))
-		}
-	}
-	return s
-}
-
 // DualFeasible checks the fractional-matching constraints of Observation
 // 3.1: x_e >= 0 for all e and sum_{e∋v} x_e <= w(v) (with tolerance) for all
 // v. It returns a descriptive error naming the first violated constraint:

@@ -52,16 +52,6 @@ func TestCoverWeight(t *testing.T) {
 	}
 }
 
-func TestCoverSet(t *testing.T) {
-	s := CoverSet([]bool{true, false, true, false})
-	if len(s) != 2 || s[0] != 0 || s[1] != 2 {
-		t.Fatalf("CoverSet = %v", s)
-	}
-	if s := CoverSet(nil); s != nil {
-		t.Fatal("CoverSet(nil) != nil")
-	}
-}
-
 func TestDualFeasible(t *testing.T) {
 	g := triangle(t)
 	// Feasible: each vertex's incident sum within its weight.

@@ -115,11 +115,9 @@ const (
 	// (O(log nW) iterations) — the pre-paper state of the art baseline.
 	AlgoLocalUniform Algorithm = "local-uniform"
 	// AlgoPDFast is the O(m) primal–dual fast-tier sweep (certified
-	// 2-approximation, serve degradation default).
+	// 2-approximation, serve degradation default). Its sweep runs on
+	// WithParallelism workers, bit-identical at every count.
 	AlgoPDFast Algorithm = "pdfast"
-	// AlgoPDFastPar is the deterministic parallel pdfast variant,
-	// bit-identical to AlgoPDFast at any GOMAXPROCS.
-	AlgoPDFastPar Algorithm = "pdfast-par"
 	// AlgoBYE is the sequential Bar-Yehuda–Even 2-approximation.
 	AlgoBYE Algorithm = "bye"
 	// AlgoGreedy is weighted greedy (no constant-factor guarantee).
@@ -241,7 +239,7 @@ func WithSeed(seed uint64) Option {
 
 // WithParallelism bounds the worker goroutines a solve runs at once
 // (0 = GOMAXPROCS): the simulated machines of AlgoMPC and AlgoMPCCompress
-// and the sweep workers of AlgoPDFastPar; the sequential algorithms ignore
+// and the sweep workers of AlgoPDFast; the sequential algorithms ignore
 // it. At 2 or more, a solve without an observer may start beside the
 // reduction stage, when only the domination rule could shrink the graph,
 // and use one goroutine beyond n until that stage ends. The result is the

@@ -41,11 +41,11 @@ func TestSolveAllAlgorithmsSmall(t *testing.T) {
 
 func TestAlgorithmsDeriveFromRegistry(t *testing.T) {
 	algos := Algorithms()
-	if len(algos) != 11 {
-		t.Fatalf("expected the 11 built-in algorithms, got %d: %v", len(algos), algos)
+	if len(algos) != 10 {
+		t.Fatalf("expected the 10 built-in algorithms, got %d: %v", len(algos), algos)
 	}
 	want := []Algorithm{
-		AlgoMPC, AlgoMPCCompress, AlgoCentralized, AlgoLocalUniform, AlgoPDFast, AlgoPDFastPar,
+		AlgoMPC, AlgoMPCCompress, AlgoCentralized, AlgoLocalUniform, AlgoPDFast,
 		AlgoBYE, AlgoGreedy, AlgoCongestedClique, AlgoGGK, AlgoExact,
 	}
 	for i, a := range want {

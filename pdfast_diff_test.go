@@ -3,9 +3,9 @@ package mwvc_test
 // Differential property suite for the pdfast fast tier. Every registered
 // algorithm runs on the same instance grid (5 families × 3 seeds) and must
 // return a valid cover; pdfast additionally must return a feasible dual
-// whose doubled value bounds the primal bitwise, match its parallel variant
-// bit-for-bit at several GOMAXPROCS values, and stay within 2× the exact
-// optimum wherever the exact solver can certify one. The suite is the
+// whose doubled value bounds the primal bitwise, return the same bits at
+// every worker count and several GOMAXPROCS values, and stay within 2× the
+// exact optimum wherever the exact solver can certify one. The suite is the
 // cross-algorithm oracle: a subtly wrong approximation solver can return
 // valid-looking covers for a long time before anyone notices, so the cheap
 // algorithms are checked against each other and against exact ground truth
@@ -14,6 +14,7 @@ package mwvc_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -112,55 +113,78 @@ func checkPDFastCertificate(t *testing.T, ctx context.Context, g *graph.Graph, c
 	}
 }
 
-// TestPDFastParallelMatchesSerial pins the KVY determinism contract: the
-// parallel variant's cover bitmap and dual vector are bit-for-bit identical
-// to serial pdfast at GOMAXPROCS ∈ {1, 2, 8}, on every instance of the
-// grid. Weight and bound are compared through Float64bits — "equal" here
-// means the same IEEE double, not merely close.
+// TestPDFastParallelMatchesSerial pins the KVY determinism contract: pdfast
+// at Parallelism 0 (GOMAXPROCS sweep workers) returns the round count, cover
+// bitmap and dual vector of Parallelism 1 bit for bit, at GOMAXPROCS ∈
+// {1, 2, 8}. Every grid instance falls below pdfast's 4,096-live-edge round
+// cutoff, so the test adds G(5000, 24) with uniform weights (the instance of
+// internal/pdfast's TestParallelBitIdentical): its 5,000 live vertices also
+// clear the 2,048-vertex cutoff of the chunked sweep, and it must run at
+// least one synchronized round. Weight and bound are compared through
+// Float64bits — "equal" here means the same IEEE double, not merely close.
 func TestPDFastParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
-	serialReg, _ := solver.Lookup("pdfast")
-	parReg, ok := solver.Lookup("pdfast-par")
+	reg, ok := solver.Lookup("pdfast")
 	if !ok {
-		t.Fatal("pdfast-par not registered")
+		t.Fatal("pdfast not registered")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type instance struct {
+		name   string
+		g      *graph.Graph
+		seed   uint64
+		sweeps bool // must run a synchronized round
+	}
+	var instances []instance
 	for _, fam := range diffFamilies {
 		for _, seed := range diffSeeds {
 			g, err := cli.BuildGraph(fam.gen, fam.n, fam.d, fam.weights, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := solver.Config{Epsilon: 0.1, Seed: seed}
-			want, err := serialReg.Solver.Solve(ctx, g, cfg)
+			instances = append(instances, instance{fmt.Sprintf("%s/%d", fam.name, seed), g, seed, false})
+		}
+	}
+	g, err := cli.BuildGraph("gnp", 5000, 24, "uniform", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances = append(instances, instance{"gnp-5000-24/7", g, 7, true})
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, in := range instances {
+		cfg := solver.Config{Epsilon: 0.1, Seed: in.seed, Parallelism: 1}
+		want, err := reg.Solver.Solve(ctx, in.g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.sweeps && want.Rounds < 1 {
+			t.Fatalf("%s: %d synchronized rounds, so the chunked sweep never ran", in.name, want.Rounds)
+		}
+		cfg.Parallelism = 0 // GOMAXPROCS sweep workers
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, err := reg.Solver.Solve(ctx, in.g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, procs := range []int{1, 2, 8} {
-				runtime.GOMAXPROCS(procs)
-				got, err := parReg.Solver.Solve(ctx, g, cfg) // Parallelism 0 → GOMAXPROCS
-				if err != nil {
-					t.Fatal(err)
+			if got.Rounds != want.Rounds {
+				t.Fatalf("%s GOMAXPROCS=%d: rounds %d != %d", in.name, procs, got.Rounds, want.Rounds)
+			}
+			for v := range want.Cover {
+				if got.Cover[v] != want.Cover[v] {
+					t.Fatalf("%s GOMAXPROCS=%d: cover diverges at vertex %d", in.name, procs, v)
 				}
-				if got.Rounds != want.Rounds {
-					t.Fatalf("%s/%d GOMAXPROCS=%d: rounds %d != %d", fam.name, seed, procs, got.Rounds, want.Rounds)
+			}
+			for e := range want.Duals {
+				if math.Float64bits(got.Duals[e]) != math.Float64bits(want.Duals[e]) {
+					t.Fatalf("%s GOMAXPROCS=%d: dual diverges at edge %d: %v != %v",
+						in.name, procs, e, got.Duals[e], want.Duals[e])
 				}
-				for v := range want.Cover {
-					if got.Cover[v] != want.Cover[v] {
-						t.Fatalf("%s/%d GOMAXPROCS=%d: cover diverges at vertex %d", fam.name, seed, procs, v)
-					}
-				}
-				for e := range want.Duals {
-					if math.Float64bits(got.Duals[e]) != math.Float64bits(want.Duals[e]) {
-						t.Fatalf("%s/%d GOMAXPROCS=%d: dual diverges at edge %d: %v != %v",
-							fam.name, seed, procs, e, got.Duals[e], want.Duals[e])
-					}
-				}
-				gw, ww := verify.CoverWeight(g, got.Cover), verify.CoverWeight(g, want.Cover)
-				gb, wb := verify.DualValue(got.Duals), verify.DualValue(want.Duals)
-				if math.Float64bits(gw) != math.Float64bits(ww) || math.Float64bits(gb) != math.Float64bits(wb) {
-					t.Fatalf("%s/%d GOMAXPROCS=%d: weight/bound bits diverge", fam.name, seed, procs)
-				}
+			}
+			gw, ww := verify.CoverWeight(in.g, got.Cover), verify.CoverWeight(in.g, want.Cover)
+			gb, wb := verify.DualValue(got.Duals), verify.DualValue(want.Duals)
+			if math.Float64bits(gw) != math.Float64bits(ww) || math.Float64bits(gb) != math.Float64bits(wb) {
+				t.Fatalf("%s GOMAXPROCS=%d: weight/bound bits diverge", in.name, procs)
 			}
 		}
 	}

@@ -202,6 +202,25 @@ func TestExactViaKernelAcceptance(t *testing.T) {
 	if math.Abs(sol.Weight-want) > 1e-9 {
 		t.Fatalf("exact weight %v, want %v", sol.Weight, want)
 	}
+
+	// On this pendant-heavy instance, reducing first shrinks the graph and
+	// never yields a heavier cover than solving the whole graph.
+	for _, algo := range []Algorithm{AlgoMPC, AlgoPDFast} {
+		red, err := Solve(context.Background(), g, WithAlgorithm(algo), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo, err := Solve(context.Background(), g, WithAlgorithm(algo), WithSeed(1), WithoutReduction())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := red.Reduction; r.KernelVertices >= r.OriginalVertices || r.KernelEdges >= r.OriginalEdges {
+			t.Fatalf("%s: reduction did not shrink the instance: %+v", algo, r)
+		}
+		if red.Weight > solo.Weight {
+			t.Fatalf("%s: reduced cover weight %v above solve-alone %v", algo, red.Weight, solo.Weight)
+		}
+	}
 }
 
 func TestReductionStatsJSONRoundTrip(t *testing.T) {
