@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: summaries, quantiles, least-squares fits (for
-// verifying growth rates such as "rounds grow like log log d"), and
-// formatting of aligned text tables and CSV.
+// experiment harness: quantiles, least-squares fits (for verifying growth
+// rates such as "rounds grow like log log d"), and formatting of aligned
+// text tables and CSV.
 package stats
 
 import (
