@@ -10,6 +10,9 @@ package mwvc_test
 // and `local-uniform`. Algorithm 2's final phase runs the same loop, but
 // with core's threshold closure and degree-aware initialization only, so
 // RandomThresholds and the uniform initialization are pinned here alone.
+// It pins the fast tier's raw outputs as well: `pdfast` (whose synchronized
+// rounds never start on these graphs, under 4,096 edges, so only its serial
+// tail runs), `bye` and `greedy`.
 //
 // The pipeline cases run the whole mwvc.Solve path with reduction on, so the
 // kernelization stage is pinned too: the lifted cover, Weight and Bound bits,
@@ -40,12 +43,6 @@ import (
 
 // goldenDigests maps a case name to the first 16 hex digits of its digest.
 var goldenDigests = map[string]string{
-	"dense/1/mpc":                               "af0bbae1d44dbb4c",
-	"dense/1/mpc-compress":                      "a1449b5bbe7185e3",
-	"dense/2/mpc":                               "a90480eed23f7dba",
-	"dense/2/mpc-compress":                      "c7e326500b0737e4",
-	"dense/3/mpc":                               "595a57bf0266fd1f",
-	"dense/3/mpc-compress":                      "f4defa40c623b291",
 	"bimodal/10/mpc":                            "d47276f46f052e3e",
 	"bimodal/10/mpc-compress":                   "c9b80dbdea6c9b2b",
 	"compress/gnp-uniform/1/mpc":                "53c86220c5a9faf6",
@@ -71,66 +68,117 @@ var goldenDigests = map[string]string{
 	"core/uniform-init-hub/bimodal":             "7f5a3b487104514b",
 	"core/uniform-init/bimodal":                 "e1b68d17e197522a",
 	"core/uniform-init/gnp-uniform":             "be50e2ed5a6fd84d",
+	"dense/1/mpc":                               "af0bbae1d44dbb4c",
+	"dense/1/mpc-compress":                      "a1449b5bbe7185e3",
+	"dense/2/mpc":                               "a90480eed23f7dba",
+	"dense/2/mpc-compress":                      "c7e326500b0737e4",
+	"dense/3/mpc":                               "595a57bf0266fd1f",
+	"dense/3/mpc-compress":                      "f4defa40c623b291",
+	"diff/bipartite-loguniform/1/bye":           "d5315d9757c2455f",
 	"diff/bipartite-loguniform/1/centralized":   "2215e313392bb86b",
+	"diff/bipartite-loguniform/1/greedy":        "2343754309bec378",
 	"diff/bipartite-loguniform/1/local-uniform": "4a6bc3cac7646d9b",
 	"diff/bipartite-loguniform/1/mpc":           "8fee41fd4d776047",
 	"diff/bipartite-loguniform/1/mpc-compress":  "8fee41fd4d776047",
+	"diff/bipartite-loguniform/1/pdfast":        "6288b26f2cea306c",
+	"diff/bipartite-loguniform/2/bye":           "3049df8a5e7979c6",
 	"diff/bipartite-loguniform/2/centralized":   "158aa11081117fcb",
+	"diff/bipartite-loguniform/2/greedy":        "ffba1037ff0c3b7f",
 	"diff/bipartite-loguniform/2/local-uniform": "86c10d2193fe3f24",
 	"diff/bipartite-loguniform/2/mpc":           "c8d8fb51df031eb8",
 	"diff/bipartite-loguniform/2/mpc-compress":  "c8d8fb51df031eb8",
+	"diff/bipartite-loguniform/2/pdfast":        "609e530a0db7f5c0",
+	"diff/bipartite-loguniform/3/bye":           "ff2cb6c187b35fae",
 	"diff/bipartite-loguniform/3/centralized":   "84e583dc4fd7c2b9",
+	"diff/bipartite-loguniform/3/greedy":        "a6020e03557b24a3",
 	"diff/bipartite-loguniform/3/local-uniform": "5af93c190019e040",
 	"diff/bipartite-loguniform/3/mpc":           "a08eb118f0dd13c5",
 	"diff/bipartite-loguniform/3/mpc-compress":  "a08eb118f0dd13c5",
+	"diff/bipartite-loguniform/3/pdfast":        "3e089c91f18c00c8",
+	"diff/gnp-uniform/1/bye":                    "ba4f0e471899ae8f",
 	"diff/gnp-uniform/1/centralized":            "be1fc75bf7bc54bb",
+	"diff/gnp-uniform/1/greedy":                 "e5de55a186855168",
 	"diff/gnp-uniform/1/local-uniform":          "ab03a3d6211c520f",
 	"diff/gnp-uniform/1/mpc":                    "ad3e6b563c7be83b",
 	"diff/gnp-uniform/1/mpc-compress":           "ad3e6b563c7be83b",
+	"diff/gnp-uniform/1/pdfast":                 "a7828c8ed0f9abe2",
+	"diff/gnp-uniform/2/bye":                    "9d3fd5dfbbc46ba1",
 	"diff/gnp-uniform/2/centralized":            "116364092e8be14b",
+	"diff/gnp-uniform/2/greedy":                 "c8f867c42399a9d8",
 	"diff/gnp-uniform/2/local-uniform":          "f951562fcf0a71f9",
 	"diff/gnp-uniform/2/mpc":                    "dbf04b88490ee94d",
 	"diff/gnp-uniform/2/mpc-compress":           "dbf04b88490ee94d",
+	"diff/gnp-uniform/2/pdfast":                 "e5b7873820c95013",
+	"diff/gnp-uniform/3/bye":                    "3937b6d95f21230f",
 	"diff/gnp-uniform/3/centralized":            "93c0188b35cfc417",
+	"diff/gnp-uniform/3/greedy":                 "28ca5cc724a35ad2",
 	"diff/gnp-uniform/3/local-uniform":          "87b1ee0c3269e7c9",
 	"diff/gnp-uniform/3/mpc":                    "4be3192c80004050",
 	"diff/gnp-uniform/3/mpc-compress":           "4be3192c80004050",
+	"diff/gnp-uniform/3/pdfast":                 "fec069835bd6f0e2",
+	"diff/powerlaw-exp/1/bye":                   "a965b40d793a3a48",
 	"diff/powerlaw-exp/1/centralized":           "0b35a22825db120f",
+	"diff/powerlaw-exp/1/greedy":                "eedbbf272bb4fe55",
 	"diff/powerlaw-exp/1/local-uniform":         "2e80169400909a3f",
 	"diff/powerlaw-exp/1/mpc":                   "6aa2ad60c9a7e1d0",
 	"diff/powerlaw-exp/1/mpc-compress":          "6aa2ad60c9a7e1d0",
+	"diff/powerlaw-exp/1/pdfast":                "8c6af2cc1ca30113",
+	"diff/powerlaw-exp/2/bye":                   "c91230b5a72e7900",
 	"diff/powerlaw-exp/2/centralized":           "b9b5960501f46740",
+	"diff/powerlaw-exp/2/greedy":                "ed3324f038e25fdc",
 	"diff/powerlaw-exp/2/local-uniform":         "c76f2d716ccc29d9",
 	"diff/powerlaw-exp/2/mpc":                   "87c995676e6665ba",
 	"diff/powerlaw-exp/2/mpc-compress":          "87c995676e6665ba",
+	"diff/powerlaw-exp/2/pdfast":                "30969320902a75a0",
+	"diff/powerlaw-exp/3/bye":                   "f523c38fe906f8df",
 	"diff/powerlaw-exp/3/centralized":           "e5ccd99c3b35a296",
+	"diff/powerlaw-exp/3/greedy":                "73fbdd2011010f5e",
 	"diff/powerlaw-exp/3/local-uniform":         "cc23a9a1d7c8fc78",
 	"diff/powerlaw-exp/3/mpc":                   "6fe9cc06b4634628",
 	"diff/powerlaw-exp/3/mpc-compress":          "6fe9cc06b4634628",
+	"diff/powerlaw-exp/3/pdfast":                "ab556622fae6b86c",
+	"diff/regular-unit/1/bye":                   "43929f5c644e2bc8",
 	"diff/regular-unit/1/centralized":           "6c8103cadfce510c",
+	"diff/regular-unit/1/greedy":                "4a26f75a95899d98",
 	"diff/regular-unit/1/local-uniform":         "2586e0984be6e788",
 	"diff/regular-unit/1/mpc":                   "8f754c5417871adb",
 	"diff/regular-unit/1/mpc-compress":          "8f754c5417871adb",
+	"diff/regular-unit/1/pdfast":                "028b3b12bae6f338",
+	"diff/regular-unit/2/bye":                   "85f78ae747c11095",
 	"diff/regular-unit/2/centralized":           "be03a0380fddc5d1",
+	"diff/regular-unit/2/greedy":                "22954c80c3d28012",
 	"diff/regular-unit/2/local-uniform":         "a4fd935b1a174fb2",
 	"diff/regular-unit/2/mpc":                   "19a018e13b49136b",
 	"diff/regular-unit/2/mpc-compress":          "19a018e13b49136b",
+	"diff/regular-unit/2/pdfast":                "9cf4474868d6574e",
+	"diff/regular-unit/3/bye":                   "287bb64fde97948e",
 	"diff/regular-unit/3/centralized":           "1353ef7878d32155",
+	"diff/regular-unit/3/greedy":                "500b5d06b882e9f9",
 	"diff/regular-unit/3/local-uniform":         "abb6bc22c911a85c",
 	"diff/regular-unit/3/mpc":                   "b64684044265f2f3",
 	"diff/regular-unit/3/mpc-compress":          "b64684044265f2f3",
+	"diff/regular-unit/3/pdfast":                "f771bd99c467dd91",
+	"diff/smallworld-degree/1/bye":              "b3ed515e18f2b97b",
 	"diff/smallworld-degree/1/centralized":      "0027bec734dda70a",
+	"diff/smallworld-degree/1/greedy":           "a31868417cded511",
 	"diff/smallworld-degree/1/local-uniform":    "1473061f8fadd83e",
 	"diff/smallworld-degree/1/mpc":              "358b80ea83509e69",
 	"diff/smallworld-degree/1/mpc-compress":     "358b80ea83509e69",
+	"diff/smallworld-degree/1/pdfast":           "31388c50e1cc7d91",
+	"diff/smallworld-degree/2/bye":              "1dbe6cfd31170366",
 	"diff/smallworld-degree/2/centralized":      "93e086c00e0d7464",
+	"diff/smallworld-degree/2/greedy":           "320f07329ee49c9e",
 	"diff/smallworld-degree/2/local-uniform":    "7fdf44d01032a1ef",
 	"diff/smallworld-degree/2/mpc":              "8016055aee1d5407",
 	"diff/smallworld-degree/2/mpc-compress":     "8016055aee1d5407",
+	"diff/smallworld-degree/2/pdfast":           "3514d4b7c9e04fdd",
+	"diff/smallworld-degree/3/bye":              "1652874ac6f43036",
 	"diff/smallworld-degree/3/centralized":      "4c5b2154fa335137",
+	"diff/smallworld-degree/3/greedy":           "616b3ec3ead37782",
 	"diff/smallworld-degree/3/local-uniform":    "d3cb4dde0840265b",
 	"diff/smallworld-degree/3/mpc":              "7505b985640cf672",
 	"diff/smallworld-degree/3/mpc-compress":     "7505b985640cf672",
+	"diff/smallworld-degree/3/pdfast":           "9e46924cf3f26071",
 	"paper/gnp-uniform/1/mpc":                   "70f33f96493c9995",
 	"paper/gnp-uniform/1/mpc-compress":          "70f33f96493c9995",
 	"pipeline/bipartite-loguniform/1/mpc":       "03e313aeb502cfcf",
@@ -394,7 +442,7 @@ func TestGoldenDigests(t *testing.T) {
 		fams = append(fams, family{"diff/" + f.name, f.gen, f.n, f.d, f.weights})
 	}
 	for _, f := range fams {
-		seeds, solvers := diffSeeds, []string{"mpc", "mpc-compress", "centralized", "local-uniform"}
+		seeds, solvers := diffSeeds, []string{"mpc", "mpc-compress", "centralized", "local-uniform", "pdfast", "bye", "greedy"}
 		if f.name[:4] != "diff" {
 			seeds, solvers = compressSeeds, algos
 		}
