@@ -18,6 +18,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/verify"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -127,7 +128,7 @@ func BenchmarkAlgorithmBYE(b *testing.B) {
 	g := benchGraph(16000, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		baselines.BarYehudaEven(g)
+		verify.BarYehudaEven(g)
 	}
 }
 

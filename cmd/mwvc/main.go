@@ -18,7 +18,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"time"
@@ -135,14 +134,8 @@ func main() {
 				imp.Steps, imp.RedundantRemoved, imp.Swaps, state,
 				time.Duration(imp.ImproveNS).Round(time.Millisecond))
 		}
-		line := fmt.Sprintf("%-18s weight=%.2f", a, sol.Weight)
-		// CertifiedRatio is +Inf for certificate-free algorithms (greedy);
-		// print n/a rather than the convention value.
-		if math.IsInf(sol.CertifiedRatio, 1) {
-			line += "  certified_ratio=n/a (no certificate)"
-		} else {
-			line += fmt.Sprintf("  certified_ratio=%.4f (bound %.2f)", sol.CertifiedRatio, sol.Bound)
-		}
+		line := fmt.Sprintf("%-18s weight=%.2f  certified_ratio=%.4f (bound %.2f)",
+			a, sol.Weight, sol.CertifiedRatio, sol.Bound)
 		if sol.Rounds > 0 {
 			line += fmt.Sprintf("  rounds=%d", sol.Rounds)
 		}

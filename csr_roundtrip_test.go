@@ -72,8 +72,7 @@ func assertSameSolution(t *testing.T, algo string, seed uint64, want, got *mwvc.
 	}
 	// Weight/Bound/CertifiedRatio must match bit-for-bit, not within an
 	// epsilon: both solves walk identical edge ids in identical order, so
-	// even float summation order is the same. math.Float64bits also keeps
-	// the +Inf certificate-free convention comparable.
+	// even float summation order is the same.
 	for _, c := range []struct {
 		name      string
 		want, got float64

@@ -9,6 +9,7 @@ package mwvc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -165,12 +166,12 @@ func TestImprovementStatsJSONRoundTrip(t *testing.T) {
 	if sol.Improvement == nil {
 		t.Fatal("no improvement stats on a budgeted greedy solve")
 	}
-	data, err := sol.MarshalJSON()
+	data, err := json.Marshal(sol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var back Solution
-	if err := back.UnmarshalJSON(data); err != nil {
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Improvement == nil || *back.Improvement != *sol.Improvement {
@@ -181,7 +182,7 @@ func TestImprovementStatsJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := plain.MarshalJSON()
+	raw, err := json.Marshal(plain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,18 @@
 // Package baselines implements the comparison algorithms the paper measures
-// itself against (Section 1.2):
+// itself against (Section 1.2), and registers the two sequential ones:
 //
-//   - the classic sequential 2-approximation of Bar-Yehuda–Even [BYE81]
-//     (the paper's primal–dual ancestor), which doubles as a cheap
-//     certified lower bound for branch-and-bound;
+//   - `bye`, the classic sequential 2-approximation of Bar-Yehuda–Even
+//     [BYE81], the paper's primal–dual ancestor. The pass itself is
+//     verify.BarYehudaEven, which pdfast's tail and the pipeline's
+//     certificate for dual-free solvers share;
 //   - the LOCAL/PRAM primal–dual baseline — Algorithm 1 run one iteration
 //     per communication round — in both initializations: degree-aware
 //     (O(log Δ) rounds) and the classic uniform x_e = 1/n (O(log nW)
 //     rounds, the "best known O(log n)" the paper improves on, cf. [KY09]);
-//   - greedy weighted vertex cover (price-per-uncovered-edge), a quality
-//     reference without approximation guarantee for the weighted case.
+//   - `greedy`, weighted vertex cover by price per uncovered edge, a quality
+//     reference without approximation guarantee for the weighted case. It
+//     raises no duals; the pipeline certifies its cover with the
+//     Bar-Yehuda–Even bound of the same instance.
 package baselines
 
 import (
@@ -30,39 +33,6 @@ type Solution struct {
 	// Rounds is the number of communication rounds the algorithm would take
 	// in a LOCAL/MPC execution; 0 for inherently sequential algorithms.
 	Rounds int
-}
-
-// BarYehudaEven runs the linear-time local-ratio 2-approximation: edges are
-// scanned once; each edge charges δ = min(residual(u), residual(v)) to both
-// endpoints; vertices whose residual reaches zero join the cover. The edge
-// charges form a feasible fractional matching, so the solution carries its
-// own ≤2 certificate.
-func BarYehudaEven(g *graph.Graph) *Solution {
-	n := g.NumVertices()
-	residual := make([]float64, n)
-	for v := 0; v < n; v++ {
-		residual[v] = g.Weight(graph.Vertex(v))
-	}
-	duals := make([]float64, g.NumEdges())
-	cover := make([]bool, n)
-	ep := g.EdgeEndpoints()
-	for e := 0; e < g.NumEdges(); e++ {
-		u, v := ep[2*e], ep[2*e+1]
-		if cover[u] || cover[v] {
-			continue
-		}
-		delta := math.Min(residual[u], residual[v])
-		duals[e] = delta
-		residual[u] -= delta
-		residual[v] -= delta
-		if residual[u] <= 0 {
-			cover[u] = true
-		}
-		if residual[v] <= 0 {
-			cover[v] = true
-		}
-	}
-	return &Solution{Cover: cover, Duals: duals}
 }
 
 // LocalPrimalDual runs Algorithm 1 with one iteration per round — the

@@ -16,8 +16,8 @@ import (
 
 func TestBYECoverAndCertificate(t *testing.T) {
 	g := gen.ApplyWeights(gen.Gnp(3, 200, 0.05), 5, gen.UniformRange{Lo: 1, Hi: 10})
-	sol := BarYehudaEven(g)
-	cert, err := verify.NewCertificate(g, sol.Cover, sol.Duals)
+	cover, x := verify.BarYehudaEven(g)
+	cert, err := verify.NewCertificate(g, cover, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +30,8 @@ func TestBYEAgainstExact(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := 5 + int(seed%10)
 		g := gen.ApplyWeights(gen.Gnp(seed, n, 0.3), seed+1, gen.UniformRange{Lo: 0.5, Hi: 4})
-		sol := BarYehudaEven(g)
-		if ok, _ := verify.IsCover(g, sol.Cover); !ok {
+		cover, _ := verify.BarYehudaEven(g)
+		if ok, _ := verify.IsCover(g, cover); !ok {
 			return false
 		}
 		_, opt, err := exact.Solve(context.Background(), g)
@@ -39,7 +39,7 @@ func TestBYEAgainstExact(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		return verify.CoverWeight(g, sol.Cover) <= 2*opt+1e-9
+		return verify.CoverWeight(g, cover) <= 2*opt+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -55,12 +55,12 @@ func TestBYEStar(t *testing.T) {
 		b.AddEdge(0, graph.Vertex(v))
 	}
 	g := b.MustBuild()
-	sol := BarYehudaEven(g)
-	if !sol.Cover[0] {
+	cover, _ := verify.BarYehudaEven(g)
+	if !cover[0] {
 		t.Fatal("BYE skipped the cheap center")
 	}
-	if verify.CoverWeight(g, sol.Cover) > 2+1e-9 {
-		t.Fatalf("BYE star weight %v", verify.CoverWeight(g, sol.Cover))
+	if verify.CoverWeight(g, cover) > 2+1e-9 {
+		t.Fatalf("BYE star weight %v", verify.CoverWeight(g, cover))
 	}
 }
 
@@ -120,7 +120,8 @@ func TestGreedyPrefersCheapHub(t *testing.T) {
 
 func TestBaselinesOnEdgeless(t *testing.T) {
 	g := graph.NewBuilder(4).MustBuild()
-	if w := verify.CoverWeight(g, BarYehudaEven(g).Cover); w != 0 {
+	cover, _ := verify.BarYehudaEven(g)
+	if w := verify.CoverWeight(g, cover); w != 0 {
 		t.Fatalf("BYE edgeless weight %v", w)
 	}
 	if w := verify.CoverWeight(g, Greedy(g).Cover); w != 0 {
@@ -132,13 +133,13 @@ func TestBYEDualFeasibleAlways(t *testing.T) {
 	f := func(seed uint64) bool {
 		n := 3 + int(seed%40)
 		g := gen.ApplyWeights(gen.Gnp(seed, n, 0.2), seed+3, gen.Exponential{Mean: 1})
-		sol := BarYehudaEven(g)
-		if err := verify.DualFeasible(g, sol.Duals); err != nil {
+		cover, x := verify.BarYehudaEven(g)
+		if err := verify.DualFeasible(g, x); err != nil {
 			t.Log(err)
 			return false
 		}
-		w := verify.CoverWeight(g, sol.Cover)
-		return w <= 2*verify.DualValue(sol.Duals)+1e-9
+		w := verify.CoverWeight(g, cover)
+		return w <= 2*verify.DualValue(x)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -149,10 +150,10 @@ func TestGreedyVsBYEQuality(t *testing.T) {
 	// Neither dominates universally, but both should be within a small
 	// factor of the dual bound on benign random instances.
 	g := gen.ApplyWeights(gen.GnpAvgDegree(21, 400, 12), 4, gen.UniformRange{Lo: 1, Hi: 6})
-	bye := BarYehudaEven(g)
+	byeCover, byeDuals := verify.BarYehudaEven(g)
 	greedy := Greedy(g)
-	bound := verify.DualValue(bye.Duals)
-	wb := verify.CoverWeight(g, bye.Cover)
+	bound := verify.DualValue(byeDuals)
+	wb := verify.CoverWeight(g, byeCover)
 	wg := verify.CoverWeight(g, greedy.Cover)
 	if wb > 2*bound+1e-9 {
 		t.Fatalf("BYE weight %v exceeds 2x bound %v", wb, bound)

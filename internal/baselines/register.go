@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/solver"
+	"repro/internal/verify"
 )
 
 func init() {
@@ -18,7 +19,7 @@ func init() {
 		Name:    "greedy",
 		Rank:    40,
 		Tier:    solver.TierFast,
-		Summary: "weighted greedy (no constant-factor guarantee, no certificate)",
+		Summary: "weighted greedy (no constant-factor guarantee)",
 	}, solver.Func(solveGreedy))
 }
 
@@ -29,8 +30,8 @@ func solveBYE(ctx context.Context, g *graph.Graph, cfg solver.Config) (*solver.O
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sol := BarYehudaEven(g)
-	return &solver.Outcome{Cover: sol.Cover, Duals: sol.Duals}, nil
+	cover, x := verify.BarYehudaEven(g)
+	return &solver.Outcome{Cover: cover, Duals: x}, nil
 }
 
 func solveGreedy(ctx context.Context, g *graph.Graph, cfg solver.Config) (*solver.Outcome, error) {

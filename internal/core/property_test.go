@@ -12,7 +12,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/baselines"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/verify"
@@ -40,8 +39,8 @@ func TestQuickFullPipeline(t *testing.T) {
 		}
 		// Weak duality across algorithms: our certified bound must not
 		// exceed any other valid cover's weight.
-		bye := baselines.BarYehudaEven(g)
-		if cert.Bound > verify.CoverWeight(g, bye.Cover)+1e-9 {
+		byeCover, _ := verify.BarYehudaEven(g)
+		if cert.Bound > verify.CoverWeight(g, byeCover)+1e-9 {
 			t.Logf("seed %d: bound above BYE cover", seed)
 			return false
 		}

@@ -50,9 +50,9 @@ func runE12(cfg Config) ([]Renderable, error) {
 		tb.AddRow(s.n, g.NumEdges(), "mpc", mpcMS, verify.CoverWeight(g, res.Cover), ratio)
 
 		start = time.Now()
-		bye := baselines.BarYehudaEven(g)
+		byeCover, byeDuals := verify.BarYehudaEven(g)
 		byeMS := time.Since(start).Milliseconds()
-		byeCert, err := verify.NewCertificate(g, bye.Cover, bye.Duals)
+		byeCert, err := verify.NewCertificate(g, byeCover, byeDuals)
 		if err != nil {
 			return nil, err
 		}

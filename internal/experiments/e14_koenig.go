@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 
-	"repro/internal/baselines"
 	"repro/internal/bipartite"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -46,8 +45,8 @@ func runE14(cfg Config) ([]Renderable, error) {
 			return nil, err
 		}
 		mpcW := verify.CoverWeight(g, res.Cover)
-		bye := baselines.BarYehudaEven(g)
-		byeW := verify.CoverWeight(g, bye.Cover)
+		byeCover, _ := verify.BarYehudaEven(g)
+		byeW := verify.CoverWeight(g, byeCover)
 		trueMPC, trueBYE := 1.0, 1.0
 		if opt > 0 {
 			trueMPC = mpcW / float64(opt)

@@ -13,11 +13,11 @@
 // while on weight-heterogeneous instances the retirement rate can stall
 // near 1/Δ per round. The stage therefore runs only while productive —
 // while a round retires at least a quarter of the live edges — and a
-// serial local-ratio tail (the classic Bar-Yehuda–Even edge scan over the
-// surviving subgraph, charging min(gap(u), gap(v)) per edge) finishes the
-// stragglers in one pass. Total work is O(m) per executed stage and the
-// productivity rule caps the synchronized stage at a constant number of
-// full sweeps.
+// serial local-ratio tail (verify.LocalRatio, the classic Bar-Yehuda–Even
+// edge scan, run over the surviving subgraph on the residual gaps)
+// finishes the stragglers in one pass. Total work is O(m) per executed
+// stage and the productivity rule caps the synchronized stage at a
+// constant number of full sweeps.
 //
 // The worker count is a property of how the sweep runs, not of the
 // algorithm: the one registered solver (`pdfast`) takes it from
@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/solver"
+	"repro/internal/verify"
 )
 
 // parallelCutoff is the live-list length below which a sweep runs serially;
@@ -176,7 +177,7 @@ func Run(ctx context.Context, g *graph.Graph, workers int, obs solver.Observer) 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		s.tail()
+		verify.LocalRatio(g, s.live, s.gap, s.x, s.cover)
 		solver.Emit(obs, solver.Event{
 			Kind:        solver.KindFinalPhase,
 			Round:       rounds,
@@ -254,43 +255,6 @@ func (s *state) settleRange(lo, hi int) {
 		} else {
 			s.sat[v] = true
 			s.gap[v] = 0
-		}
-	}
-}
-
-// tail is the serial local-ratio finish: one Bar-Yehuda–Even pass over the
-// surviving subgraph in vertex-id order, charging δ = min(gap[u], gap[v])
-// per live edge. Subtracting the minimum zeroes the smaller residual
-// exactly (a − a = 0 in floating point), so saturation here is bitwise
-// exact. It runs serially at every worker count, which is what keeps the
-// output independent of that count.
-//
-//mwvc:hotpath
-func (s *state) tail() {
-	for _, v := range s.live {
-		if s.cover[v] {
-			continue
-		}
-		nbrs := s.g.Neighbors(v)
-		ids := s.g.IncidentEdges(v)
-		for j, u := range nbrs {
-			if u < v || s.cover[u] {
-				continue
-			}
-			d := s.gap[v]
-			if s.gap[u] < d {
-				d = s.gap[u]
-			}
-			s.x[ids[j]] += d
-			s.gap[v] -= d
-			s.gap[u] -= d
-			if s.gap[u] <= 0 {
-				s.cover[u] = true
-			}
-			if s.gap[v] <= 0 {
-				s.cover[v] = true
-				break
-			}
 		}
 	}
 }

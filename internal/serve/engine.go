@@ -251,9 +251,8 @@ func (r *Request) Status() Status {
 	return r.status
 }
 
-// IsCached reports that the request was answered from the solution cache —
-// either at admission or at dequeue (a duplicate whose twin finished while
-// this request waited in the queue) — without running the solver.
+// IsCached reports that the request was answered from the solution cache at
+// admission, without running the solver.
 func (r *Request) IsCached() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -901,23 +900,11 @@ func boolCompare(a, b bool) int {
 }
 
 // run executes one dequeued request end to end: deadline context, observed
-// solve through the facade, outcome classification, cache fill. The cache is
-// rechecked at dequeue time — a duplicate that slipped past coalescing (its
-// twin finished between this request's admission and dequeue) is served
-// from the cache without re-running the solver.
+// solve through the facade, outcome classification, cache fill. It does not
+// look the cache up again: Submit checks the cache, coalesces and enqueues
+// under one hold of e.mu, so a queued request is the only leader of its key,
+// and only its own run writes that key's cache entry.
 func (e *Engine) run(req *Request) {
-	e.mu.Lock()
-	sol, hit := e.cache[keyOf(req.Params)]
-	e.mu.Unlock()
-	if hit {
-		req.mu.Lock()
-		req.cached = true
-		req.startedAt = time.Now()
-		req.mu.Unlock()
-		e.met.cacheHits.Add(1)
-		e.complete(req, sol, nil, "")
-		return
-	}
 	req.mu.Lock()
 	if req.abandoned {
 		// Every attached client disconnected while the request waited; do

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	_ "repro/internal/core" // registers mpc
@@ -98,6 +99,22 @@ func TestKernelCertificateMatchesLifted(t *testing.T) {
 	}
 	if checked < 6 {
 		t.Fatalf("only %d accepted certificates compared; the instances stopped reducing", checked)
+	}
+}
+
+// TestZeroBoundRejected pins that a cover of positive weight certified by
+// all-zero duals fails as an internal error: a Bound of 0 certifies
+// nothing, so the pipeline refuses it as it refuses an infeasible dual.
+func TestZeroBoundRejected(t *testing.T) {
+	g := gen.ApplyWeights(gen.Grid(4, 4), 1, gen.UniformRange{Lo: 1, Hi: 100})
+	cover := make([]bool, g.NumVertices())
+	for v := range cover {
+		cover[v] = true
+	}
+	stub := fixedSolver{&solver.Outcome{Cover: cover, Duals: make([]float64, g.NumEdges())}}
+	_, err := solver.Pipeline{Solver: stub}.Run(context.Background(), g)
+	if err == nil || !strings.HasPrefix(err.Error(), "solver: internal error:") {
+		t.Fatalf("zero duals under a positive-weight cover: err %v, want a solver internal error", err)
 	}
 }
 

@@ -12,10 +12,12 @@
 //
 // Pipeline stages every facade solve: Reduce (weighted kernelization,
 // internal/reduce) → Solve (the registered algorithm, on the kernel) →
-// Lift (cover and duals back to original ids) → Verify (always against the
-// original graph). With reduction disabled the pipeline is the direct
-// solve path bit for bit; with it enabled, kernel stats thread through
-// Outcome into the facade's Solution.
+// Lift (cover back to original ids) → Verify (the cover against the
+// original graph, the duals on the solved instance, and for a solver that
+// returns none, the duals of verify.BarYehudaEven there). With reduction
+// disabled the pipeline is the direct solve path bit for bit; with it
+// enabled, Result.Reduction carries the kernel stats. Result is the
+// facade's Solution.
 //
 // When only the domination rule could shrink the input
 // (reduce.OnlyDomination), no observer is attached and Parallelism allows

@@ -3,7 +3,6 @@ package solver
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -13,35 +12,45 @@ import (
 	"repro/internal/verify"
 )
 
-// Result is the verified outcome of a Pipeline run: the cover and
-// certificate always refer to the original graph the pipeline was given,
-// never to an internal kernel.
+// Result is the verified outcome of a Pipeline run, which the facade
+// returns as mwvc.Solution: the cover and certificate always refer to the
+// original graph the pipeline was given, never to an internal kernel. Its
+// JSON form is the solve service's wire format.
 type Result struct {
 	// Cover marks the chosen vertices of the original graph.
-	Cover []bool
+	Cover []bool `json:"cover,omitempty"`
 	// Weight is the total weight of the cover.
-	Weight float64
-	// Bound is a certified lower bound on OPT (weak LP duality on the
-	// solved instance plus the reduction's forced weight), or 0 when the
-	// algorithm provides no certificate.
-	Bound float64
-	// CertifiedRatio is Weight/Bound, following the facade's documented
-	// convention for certificate-free and empty instances.
-	CertifiedRatio float64
-	// Rounds and Phases echo the solver's round accounting (measured on the
-	// kernel when reduction ran — the honest cost of the solve that
-	// actually executed).
-	Rounds int
-	Phases int
-	// Exact reports that Weight is the true optimum.
-	Exact bool
-	// Reduction carries the kernelization stats, nil when the pipeline ran
-	// without reduction.
-	Reduction *reduce.Stats
-	// Improvement carries the anytime local-search stats, nil when the
-	// pipeline ran without an improvement budget (or the stage was skipped
-	// because the solve was already exact).
-	Improvement *improve.Stats
+	Weight float64 `json:"weight"`
+	// Bound is a certified lower bound on OPT: the value of a feasible
+	// fractional matching on the solved instance (weak LP duality,
+	// Lemma 3.2) plus the reduction's forced weight, or Weight itself for
+	// an exact solve without duals. A solver that raises no duals (greedy)
+	// is certified by verify.BarYehudaEven's duals on the same instance.
+	Bound float64 `json:"bound"`
+	// CertifiedRatio is Weight/Bound, so OPT ≥ Weight/CertifiedRatio. A
+	// zero-weight cover has Bound 0 and ratio 1.
+	CertifiedRatio float64 `json:"certified_ratio"`
+	// Rounds counts communication rounds for the distributed algorithms
+	// (MPC rounds for mpc, iterations for the LOCAL baselines,
+	// congested-clique rounds for congested-clique); 0 for sequential
+	// algorithms. Measured on the kernel when reduction ran: the honest
+	// cost of the solve that actually executed.
+	Rounds int `json:"rounds,omitempty"`
+	// Phases counts the sampled MPC phases (mpc, mpc-compress and ggk only).
+	Phases int `json:"phases,omitempty"`
+	// Exact reports that Weight is the true optimum: the exact solver, or
+	// any algorithm on an instance the reduction rules solved outright
+	// (empty kernel).
+	Exact bool `json:"exact,omitempty"`
+	// Reduction reports what the kernelization stage did — instance size
+	// before and after, per-rule counts, forced weight, reduce time. It is
+	// nil when the pipeline ran without reduction.
+	Reduction *reduce.Stats `json:"reduction,omitempty"`
+	// Improvement reports what the anytime improvement stage did — weights
+	// before/after on the solved instance, move counts, time to first
+	// improvement. It is nil unless the pipeline ran with an improvement
+	// budget (and the result was not already exact).
+	Improvement *improve.Stats `json:"improvement,omitempty"`
 }
 
 // Pipeline stages one solve: Reduce (optional kernelization) → Solve on the
@@ -176,12 +185,11 @@ func (p Pipeline) Run(ctx context.Context, g *graph.Graph) (*Result, error) {
 	if tr != nil {
 		cover, forced = tr.Lift(out.Cover)
 	}
-	out.Reduction = stats
 	res, err := verifyStage(g, work, cover, forced, out)
 	if err != nil {
 		return nil, err
 	}
-	res.Improvement = imp
+	res.Reduction, res.Improvement = stats, imp
 	return res, nil
 }
 
@@ -252,11 +260,13 @@ func (o *overlap) discard() {
 }
 
 // verifyStage checks the lifted cover against the original graph g, checks
-// the solver's dual certificate on the instance it solved (work: the kernel,
-// or g when nothing reduced), and fills the Result. Bound is the duals'
-// value plus the reduction's forced weight, which is sound because each
-// rule preserves the optimum exactly: OPT(g) = forced + OPT(kernel) ≥
-// forced + Σx.
+// the dual certificate on the instance the solver solved (work: the kernel,
+// or g when nothing reduced), and fills the Result. The certificate is the
+// solver's duals, or, when it returns none and is not exact,
+// verify.BarYehudaEven's duals on work. Bound is the duals' value plus the
+// reduction's forced weight, which is sound because each rule preserves the
+// optimum exactly: OPT(g) = forced + OPT(kernel) ≥ forced + Σx. An exact
+// outcome is its own bound.
 //
 // Certifying on the kernel is bit-identical to certifying the lifted duals
 // on g (verify.NewLiftedCertificate on reduce.Trace.LiftDuals): kernel edge
@@ -264,15 +274,14 @@ func (o *overlap) discard() {
 // weights, and every edge outside the kernel would carry +0, which changes
 // no float sum. It spares the m-sized lifted vector.
 //
-// CertifiedRatio follows the facade's convention: certificate ⇒
-// Weight/Bound; exact ⇒ 1; empty cover ⇒ 1; otherwise +Inf.
+// A cover of positive weight with Bound 0 certifies nothing, so it is an
+// internal error, like an infeasible certificate.
 func verifyStage(g, work *graph.Graph, cover []bool, forced float64, out *Outcome) (*Result, error) {
 	res := &Result{
-		Cover:     cover,
-		Rounds:    out.Rounds,
-		Phases:    out.Phases,
-		Exact:     out.Exact,
-		Reduction: out.Reduction,
+		Cover:  cover,
+		Rounds: out.Rounds,
+		Phases: out.Phases,
+		Exact:  out.Exact,
 	}
 	if len(cover) != g.NumVertices() {
 		return nil, fmt.Errorf("solver: internal error: cover length %d, want %d", len(cover), g.NumVertices())
@@ -282,25 +291,28 @@ func verifyStage(g, work *graph.Graph, cover []bool, forced float64, out *Outcom
 		return nil, fmt.Errorf("solver: internal error: edge (%d,%d) uncovered", u, v)
 	}
 	res.Weight = verify.CoverWeight(g, cover)
-	switch {
-	case out.Duals != nil:
-		if err := verify.DualFeasible(work, out.Duals); err != nil {
+	duals := out.Duals
+	if duals == nil && !out.Exact {
+		_, duals = verify.BarYehudaEven(work)
+	}
+	if duals != nil {
+		if err := verify.DualFeasible(work, duals); err != nil {
 			return nil, fmt.Errorf("solver: internal error: invalid certificate: %w", err)
 		}
-		res.Bound = verify.DualValue(out.Duals)
+		res.Bound = verify.DualValue(duals)
 		if forced != 0 {
 			res.Bound += forced
 		}
-	case out.Exact:
+	} else {
 		res.Bound = res.Weight
 	}
 	switch {
-	case res.Bound != 0:
+	case res.Bound > 0:
 		res.CertifiedRatio = res.Weight / res.Bound
 	case res.Weight == 0:
 		res.CertifiedRatio = 1
 	default:
-		res.CertifiedRatio = math.Inf(1)
+		return nil, fmt.Errorf("solver: internal error: cover of weight %v certified by bound %v", res.Weight, res.Bound)
 	}
 	return res, nil
 }

@@ -190,8 +190,14 @@ func TestPipelineWithoutReduceIsDirect(t *testing.T) {
 	if res.Reduction != nil {
 		t.Fatal("reduction stats attached with reduction disabled")
 	}
-	if !math.IsInf(res.CertifiedRatio, 1) {
-		t.Fatalf("certificate-free ratio %v, want +Inf", res.CertifiedRatio)
+	// The solver returned no duals, so the verify stage certifies its cover
+	// with the Bar-Yehuda–Even pass on the instance it solved: the raw g.
+	_, x := verify.BarYehudaEven(g)
+	if want := verify.DualValue(x); math.Float64bits(res.Bound) != math.Float64bits(want) {
+		t.Fatalf("dual-free bound %v, want the Bar-Yehuda–Even value %v", res.Bound, want)
+	}
+	if math.Float64bits(res.CertifiedRatio) != math.Float64bits(res.Weight/res.Bound) {
+		t.Fatalf("ratio %v, want %v/%v", res.CertifiedRatio, res.Weight, res.Bound)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/reduce"
 )
 
 // ErrUnsupported marks a solve error caused by the request itself — an
@@ -56,8 +55,9 @@ type Outcome struct {
 	// Cover marks the chosen vertices.
 	Cover []bool
 	// Duals is a feasible fractional matching certifying the cover weight
-	// against OPT by weak LP duality, or nil when the algorithm provides no
-	// certificate (greedy).
+	// against OPT by weak LP duality, or nil when the algorithm raises none
+	// (greedy). Pipeline certifies a dual-free cover that is not Exact
+	// with verify.BarYehudaEven's duals on the instance it solved.
 	Duals []float64
 	// Rounds counts communication rounds for the distributed algorithms;
 	// 0 for sequential ones.
@@ -66,10 +66,6 @@ type Outcome struct {
 	Phases int
 	// Exact reports that the cover weight is the true optimum.
 	Exact bool
-	// Reduction carries the kernelization stats when the outcome was
-	// produced by a Pipeline with reduction enabled; solvers themselves
-	// leave it nil — the pipeline fills it after the lift stage.
-	Reduction *reduce.Stats
 }
 
 // Solver is one registered algorithm.

@@ -1,12 +1,16 @@
 // Package verify provides the correctness checks shared by tests,
 // experiments, and the CLI: cover validity, dual feasibility (the invariant
 // of Observation 3.1), and certified approximation ratios via weak LP
-// duality (Lemma 3.2).
+// duality (Lemma 3.2). It also holds the one Bar-Yehuda–Even local-ratio
+// pass, which raises such a dual together with a cover: pdfast finishes
+// with it, `bye` is the pass from zero duals, and the pipeline certifies
+// a solver that returns no duals with it.
 package verify
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -138,4 +142,63 @@ func (c *Certificate) Ratio() float64 {
 		return math.Inf(1)
 	}
 	return c.Weight / c.Bound
+}
+
+// LocalRatio is the Bar-Yehuda–Even local-ratio pass (the edge packing of
+// PAPERS.md cs/0205037): for each vertex v of live in order, while v is
+// uncovered, and each neighbor u > v in v's row while u is uncovered, it
+// raises x_e by δ = min(gap[v], gap[u]), lowers both gaps by δ, and covers
+// a vertex whose gap reaches 0. gap holds each vertex's residual weight,
+// w(v) minus the duals already raised on its edges, so a feasible x stays
+// feasible, and every edge it scans leaves with an endpoint covered.
+//
+// Rows are sorted and edge ids lexicographic, so with live ascending the
+// pass visits its edges in increasing id order. Subtracting the minimum
+// zeroes the smaller gap exactly (a − a = 0 in floating point), so every
+// vertex the pass covers is saturated bit for bit.
+//
+//mwvc:hotpath
+func LocalRatio(g *graph.Graph, live []graph.Vertex, gap, x []float64, cover []bool) {
+	for _, v := range live {
+		if cover[v] {
+			continue
+		}
+		nbrs := g.Neighbors(v)
+		ids := g.IncidentEdges(v)
+		for j, u := range nbrs {
+			if u < v || cover[u] {
+				continue
+			}
+			d := gap[v]
+			if gap[u] < d {
+				d = gap[u]
+			}
+			x[ids[j]] += d
+			gap[v] -= d
+			gap[u] -= d
+			if gap[u] <= 0 {
+				cover[u] = true
+			}
+			if gap[v] <= 0 {
+				cover[v] = true
+				break
+			}
+		}
+	}
+}
+
+// BarYehudaEven is LocalRatio started from zero duals on every vertex of
+// g: the linear-time sequential 2-approximation. Every covered vertex is
+// saturated, so the cover weighs at most 2·Σx ≤ 2·OPT, and x is the
+// feasible fractional matching that certifies it.
+func BarYehudaEven(g *graph.Graph) (cover []bool, x []float64) {
+	n := g.NumVertices()
+	live := make([]graph.Vertex, n)
+	for v := range live {
+		live[v] = graph.Vertex(v)
+	}
+	cover = make([]bool, n)
+	x = make([]float64, g.NumEdges())
+	LocalRatio(g, live, slices.Clone(g.Weights()), x, cover)
+	return cover, x
 }

@@ -36,10 +36,8 @@ package mwvc
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"time"
 
@@ -329,43 +327,10 @@ func WithoutImprovement() Option {
 	return func(s *settings) { s.cfg.ImproveBudget = 0 }
 }
 
-// Solution is the outcome of Solve, with a self-contained quality
-// certificate whenever the algorithm provides one.
-type Solution struct {
-	// Cover marks the chosen vertices.
-	Cover []bool
-	// Weight is the total weight of the cover.
-	Weight float64
-	// Bound is a certified lower bound on OPT (weak LP duality), or 0 when
-	// the algorithm provides no certificate (greedy).
-	Bound float64
-	// CertifiedRatio is Weight/Bound. Convention for certificate-free
-	// results: +Inf when Bound is 0 and Weight > 0 ("no guarantee claimed"
-	// — deliberately not 0 or NaN so naive comparisons fail safe), and 1 for
-	// the empty instance (a zero-weight cover is trivially optimal). Use
-	// math.IsInf to detect the certificate-free case before formatting.
-	CertifiedRatio float64
-	// Rounds counts communication rounds for the distributed algorithms
-	// (MPC rounds for AlgoMPC, iterations for the LOCAL baselines,
-	// congested-clique rounds for AlgoCongestedClique); 0 for sequential
-	// algorithms.
-	Rounds int
-	// Phases counts the sampled MPC phases (AlgoMPC and AlgoGGK only).
-	Phases int
-	// Exact reports that Weight is the true optimum: AlgoExact, or any
-	// algorithm on an instance the reduction rules solved outright (empty
-	// kernel).
-	Exact bool
-	// Reduction reports what the kernelization stage did — instance size
-	// before and after, per-rule counts, forced weight, reduce time. It is
-	// nil when the solve ran WithoutReduction.
-	Reduction *ReductionStats
-	// Improvement reports what the anytime improvement stage did — weights
-	// before/after on the solved instance, move counts, time to first
-	// improvement. It is nil unless the solve ran WithImprovement (and the
-	// result was not already exact).
-	Improvement *ImprovementStats
-}
+// Solution is the outcome of Solve: the verified cover with its quality
+// certificate, which every solve carries. See internal/solver.Result for
+// the field-by-field contract; its JSON form is the service's wire format.
+type Solution = solver.Result
 
 // ReductionStats is the kernelization accounting attached to a Solution;
 // see internal/reduce for the field-by-field contract.
@@ -375,69 +340,6 @@ type ReductionStats = reduce.Stats
 // Solution; see internal/improve for the field-by-field contract. Its
 // weights refer to the solved instance (the kernel when reduction ran).
 type ImprovementStats = improve.Stats
-
-// solutionJSON is the wire form of Solution. CertifiedRatio is a pointer
-// because encoding/json rejects non-finite floats: the +Inf "no guarantee
-// claimed" convention is carried as null on the wire.
-type solutionJSON struct {
-	Cover          []bool            `json:"cover,omitempty"`
-	Weight         float64           `json:"weight"`
-	Bound          float64           `json:"bound"`
-	CertifiedRatio *float64          `json:"certified_ratio"`
-	Rounds         int               `json:"rounds,omitempty"`
-	Phases         int               `json:"phases,omitempty"`
-	Exact          bool              `json:"exact,omitempty"`
-	Reduction      *ReductionStats   `json:"reduction,omitempty"`
-	Improvement    *ImprovementStats `json:"improvement,omitempty"`
-}
-
-// MarshalJSON encodes the solution for service responses and benchmark
-// output. The documented +Inf CertifiedRatio convention ("no guarantee
-// claimed") cannot survive encoding/json — it rejects non-finite floats — so
-// it is mapped to a null certified_ratio; every other field encodes as-is.
-func (s Solution) MarshalJSON() ([]byte, error) {
-	out := solutionJSON{
-		Cover:       s.Cover,
-		Weight:      s.Weight,
-		Bound:       s.Bound,
-		Rounds:      s.Rounds,
-		Phases:      s.Phases,
-		Exact:       s.Exact,
-		Reduction:   s.Reduction,
-		Improvement: s.Improvement,
-	}
-	if !math.IsInf(s.CertifiedRatio, 0) && !math.IsNaN(s.CertifiedRatio) {
-		r := s.CertifiedRatio
-		out.CertifiedRatio = &r
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON inverts MarshalJSON: a null or absent certified_ratio
-// restores the +Inf convention, so Weight/Bound/ratio round-trip through
-// JSON exactly.
-func (s *Solution) UnmarshalJSON(data []byte) error {
-	var in solutionJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*s = Solution{
-		Cover:       in.Cover,
-		Weight:      in.Weight,
-		Bound:       in.Bound,
-		Rounds:      in.Rounds,
-		Phases:      in.Phases,
-		Exact:       in.Exact,
-		Reduction:   in.Reduction,
-		Improvement: in.Improvement,
-	}
-	if in.CertifiedRatio != nil {
-		s.CertifiedRatio = *in.CertifiedRatio
-	} else {
-		s.CertifiedRatio = math.Inf(1)
-	}
-	return nil
-}
 
 // Solve computes a vertex cover of g with the selected algorithm (default
 // AlgoMPC). The context cancels or deadline-bounds the solve: every iterative
@@ -478,19 +380,5 @@ func Solve(ctx context.Context, g *Graph, opts ...Option) (*Solution, error) {
 		return nil, err
 	}
 	p := solver.Pipeline{Solver: reg.Solver, Reduce: s.reduce, Config: s.cfg, Kernel: s.kernel}
-	res, err := p.Run(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{
-		Cover:          res.Cover,
-		Weight:         res.Weight,
-		Bound:          res.Bound,
-		CertifiedRatio: res.CertifiedRatio,
-		Rounds:         res.Rounds,
-		Phases:         res.Phases,
-		Exact:          res.Exact,
-		Reduction:      res.Reduction,
-		Improvement:    res.Improvement,
-	}, nil
+	return p.Run(ctx, g)
 }

@@ -5,11 +5,12 @@ package mwvc_test
 // return a valid cover; pdfast additionally must return a feasible dual
 // whose doubled value bounds the primal bitwise, return the same bits at
 // every worker count and several GOMAXPROCS values, and stay within 2× the
-// exact optimum wherever the exact solver can certify one. The suite is the
-// cross-algorithm oracle: a subtly wrong approximation solver can return
-// valid-looking covers for a long time before anyone notices, so the cheap
-// algorithms are checked against each other and against exact ground truth
-// on every run.
+// exact optimum wherever the exact solver can certify one. Through the
+// facade, every solve of the grid must carry a real certificate. The suite
+// is the cross-algorithm oracle: a subtly wrong approximation solver can
+// return valid-looking covers for a long time before anyone notices, so the
+// cheap algorithms are checked against each other and against exact ground
+// truth on every run.
 
 import (
 	"context"
@@ -22,6 +23,7 @@ import (
 	mwvc "repro"
 	"repro/internal/cli"
 	"repro/internal/graph"
+	"repro/internal/reduce"
 	"repro/internal/solver"
 	"repro/internal/verify"
 )
@@ -80,6 +82,53 @@ func TestPDFastDifferential(t *testing.T) {
 
 				checkPDFastCertificate(t, ctx, g, cfg)
 			})
+		}
+	}
+}
+
+// TestEverySolveCertified holds every registered algorithm that accepts a
+// grid instance to a real certificate through mwvc.Solve: Bound > 0 and a
+// finite CertifiedRatio ≥ 1. Greedy raises no duals, so its Bound must be
+// the Bar-Yehuda–Even dual value on the instance it solved (the kernel)
+// plus the forced weight, bit for bit.
+func TestEverySolveCertified(t *testing.T) {
+	ctx := context.Background()
+	for _, fam := range diffFamilies {
+		for _, seed := range diffSeeds {
+			name := fam.name + "/" + string(rune('0'+seed))
+			g, err := cli.BuildGraph(fam.gen, fam.n, fam.d, fam.weights, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			red, err := reduce.Run(ctx, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			work := g
+			if red.Trace != nil {
+				work = red.Kernel
+			}
+			for _, algo := range mwvc.Algorithms() {
+				sol, err := mwvc.Solve(ctx, g, mwvc.WithAlgorithm(algo), mwvc.WithSeed(seed))
+				if errors.Is(err, solver.ErrUnsupported) {
+					continue // instance outside the algorithm's domain
+				}
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, algo, err)
+				}
+				if !(sol.Bound > 0) || !(sol.CertifiedRatio >= 1) || math.IsInf(sol.CertifiedRatio, 0) {
+					t.Fatalf("%s/%s: bound %v ratio %v, want a positive bound and a finite ratio ≥ 1",
+						name, algo, sol.Bound, sol.CertifiedRatio)
+				}
+				if algo != mwvc.AlgoGreedy || sol.Exact {
+					continue
+				}
+				_, x := verify.BarYehudaEven(work)
+				want := verify.DualValue(x) + red.Stats.ForcedWeight
+				if math.Float64bits(sol.Bound) != math.Float64bits(want) {
+					t.Fatalf("%s/greedy: bound %v, want the Bar-Yehuda–Even value %v", name, sol.Bound, want)
+				}
+			}
 		}
 	}
 }
