@@ -179,15 +179,13 @@ func TestChunkedReadMatchesRead(t *testing.T) {
 
 // TestRecordStreamMatchesReference pins the line reader's record stream,
 // one-pass edge and weight parses included, to the reference scanner's on
-// every input of the reader tests, in both passes' modes.
+// every input of the reader tests.
 func TestRecordStreamMatchesReference(t *testing.T) {
 	for _, c := range readCases(t) {
-		for _, weights := range []bool{true, false} {
-			want, wantErr := refTrace([]byte(c.data), weights)
-			got, gotErr := streamTrace([]byte(c.data), weights)
-			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Errorf("%s (weights %v): got %.200q, %v\nwant %.200q, %v", c.name, weights, got, gotErr, want, wantErr)
-			}
+		want, wantErr := refTrace([]byte(c.data))
+		got, gotErr := streamTrace([]byte(c.data))
+		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: got %.200q, %v\nwant %.200q, %v", c.name, got, gotErr, want, wantErr)
 		}
 	}
 }

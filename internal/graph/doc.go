@@ -4,8 +4,9 @@
 // A Graph is an undirected simple graph in CSR (compressed sparse row) form
 // with positive float64 vertex weights: a flat uint32 offset array, a flat
 // neighbor array, a slot-aligned edge-id array, and a flat edge-endpoint
-// array — no per-vertex slices, no pointers, ~12 bytes per edge of
-// structure. Each undirected edge has a stable edge id in [0, NumEdges());
+// array — no per-vertex slices, no pointers. The last three hold 2m int32
+// entries each, 24 bytes per edge, and offsets and weights add 12 bytes per
+// vertex. Each undirected edge has a stable edge id in [0, NumEdges());
 // the adjacency structure stores, for every directed slot, both the
 // neighbor and the id of the underlying undirected edge, so per-edge state
 // (such as the dual variables x_e of the primal–dual algorithm) can live in
@@ -21,11 +22,11 @@
 //   - Builder buffers an in-memory edge list (AddEdge in any order,
 //     duplicates merged) and is the convenience path used by generators,
 //     tests, and small instances.
-//   - CSRBuilder is the bounded-memory streaming path: the caller streams
-//     the edge list twice (CountEdge… EndCount, then AddEdge…), and the
-//     builder assembles the CSR arrays in place — no edge-list buffer, no
-//     comparison sort over m edges. Deterministic generators replay their
-//     edge stream for the two passes with no buffering at all.
+//   - CSRBuilder is the streaming path: the caller streams the edge list
+//     twice (CountEdge… EndCount, then AddEdge…), and the builder assembles
+//     the CSR arrays in place — no comparison sort over m edges.
+//     Deterministic generators replay their edge stream for the two passes
+//     with no buffering at all.
 //
 // # Serialization
 //
@@ -35,9 +36,11 @@
 // by the serve store. See docs/FORMATS.md for the format specification.
 //
 // Read parses a one-shot stream serially into a Builder. ReadStream (and
-// OpenFile) parses a file in newline-aligned chunks, one per core but one
-// (so serially on two cores): each chunk counts degrees privately and fills
-// its own slots of every CSR row, which is a CSRBuilder fed a stream split
-// into parts — the arbitrarily partitioned edge set of the MPC model, with
-// the cores as machines. The graph is the same for every chunk count.
+// OpenFile) reads a file once, in newline-aligned chunks, one per core:
+// each chunk parses its lines once, counting degrees privately and keeping
+// its edge records in a buffer of its own (8 bytes per record), then fills
+// its own slots of every CSR row from that buffer. That is a CSRBuilder fed
+// a stream split into parts — the arbitrarily partitioned edge set of the
+// MPC model, with the cores as machines. The graph is the same for every
+// chunk count.
 package graph

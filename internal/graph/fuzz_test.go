@@ -66,13 +66,11 @@ func FuzzReadGraph(f *testing.F) {
 		if n, ok := declaredVertexCount(data); !ok || n > 1<<20 {
 			t.Skip("vertex-count claim unbounded or over the harness cap")
 		}
-		for _, weights := range []bool{true, false} {
-			want, wantErr := graph.RefTrace(data, weights)
-			got, gotErr := graph.StreamTrace(data, weights)
-			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("record stream (weights %v) differs from the reference scanner:\n got %q, %v\nwant %q, %v",
-					weights, got, gotErr, want, wantErr)
-			}
+		want, wantErr := graph.RefTrace(data)
+		got, gotErr := graph.StreamTrace(data)
+		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("record stream differs from the reference scanner:\n got %q, %v\nwant %q, %v",
+				got, gotErr, want, wantErr)
 		}
 		g, err := graph.Read(bytes.NewReader(data))
 		r := bytes.NewReader(data)

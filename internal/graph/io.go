@@ -292,12 +292,10 @@ type record struct {
 }
 
 // nextRecord returns the next body record, skipping blank and comment lines,
-// and io.EOF after the last. With weights false a weight record is checked
-// up to its vertex id and skipped without parsing the weight (ReadStream's
-// second pass). Vertex ranges are the caller's to check. Lines in the form
-// WriteEdgeList emits take parseEdge and parseWeight; any other line, and
-// one whose weight strconv.ParseFloat rejects, takes parseRecord.
-func (lr *lineReader) nextRecord(weights bool) (record, error) {
+// and io.EOF after the last. Vertex ranges are the caller's to check. Lines
+// in the form WriteEdgeList emits take parseEdge and parseWeight; any other
+// line, and one whose weight strconv.ParseFloat rejects, takes parseRecord.
+func (lr *lineReader) nextRecord() (record, error) {
 	for {
 		// Most lines are plain edge records: parse one straight from the
 		// buffer when its line ending is there too.
@@ -319,9 +317,6 @@ func (lr *lineReader) nextRecord(weights bool) (record, error) {
 			return record{edge: true, u: u, v: v}, nil
 		}
 		if v, k := parseWeight(line); k > 0 {
-			if !weights {
-				continue
-			}
 			if w, err := strconv.ParseFloat(string(line[k:]), 64); err == nil {
 				return record{u: v, w: w}, nil
 			}
@@ -330,10 +325,7 @@ func (lr *lineReader) nextRecord(weights bool) (record, error) {
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		rec, ok, err := parseRecord(line, weights)
-		if err != nil || ok {
-			return rec, err
-		}
+		return parseRecord(line)
 	}
 }
 
@@ -406,13 +398,12 @@ func parseWeight(line []byte) (v Vertex, field int) {
 	return Vertex(x), i
 }
 
-// parseRecord parses a trimmed, nonblank, noncomment body line. ok is false
-// for a weight record skipped because weights is false.
-func parseRecord(line []byte, weights bool) (rec record, ok bool, err error) {
+// parseRecord parses a trimmed, nonblank, noncomment body line.
+func parseRecord(line []byte) (record, error) {
 	var f0, f1, f2 []byte
 	nf, err := splitFields3(line, &f0, &f1, &f2)
 	if err != nil || nf != 3 {
-		return rec, false, fmt.Errorf("graph: bad record %q", line)
+		return record{}, fmt.Errorf("graph: bad record %q", line)
 	}
 	switch {
 	case len(f0) == 1 && f0[0] == 'e':
@@ -421,24 +412,21 @@ func parseRecord(line []byte, weights bool) (rec record, ok bool, err error) {
 		u, ok1 := parseInt(f1)
 		v, ok2 := parseInt(f2)
 		if !ok1 || !ok2 || u > math.MaxInt32 || v > math.MaxInt32 || u < math.MinInt32 || v < math.MinInt32 {
-			return rec, false, fmt.Errorf("graph: bad endpoint in %q", line)
+			return record{}, fmt.Errorf("graph: bad endpoint in %q", line)
 		}
-		return record{edge: true, u: Vertex(u), v: Vertex(v)}, true, nil
+		return record{edge: true, u: Vertex(u), v: Vertex(v)}, nil
 	case len(f0) == 1 && f0[0] == 'w':
 		v, ok1 := parseInt(f1)
 		if !ok1 || v > math.MaxInt32 || v < math.MinInt32 {
-			return rec, false, fmt.Errorf("graph: bad vertex in %q", line)
-		}
-		if !weights {
-			return rec, false, nil
+			return record{}, fmt.Errorf("graph: bad vertex in %q", line)
 		}
 		wt, err := strconv.ParseFloat(string(f2), 64)
 		if err != nil {
-			return rec, false, fmt.Errorf("graph: bad weight in %q: %w", line, err)
+			return record{}, fmt.Errorf("graph: bad weight in %q: %w", line, err)
 		}
-		return record{u: Vertex(v), w: wt}, true, nil
+		return record{u: Vertex(v), w: wt}, nil
 	default:
-		return rec, false, fmt.Errorf("graph: unknown record %q", line)
+		return record{}, fmt.Errorf("graph: unknown record %q", line)
 	}
 }
 
@@ -517,8 +505,8 @@ func parseInt(b []byte) (int64, bool) {
 // Read parses a graph in either text format from a one-shot stream,
 // serially. It buffers the edge list in a Builder, so it works for
 // non-seekable sources (network bodies, pipes); for on-disk instances
-// prefer ReadStream or OpenFile, which build the CSR arrays in two passes
-// with no edge-list buffer. A read error is returned wrapped.
+// prefer ReadStream or OpenFile, which read the file once on every core and
+// build the CSR arrays in place. A read error is returned wrapped.
 func Read(r io.Reader) (*Graph, error) {
 	var lr lineReader
 	lr.reset(r, 0)
@@ -528,7 +516,7 @@ func Read(r io.Reader) (*Graph, error) {
 	}
 	b := NewBuilder(n)
 	for {
-		rec, err := lr.nextRecord(true)
+		rec, err := lr.nextRecord()
 		if err == io.EOF {
 			break
 		}
@@ -562,32 +550,52 @@ func Read(r io.Reader) (*Graph, error) {
 
 // ReadStream parses a graph in either text format from the first size bytes
 // of r. It parses the header and size lines serially, then cuts the body
-// into P newline-aligned chunks, P = min(GOMAXPROCS−1, body bytes / 1 MiB,
-// 1 + size/(8n)), at least 1. Each chunk runs two passes on its own
-// goroutine: pass 1 counts degrees and collects weights, pass 2 places
-// every edge at its final CSR position (see CSRBuilder). The graph is the
-// same for every P, and a later weight record for a vertex overrides an
-// earlier one, in file order. Among several malformed lines, the first in
-// file order is the one reported.
+// into P newline-aligned chunks, P = min(GOMAXPROCS, body bytes / 1 MiB,
+// 1 + size/(8n)), at least 1, and reads each chunk once, each on its own
+// goroutine but the first, which runs on the caller's. Pass 1 parses the
+// chunk: it counts degrees, collects weights and keeps the chunk's edge
+// records in a buffer of its own. Pass 2 places those records at their
+// final CSR positions (see CSRBuilder). The graph is the same for every P,
+// and a later weight record for a vertex overrides an earlier one, in file
+// order. Among several malformed lines, the first in file order is the one
+// reported.
 //
-// One core stays free for the rest of the process. Each pass ends when its
-// slowest chunk does, so a chunk whose core is taken by the garbage
-// collector's background marking, another goroutine or another process
-// holds up the whole read: with a chunk on every core, the read's speed
-// would depend on what else runs. On two cores the read is therefore
-// serial.
+// Each pass ends when its slowest chunk does, so a chunk whose core is
+// taken by the garbage collector's background marking, another goroutine
+// or another process holds up the whole read; with a chunk on every core,
+// nothing is left over to absorb that.
 //
-// Peak memory is the final graph, plus one n-sized scratch array, plus two
-// n-sized arrays per chunk after the first, which the bound on P keeps
-// within the input's own size. There is no intermediate edge-list buffer,
-// which is what admits instances in the paper's regime (millions of edges)
-// on ordinary machines.
+// The record buffers cost 8 bytes per edge record, in blocks of 64 Ki
+// records, and each block is dropped as soon as pass 2 has placed it, so
+// they are garbage before Build allocates the graph's edge ids and
+// endpoints (16 bytes per edge). Beyond the final graph and the buffers,
+// the read holds one n-sized scratch array, plus two n-sized arrays per
+// chunk after the first, which the bound on P keeps within the input's own
+// size.
 func ReadStream(r io.ReaderAt, size int64) (*Graph, error) {
 	return readStream(r, size, 0)
 }
 
-// chunkBytes is the least body a ReadStream chunk is given.
-const chunkBytes = 1 << 20
+const (
+	// chunkBytes is the least body a ReadStream chunk is given.
+	chunkBytes = 1 << 20
+	// blockRecords is the number of edge records in one block of a chunk's
+	// record buffer: 512 KiB. The buffer grows by whole blocks, so no
+	// record is ever copied.
+	blockRecords = 64 << 10
+	// minEdgeLine is the length of the shortest edge line, "e 0 1\n".
+	minEdgeLine = 6
+)
+
+// chunkCount is ReadStream's P for an input of size bytes whose body starts
+// at offset body and whose size line declares n vertices.
+func chunkCount(n int, body, size int64) int {
+	p := min(int64(runtime.GOMAXPROCS(0)), (size-body)/chunkBytes)
+	if n > 0 {
+		p = min(p, 1+size/(8*int64(n)))
+	}
+	return int(max(p, 1))
+}
 
 // readStream is ReadStream cutting the body into p chunks; p ≤ 0 derives
 // the count from the input.
@@ -600,11 +608,7 @@ func readStream(r io.ReaderAt, size int64, p int) (*Graph, error) {
 	}
 	body := head.off
 	if p <= 0 {
-		p = int(min(int64(runtime.GOMAXPROCS(0)-1), (size-body)/chunkBytes))
-		if n > 0 {
-			p = int(min(int64(p), 1+size/(8*int64(n))))
-		}
-		p = max(p, 1)
+		p = chunkCount(n, body, size)
 	}
 	cuts, err := chunkCuts(r, body, size, p)
 	if err != nil {
@@ -625,7 +629,7 @@ func readStream(r io.ReaderAt, size int64, p int) (*Graph, error) {
 		}
 		parts[k] = ck.part
 	}
-	if err := eachChunk(chunks, func(k int, ck *readChunk) error { return ck.count(c, k == 0) }); err != nil {
+	if err := eachChunk(chunks, func(k int, ck *readChunk) error { return ck.parse(c, k == 0) }); err != nil {
 		return nil, err
 	}
 	var counted int64
@@ -663,6 +667,9 @@ type readChunk struct {
 	lo, hi int64 // the chunk's input offsets
 	lines  lineReader
 	part   *csrPart
+	// edges holds the chunk's edge records in file order, in blocks of at
+	// most blockRecords, from pass 1 until pass 2 places them.
+	edges [][][2]Vertex
 	// weights holds the weight records of every chunk but the first. They
 	// are applied in chunk order once pass 1 is done, after the first
 	// chunk's, so the last record in file order wins.
@@ -674,19 +681,33 @@ type weightRecord struct {
 	w float64
 }
 
-// count is pass 1 over the chunk: degrees into its part, weights into the
-// builder for the first chunk and into ck.weights for the others.
-func (ck *readChunk) count(c *CSRBuilder, first bool) error {
-	ck.rewind()
+// parse is pass 1 over the chunk: degrees into its part, edge records into
+// ck.edges, and weights into the builder for the first chunk and into
+// ck.weights for the others.
+func (ck *readChunk) parse(c *CSRBuilder, first bool) error {
+	ck.lines.reset(io.NewSectionReader(ck.src, ck.lo, ck.hi-ck.lo), ck.lo)
+	var block [][2]Vertex
 	for {
-		rec, err := ck.lines.nextRecord(true)
+		rec, err := ck.lines.nextRecord()
 		if err != nil {
+			if len(block) > 0 {
+				ck.edges = append(ck.edges, block)
+			}
 			return eofIsNil(err)
 		}
 		if rec.edge {
 			if err := c.countPart(ck.part, rec.u, rec.v); err != nil {
 				return err
 			}
+			if len(block) == cap(block) {
+				if len(block) > 0 {
+					ck.edges = append(ck.edges, block)
+				}
+				// No block is larger than the rest of the chunk could fill.
+				left := 1 + (ck.hi-ck.lines.off)/minEdgeLine
+				block = make([][2]Vertex, 0, min(blockRecords, left))
+			}
+			block = append(block, [2]Vertex{rec.u, rec.v})
 			continue
 		}
 		if err := checkWeightVertex(c.n, rec.u); err != nil {
@@ -700,23 +721,19 @@ func (ck *readChunk) count(c *CSRBuilder, first bool) error {
 	}
 }
 
-// fill is pass 2 over the chunk: every edge into its part's slots.
+// fill is pass 2 over the chunk: every edge record into its part's slots,
+// dropping each block once it is placed.
 func (ck *readChunk) fill(c *CSRBuilder) error {
-	ck.rewind()
-	for {
-		rec, err := ck.lines.nextRecord(false)
-		if err != nil {
-			return eofIsNil(err)
+	for i, block := range ck.edges {
+		for _, e := range block {
+			if err := c.fillPart(ck.part, e[0], e[1]); err != nil {
+				return err
+			}
 		}
-		if err := c.fillPart(ck.part, rec.u, rec.v); err != nil {
-			return err
-		}
+		ck.edges[i] = nil
 	}
-}
-
-// rewind points the chunk's line reader at the chunk's first byte.
-func (ck *readChunk) rewind() {
-	ck.lines.reset(io.NewSectionReader(ck.src, ck.lo, ck.hi-ck.lo), ck.lo)
+	ck.edges = nil
+	return nil
 }
 
 func eofIsNil(err error) error {

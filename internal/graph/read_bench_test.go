@@ -12,8 +12,8 @@ var readSink *graph.Graph
 
 // BenchmarkReadStream reads the fast-ingest benchmark input, an RMAT(16, 8)
 // graph (Graph500 quadrant probabilities) with uniform[1,100) weights in
-// the "mwvc-el 1" format, from memory. Run it at -cpu 2,3 to see one chunk
-// and two (GOMAXPROCS−1); MB/s counts the input bytes. It loops over b.N
+// the "mwvc-el 1" format, from memory. Run it at -cpu 1,2 to see one chunk
+// and two (one per core); MB/s counts the input bytes. It loops over b.N
 // rather than b.Loop: under Go 1.24, b.Loop runs every iteration in the
 // first call, before -cpu has set GOMAXPROCS.
 func BenchmarkReadStream(b *testing.B) {

@@ -12,14 +12,11 @@ import (
 
 // This file keeps the single-threaded bufio.Scanner parser that ReadStream
 // and Read used before the line reader and the one-pass edge parse
-// replaced it, verbatim, as the reference the record stream is tested
-// against.
+// replaced it, as the reference the record stream is tested against.
 
 // recordSink receives the records of one scan over a graph file. sizes is
 // called exactly once (haveM reports whether the format carries an edge
-// count); weight and edge are called per record in file order. A nil weight
-// makes the scanner skip weight records without parsing their value (used
-// by ReadStream's second pass).
+// count); weight and edge are called per record in file order.
 type recordSink struct {
 	sizes  func(n, m int, haveM bool) error
 	weight func(v Vertex, wt float64) error
@@ -123,9 +120,6 @@ func scanRecords(r io.Reader, s recordSink) error {
 			if !ok1 || v > math.MaxInt32 || v < math.MinInt32 {
 				return fmt.Errorf("graph: bad vertex in %q", line)
 			}
-			if s.weight == nil {
-				continue // pass-2 rescan: weights already collected
-			}
 			wt, err := strconv.ParseFloat(string(f2), 64)
 			if err != nil {
 				return fmt.Errorf("graph: bad weight in %q: %w", line, err)
@@ -141,13 +135,16 @@ func scanRecords(r io.Reader, s recordSink) error {
 }
 
 // refTrace runs the reference scanner over data and returns its record
-// stream as text, one line per sink call, with its error. With weights
-// false the scanner skips weight records, as ReadStream's pass 2 does.
-func refTrace(data []byte, weights bool) (string, error) {
+// stream as text, one line per sink call, with its error.
+func refTrace(data []byte) (string, error) {
 	var b strings.Builder
 	s := recordSink{
 		sizes: func(n, m int, haveM bool) error {
 			fmt.Fprintf(&b, "sizes %d %d %v\n", n, m, haveM)
+			return nil
+		},
+		weight: func(v Vertex, wt float64) error {
+			fmt.Fprintf(&b, "w %d %#x\n", v, math.Float64bits(wt))
 			return nil
 		},
 		edge: func(u, v Vertex) error {
@@ -155,18 +152,12 @@ func refTrace(data []byte, weights bool) (string, error) {
 			return nil
 		},
 	}
-	if weights {
-		s.weight = func(v Vertex, wt float64) error {
-			fmt.Fprintf(&b, "w %d %#x\n", v, math.Float64bits(wt))
-			return nil
-		}
-	}
 	err := scanRecords(bytes.NewReader(data), s)
 	return b.String(), err
 }
 
 // streamTrace is refTrace for readHead and the line reader's record stream.
-func streamTrace(data []byte, weights bool) (string, error) {
+func streamTrace(data []byte) (string, error) {
 	var b strings.Builder
 	var lr lineReader
 	lr.reset(bytes.NewReader(data), 0)
@@ -176,7 +167,7 @@ func streamTrace(data []byte, weights bool) (string, error) {
 	}
 	fmt.Fprintf(&b, "sizes %d %d %v\n", n, max(m, 0), m >= 0)
 	for {
-		rec, err := lr.nextRecord(weights)
+		rec, err := lr.nextRecord()
 		if err == io.EOF {
 			return b.String(), nil
 		}

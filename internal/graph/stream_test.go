@@ -55,9 +55,10 @@ func TestReadStreamMatchesRead(t *testing.T) {
 		})
 	}
 
-	// ReadStream sizes its CSR arrays once, where Read's Builder grows its
-	// pending edge list by appending, so on an input large enough to grow
-	// that list the streaming path allocates fewer objects.
+	// ReadStream sizes its CSR arrays once and keeps its edge records in
+	// fixed blocks, where Read's Builder grows its pending edge list by
+	// appending, so on an input large enough to grow that list the
+	// streaming path allocates fewer objects.
 	var buf bytes.Buffer
 	if err := WriteEdgeList(&buf, randomGraph(7, 5000, 40000)); err != nil {
 		t.Fatal(err)

@@ -74,14 +74,15 @@ func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // ReadGraph parses a graph in either of the repository's text formats
 // (docs/FORMATS.md) from a one-shot stream, buffering the edge list in
-// memory. For large on-disk instances prefer ReadGraphFile, which builds
-// the CSR arrays in two bounded-memory streaming passes.
+// memory. For large on-disk instances prefer ReadGraphFile, which reads
+// the file once on every core and builds the CSR arrays in place.
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.Read(r) }
 
-// ReadGraphFile reads a graph file via the two-pass streaming ingestion
-// path, parsing newline-aligned chunks of the file on up to GOMAXPROCS−1
-// goroutines: no in-memory edge-list buffer, peak memory ≈ the final graph
-// plus per-chunk scratch no larger than the file.
+// ReadGraphFile reads a graph file via the streaming ingestion path, which
+// reads the file once, one newline-aligned chunk per goroutine on up to
+// GOMAXPROCS goroutines. Each chunk keeps its edge records (8 bytes each)
+// until it has placed them in the CSR arrays; beyond those and the final
+// graph, per-chunk scratch stays no larger than the file.
 func ReadGraphFile(path string) (*Graph, error) { return graph.OpenFile(path) }
 
 // WriteGraph serializes a graph in the repository's canonical text format.
