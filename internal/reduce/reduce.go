@@ -23,7 +23,9 @@
 // stamped, and a dominator other than x0 must be adjacent to x0, so one
 // stamp read rejects most candidates. A dominator also has residual degree
 // at least v's. Stamping costs at most the length of v's own row, so at most
-// 2m words per sweep.
+// 2m words per sweep. A later sweep skips a vertex found undominated at its
+// present residual degree, and the drain skips the neighborhood sum where
+// w(v) < deg(v)·w_min·(1−10⁻⁶), a bound the sum always exceeds.
 //
 // Every rule preserves the optimum exactly: OPT(G) = ForcedWeight +
 // OPT(kernel), so the forced weight is a sound additive term for both the
@@ -243,6 +245,12 @@ type reducer struct {
 	inCover []bool  // vertex forced into the cover
 	deg     []int32 // residual degree: alive neighbors of an alive vertex
 	stamp   []int32 // dominatorOf: stamp[y] == v+1 marks y ∈ N(witness of v)
+	// checked[v] is deg[v] when the sweep last found v undominated, else -1.
+	checked []int32
+	// wfloor is w_min·(1−10⁻⁶), w_min the least vertex weight, or 0 where
+	// that is subnormal: a vertex with w(v) < deg[v]·wfloor weighs less
+	// than its alive neighbors together (see drain).
+	wfloor  float64
 	forcedW float64
 
 	queue   []graph.Vertex
@@ -301,12 +309,19 @@ func (r *reducer) fixpoint() error {
 	r.inQueue = make([]bool, n)
 	r.deg = make([]int32, n)
 	r.stamp = make([]int32, n)
+	r.checked = make([]int32, n)
 	r.queue = make([]graph.Vertex, 0, n)
+	wmin := math.Inf(1)
 	for v := 0; v < n; v++ {
 		r.alive[v] = true
 		r.inQueue[v] = true
 		r.deg[v] = int32(r.g.Degree(graph.Vertex(v)))
+		r.checked[v] = -1
 		r.queue = append(r.queue, graph.Vertex(v))
+		wmin = min(wmin, r.g.Weight(graph.Vertex(v)))
+	}
+	if r.wfloor = wmin * (1 - 1e-6); r.wfloor < 0x1p-1022 {
+		r.wfloor = 0 // too few significant bits to keep the margin
 	}
 	for {
 		if err := r.drain(); err != nil {
@@ -351,6 +366,10 @@ func (r *reducer) drain() error {
 				r.alive[v] = false
 				r.st.Pendant++
 			}
+		case r.g.Weight(v) < float64(r.deg[v])*r.wfloor:
+			// Neighborhood weight cannot fire: each of the deg[v] alive
+			// neighbors weighs at least w_min, so their float sum is at
+			// least deg[v]·w_min·(1 − deg[v]·2⁻⁵³), above deg[v]·wfloor.
 		default:
 			s := 0.0
 			for _, u := range r.g.Neighbors(v) {
@@ -395,7 +414,10 @@ func (r *reducer) soleAliveNeighbor(v graph.Vertex) graph.Vertex {
 func (r *reducer) dominationSweep() (bool, error) {
 	changed := false
 	for v := 0; v < r.g.NumVertices(); v++ {
-		if !r.alive[v] {
+		// A vertex found undominated at its present residual degree has the
+		// same alive neighbors as then (reduction only removes vertices),
+		// so it still has no dominator.
+		if !r.alive[v] || r.deg[v] == r.checked[v] {
 			continue
 		}
 		if err := r.poll(); err != nil {
@@ -406,6 +428,8 @@ func (r *reducer) dominationSweep() (bool, error) {
 			r.force(u)
 			r.st.Domination++
 			changed = true // v's residual degree changed; the worklist revisits it
+		} else {
+			r.checked[v] = r.deg[v]
 		}
 	}
 	return changed, nil

@@ -80,6 +80,39 @@ func TestNeighborhoodWeightRule(t *testing.T) {
 	}
 }
 
+// TestNeighborhoodWeightBoundary pins the rule at its edge, where the check
+// that skips the neighborhood sum must not skip: a hub of weight deg·w_min,
+// or of exactly its neighbors' float sum, still fires, and one just below
+// that sum does not. The hub is vertex 0 of a wheel whose rim vertices weigh
+// w_min, so every degree is at least 3, no rim vertex dominates another, and
+// the hub is the first vertex the rules visit. At k = 10 and w_min = 0.1 the
+// float sum is 0.9999999999999999, below deg·w_min = 1.
+func TestNeighborhoodWeightBoundary(t *testing.T) {
+	for _, c := range []struct {
+		k    int
+		wmin float64
+	}{{4, 1}, {4, 0.1}, {7, 0.1}, {10, 0.1}, {5, 3.7}} {
+		edges := make([][2]graph.Vertex, 0, 2*c.k)
+		weights := make([]float64, c.k+1)
+		sum := 0.0
+		for i := 1; i <= c.k; i++ {
+			edges = append(edges, [2]graph.Vertex{0, graph.Vertex(i)}, [2]graph.Vertex{graph.Vertex(i), graph.Vertex(i%c.k + 1)})
+			weights[i] = c.wmin
+			sum += c.wmin
+		}
+		for _, w := range []float64{float64(c.k) * c.wmin, sum, math.Nextafter(sum, 0)} {
+			weights[0] = w
+			res := mustRun(t, build(t, c.k+1, edges, weights))
+			fired := res.Stats.NeighborhoodWeight == 1 && res.Stats.KernelVertices == 0
+			quiet := res.Stats.NeighborhoodWeight == 0 && res.Stats.KernelVertices == c.k+1
+			if want := w >= sum; (want && !fired) || (!want && !quiet) {
+				t.Errorf("k=%d w_min=%v w(hub)=%v (sum %v): stats %+v, want the rule to fire: %v",
+					c.k, c.wmin, w, sum, res.Stats, want)
+			}
+		}
+	}
+}
+
 func TestDominationRule(t *testing.T) {
 	// Two triangles sharing the edge (1, 2): N[0] = {0,1,2} ⊆ N[1] and
 	// w(1) ≤ w(0), so 1 is forced — and no degree or weight-sum rule applies
