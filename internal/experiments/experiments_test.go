@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -120,6 +123,33 @@ func TestE1CompressedSeriesFewerRounds(t *testing.T) {
 	}
 	if compared == 0 {
 		t.Fatal("no degree point ran sampled phases; the comparison is vacuous")
+	}
+}
+
+// TestE12CertifiesGreedy pins that E12's greedy row carries a certified
+// ratio, as the facade's solves do: greedy's cover over the Bar-Yehuda–Even
+// bound, a number at least 1.
+func TestE12CertifiesGreedy(t *testing.T) {
+	e, _ := ByID("E12")
+	arts, err := e.Run(Config{Quick: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := arts[0].(*stats.Table)
+	algo, col := slices.Index(tb.Columns, "algo"), slices.Index(tb.Columns, "cert_ratio")
+	rows := 0
+	for _, row := range tb.Rows() {
+		if row[algo] != "greedy" {
+			continue
+		}
+		rows++
+		ratio, err := strconv.ParseFloat(row[col], 64)
+		if err != nil || !(ratio >= 1) || math.IsInf(ratio, 0) {
+			t.Errorf("greedy cert_ratio %q, want a finite number ≥ 1", row[col])
+		}
+	}
+	if rows == 0 {
+		t.Fatal("E12 has no greedy row")
 	}
 }
 
