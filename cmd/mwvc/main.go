@@ -219,9 +219,9 @@ func traceEvent(e mwvc.Event) {
 
 func loadGraph(inFile, generator string, n int, d float64, weights string, seed uint64) (*graph.Graph, error) {
 	if inFile != "" {
-		// Two-pass streaming ingestion: the file is scanned twice and the CSR
-		// arrays are filled in place, so -in handles million-edge instances
-		// without an edge-list buffer.
+		// The file is read once, one newline-aligned chunk per core, and
+		// its edge records (8 bytes each) are placed straight into the CSR
+		// arrays, so -in handles million-edge instances.
 		return graph.OpenFile(inFile)
 	}
 	return cli.BuildGraph(generator, n, d, weights, seed)

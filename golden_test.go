@@ -484,7 +484,7 @@ func TestGoldenDigests(t *testing.T) {
 		name   string
 		mutate func(*core.Params)
 	}{
-		{"disable-bias", func(p *core.Params) { p.DisableBias = true }},
+		{"disable-bias", func(p *core.Params) { p.BiasCoefficient = 0 }},
 		{"disable-inactive-split", func(p *core.Params) { p.DisableInactiveSplit = true }},
 		{"fixed-thresholds", func(p *core.Params) { p.FixedThresholds = true }},
 		{"uniform-init", func(p *core.Params) { p.UniformInit = true }},

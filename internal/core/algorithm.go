@@ -178,7 +178,6 @@ type driver struct {
 	deg       float64 // average residual degree d
 	parts     int     // simulation machines, or groups when gathered
 	iters     int
-	biasCoeff float64
 	threshold func(graph.Vertex, int) float64
 }
 
@@ -436,10 +435,6 @@ func (d *driver) phases() (int, error) {
 		if p.FixedThresholds {
 			fixed := 1 - 3*eps
 			d.threshold = func(graph.Vertex, int) float64 { return fixed }
-		}
-		d.biasCoeff = p.BiasCoefficient
-		if p.DisableBias {
-			d.biasCoeff = 0
 		}
 
 		// Line (2g) on the cluster.
@@ -871,7 +866,7 @@ func (d *driver) simulate(mach *mpc.Machine) error {
 		return err
 	}
 	d.localEdges[id] = int64(len(li.Edges))
-	freeze := runLocalSim(li, d.parts, d.iters, d.p.Epsilon, d.biasCoeff, d.p.BiasGrowth, d.threshold, &sc.sim)
+	freeze := runLocalSim(li, d.parts, d.iters, d.p.Epsilon, d.p.BiasCoefficient, d.p.BiasGrowth, d.threshold, &sc.sim)
 	// Stage the freeze results per home machine, reusing the scatter
 	// counters/buffers (count → Reserve → Alloc → fill, as above).
 	rCnt, rBuf := sc.vCnt, sc.vBuf

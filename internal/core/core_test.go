@@ -277,12 +277,12 @@ func TestAblationsStillProduceCovers(t *testing.T) {
 	eps := 0.1
 	g := gen.ApplyWeights(gen.GnpAvgDegree(15, 1500, 48), 6, gen.UniformRange{Lo: 1, Hi: 10})
 	mutations := map[string]func(*Params){
-		"no-bias":      func(p *Params) { p.DisableBias = true },
+		"no-bias":      func(p *Params) { p.BiasCoefficient = 0 },
 		"no-split":     func(p *Params) { p.DisableInactiveSplit = true },
 		"fixed-thresh": func(p *Params) { p.FixedThresholds = true },
 		"uniform-init": func(p *Params) { p.UniformInit = true },
 		"all-ablations": func(p *Params) {
-			p.DisableBias = true
+			p.BiasCoefficient = 0
 			p.DisableInactiveSplit = true
 			p.FixedThresholds = true
 			p.UniformInit = true

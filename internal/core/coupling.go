@@ -27,7 +27,7 @@ type CouplingReport struct {
 	MaxDevY float64
 	// MinOneSided = min over good (v,t) of (ỹ^MPC_{v,t} − y_{v,t}) / w′(v).
 	// With the bias term, Lemma 4.13(3) proves this is ≥ 0 w.h.p.; the
-	// DisableBias ablation shows it going negative.
+	// ablation with BiasCoefficient = 0 shows it going negative.
 	MinOneSided float64
 	// BadVertices counts vertices whose freeze behaviour diverged between
 	// the two algorithms at any point in the phase.
@@ -102,11 +102,7 @@ func AnalyzeCoupling(cp CouplingPhase, p Params) (*CouplingReport, error) {
 	growth := 1 / (1 - eps)
 	iters := cp.Iterations
 	mf := float64(cp.Machines)
-	biasCoeff := p.BiasCoefficient
-	if p.DisableBias {
-		biasCoeff = 0
-	}
-	biasBase := biasCoeff * math.Pow(mf, -0.2)
+	biasBase := p.BiasCoefficient * math.Pow(mf, -0.2)
 
 	// t′_e per captured edge: earliest endpoint freeze in the MPC run.
 	fiOf := func(i int32) int {

@@ -130,7 +130,7 @@ func TestCouplingOnAblatedRuns(t *testing.T) {
 	g := gen.GnpAvgDegree(6, 1000, 48)
 	for _, mutate := range []func(*Params){
 		func(p *Params) { p.FixedThresholds = true },
-		func(p *Params) { p.DisableBias = true },
+		func(p *Params) { p.BiasCoefficient = 0 },
 	} {
 		p := ParamsPractical(0.1, 6)
 		p.CollectCoupling = true

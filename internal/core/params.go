@@ -81,10 +81,9 @@ type Params struct {
 	// round, including the final gather.
 	Observer solver.Observer
 
-	// Ablation switches (experiment E10). All default off = paper behaviour.
+	// Ablation switches (experiment E10). All default off = paper behaviour;
+	// BiasCoefficient = 0 removes the bias term.
 
-	// DisableBias removes the one-sided bias term from the estimator.
-	DisableBias bool
 	// DisableInactiveSplit simulates every nonfrozen vertex instead of
 	// excluding low-degree vertices.
 	DisableInactiveSplit bool

@@ -31,7 +31,7 @@ func runE10(cfg Config) ([]Renderable, error) {
 	}{
 		{"paper-design", func(*core.Params) {}},
 		{"uniform-init", func(p *core.Params) { p.UniformInit = true }},
-		{"no-bias", func(p *core.Params) { p.DisableBias = true }},
+		{"no-bias", func(p *core.Params) { p.BiasCoefficient = 0 }},
 		{"no-inactive-split", func(p *core.Params) { p.DisableInactiveSplit = true }},
 		{"fixed-thresholds", func(p *core.Params) { p.FixedThresholds = true }},
 	}

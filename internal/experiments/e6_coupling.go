@@ -59,7 +59,9 @@ func runE6(cfg Config) ([]Renderable, error) {
 		g := gen.ApplyWeights(gen.GnpAvgDegree(cfg.Seed+99, n, d), cfg.Seed+16, gen.UniformRange{Lo: 1, Hi: 10})
 		params := core.ParamsPractical(eps, cfg.Seed+17)
 		params.CollectCoupling = true
-		params.DisableBias = disable
+		if disable {
+			params.BiasCoefficient = 0
+		}
 		res, err := core.Run(context.Background(), g, params)
 		if err != nil {
 			return nil, err

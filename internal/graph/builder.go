@@ -59,10 +59,6 @@ func (b *Builder) AddEdge(u, v Vertex) *Builder {
 	return b
 }
 
-// NumPendingEdges returns the number of edges recorded so far (before
-// deduplication).
-func (b *Builder) NumPendingEdges() int { return len(b.pairs) }
-
 // Build validates and freezes the accumulated data into a Graph by replaying
 // the buffered edge list through a two-pass CSRBuilder.
 func (b *Builder) Build() (*Graph, error) {

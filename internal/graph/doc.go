@@ -35,12 +35,13 @@
 // plus the canonical writer whose byte stream defines the content hash used
 // by the serve store. See docs/FORMATS.md for the format specification.
 //
-// Read parses a one-shot stream serially into a Builder. ReadStream (and
-// OpenFile) reads a file once, in newline-aligned chunks, one per core:
-// each chunk parses its lines once, counting degrees privately and keeping
-// its edge records in a buffer of its own (8 bytes per record), then fills
-// its own slots of every CSR row from that buffer. That is a CSRBuilder fed
-// a stream split into parts — the arbitrarily partitioned edge set of the
-// MPC model, with the cores as machines. The graph is the same for every
-// chunk count.
+// One reader parses both formats and reads every byte once. ReadStream (and
+// OpenFile) reads a file in newline-aligned chunks, one per core; Read
+// reads a one-shot stream as a single chunk. Each chunk parses its lines
+// once, counting degrees privately and keeping its edge records in a
+// buffer of its own (8 bytes per record), then fills its own slots of
+// every CSR row from that buffer. That is a CSRBuilder fed a stream split
+// into parts — the arbitrarily partitioned edge set of the MPC model, with
+// the cores as machines, or one machine for a stream. The graph is the
+// same for every chunk count.
 package graph

@@ -502,76 +502,44 @@ func parseInt(b []byte) (int64, bool) {
 	return x, true
 }
 
-// Read parses a graph in either text format from a one-shot stream,
-// serially. It buffers the edge list in a Builder, so it works for
-// non-seekable sources (network bodies, pipes); for on-disk instances
-// prefer ReadStream or OpenFile, which read the file once on every core and
-// build the CSR arrays in place. A read error is returned wrapped.
+// Read parses a graph in either text format from a one-shot stream, such as
+// a network body or a pipe. It is ReadStream's reader with the whole body as
+// one chunk, on the caller's goroutine: the same passes, the same checks and
+// the same graph or error text. A read error is returned wrapped.
 func Read(r io.Reader) (*Graph, error) {
-	var lr lineReader
-	lr.reset(r, 0)
-	n, m, err := readHead(&lr)
+	chunks := make([]readChunk, 1)
+	chunks[0].lines.reset(r, 0)
+	n, m, err := readHead(&chunks[0].lines)
 	if err != nil {
 		return nil, err
 	}
-	b := NewBuilder(n)
-	for {
-		rec, err := lr.nextRecord()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !rec.edge {
-			if err := checkWeightVertex(n, rec.u); err != nil {
-				return nil, err
-			}
-			b.SetWeight(rec.u, rec.w)
-			continue
-		}
-		if err := checkEndpoints(n, rec.u, rec.v); err != nil {
-			return nil, err
-		}
-		b.AddEdge(rec.u, rec.v)
-	}
-	if m >= 0 && b.NumPendingEdges() != m {
-		return nil, fmt.Errorf("graph: header declares %d edges, found %d", m, b.NumPendingEdges())
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	if m >= 0 && g.NumEdges() != m {
-		return nil, fmt.Errorf("graph: %d edges after dedup, header declares %d", g.NumEdges(), m)
-	}
-	return g, nil
+	return readChunks(chunks, n, m)
 }
 
 // ReadStream parses a graph in either text format from the first size bytes
 // of r. It parses the header and size lines serially, then cuts the body
 // into P newline-aligned chunks, P = min(GOMAXPROCS, body bytes / 1 MiB,
-// 1 + size/(8n)), at least 1, and reads each chunk once, each on its own
-// goroutine but the first, which runs on the caller's. Pass 1 parses the
-// chunk: it counts degrees, collects weights and keeps the chunk's edge
-// records in a buffer of its own. Pass 2 places those records at their
-// final CSR positions (see CSRBuilder). The graph is the same for every P,
-// and a later weight record for a vertex overrides an earlier one, in file
-// order. Among several malformed lines, the first in file order is the one
-// reported.
+// 1 + size/(8n)), at least 1, and reads each chunk on its own goroutine but
+// the first, which runs on the caller's and continues the header's line
+// reader, so every byte is read once. Pass 1 parses the chunk: it counts
+// degrees, collects weights and keeps the chunk's edge records in a buffer
+// of its own. Pass 2 places those records at their final CSR positions (see
+// CSRBuilder). The graph is the same for every P, and a later weight record
+// for a vertex overrides an earlier one, in file order. Among several
+// malformed lines, the first in file order is the one reported.
 //
 // Each pass ends when its slowest chunk does, so a chunk whose core is
 // taken by the garbage collector's background marking, another goroutine
 // or another process holds up the whole read; with a chunk on every core,
 // nothing is left over to absorb that.
 //
-// The record buffers cost 8 bytes per edge record, in blocks of 64 Ki
-// records, and each block is dropped as soon as pass 2 has placed it, so
-// they are garbage before Build allocates the graph's edge ids and
-// endpoints (16 bytes per edge). Beyond the final graph and the buffers,
-// the read holds one n-sized scratch array, plus two n-sized arrays per
-// chunk after the first, which the bound on P keeps within the input's own
-// size.
+// The record buffers cost 8 bytes per edge record, in blocks that double
+// from 4 Ki to 64 Ki records, and each block is dropped as soon as pass 2
+// has placed it, so they are garbage before Build allocates the graph's
+// edge ids and endpoints (16 bytes per edge). Beyond the final graph and
+// the buffers, the read holds one n-sized scratch array, plus two n-sized
+// arrays per chunk after the first, which the bound on P keeps within the
+// input's own size.
 func ReadStream(r io.ReaderAt, size int64) (*Graph, error) {
 	return readStream(r, size, 0)
 }
@@ -579,12 +547,13 @@ func ReadStream(r io.ReaderAt, size int64) (*Graph, error) {
 const (
 	// chunkBytes is the least body a ReadStream chunk is given.
 	chunkBytes = 1 << 20
-	// blockRecords is the number of edge records in one block of a chunk's
-	// record buffer: 512 KiB. The buffer grows by whole blocks, so no
-	// record is ever copied.
-	blockRecords = 64 << 10
-	// minEdgeLine is the length of the shortest edge line, "e 0 1\n".
-	minEdgeLine = 6
+	// firstBlockRecords and blockRecords bound the blocks of a chunk's
+	// record buffer: each block holds twice the records of the one before,
+	// from 4 Ki (32 KiB) up to 64 Ki (512 KiB). The buffer grows by whole
+	// blocks, so no record is ever copied, and a small input pays for no
+	// large block.
+	firstBlockRecords = 4 << 10
+	blockRecords      = 64 << 10
 )
 
 // chunkCount is ReadStream's P for an input of size bytes whose body starts
@@ -606,24 +575,47 @@ func readStream(r io.ReaderAt, size int64, p int) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	body := head.off
 	if p <= 0 {
-		p = chunkCount(n, body, size)
+		p = chunkCount(n, head.off, size)
 	}
-	cuts, err := chunkCuts(r, body, size, p)
+	cuts, err := chunkCuts(r, head.off, size, p)
 	if err != nil {
 		return nil, err
 	}
-
-	c := NewCSRBuilder(n)
 	chunks := make([]readChunk, p)
-	parts := make([]*csrPart, p)
+	chunks[0].lines = head
+	chunks[0].lines.endAt(r, cuts[1])
+	for k := 1; k < p; k++ {
+		chunks[k].lines.reset(io.NewSectionReader(r, cuts[k], cuts[k+1]-cuts[k]), cuts[k])
+	}
+	return readChunks(chunks, n, m)
+}
+
+// endAt ends lr's input at offset end of src, the input lr has read so far,
+// and reads the bytes it has not buffered yet from src directly. lr stands
+// at a line start at or before end.
+func (lr *lineReader) endAt(src io.ReaderAt, end int64) {
+	read := lr.off + int64(lr.j-lr.i) // the input offset of buf[j]
+	if read < end {
+		lr.r = io.NewSectionReader(src, read, end-read)
+		return
+	}
+	// A long line has pulled bytes past end into the buffer.
+	lr.j -= int(read - end)
+	lr.eof = true
+}
+
+// readChunks reads a graph on n vertices, declaring m edges (-1 for none),
+// from the body chunks, each of whose line readers stands at its first
+// line: pass 1 on every chunk, the edge-count check, the weights of later
+// chunks, pass 2 on every chunk, Build and the dedup check.
+func readChunks(chunks []readChunk, n, m int) (*Graph, error) {
+	c := NewCSRBuilder(n)
+	parts := make([]*csrPart, len(chunks))
 	for k := range chunks {
 		ck := &chunks[k]
-		ck.src, ck.lo, ck.hi = r, cuts[k], cuts[k+1]
 		if k == 0 {
 			ck.part = &c.whole
-			ck.lines.buf = head.buf
 		} else {
 			ck.part = &csrPart{deg: make([]uint32, n)}
 		}
@@ -660,13 +652,11 @@ func readStream(r io.ReaderAt, size int64, p int) (*Graph, error) {
 	return g, nil
 }
 
-// readChunk is one newline-aligned range of a ReadStream body and the state
-// its two passes share.
+// readChunk is one newline-aligned range of a body and the state its two
+// passes share.
 type readChunk struct {
-	src    io.ReaderAt
-	lo, hi int64 // the chunk's input offsets
-	lines  lineReader
-	part   *csrPart
+	lines lineReader
+	part  *csrPart
 	// edges holds the chunk's edge records in file order, in blocks of at
 	// most blockRecords, from pass 1 until pass 2 places them.
 	edges [][][2]Vertex
@@ -685,7 +675,6 @@ type weightRecord struct {
 // ck.edges, and weights into the builder for the first chunk and into
 // ck.weights for the others.
 func (ck *readChunk) parse(c *CSRBuilder, first bool) error {
-	ck.lines.reset(io.NewSectionReader(ck.src, ck.lo, ck.hi-ck.lo), ck.lo)
 	var block [][2]Vertex
 	for {
 		rec, err := ck.lines.nextRecord()
@@ -703,9 +692,7 @@ func (ck *readChunk) parse(c *CSRBuilder, first bool) error {
 				if len(block) > 0 {
 					ck.edges = append(ck.edges, block)
 				}
-				// No block is larger than the rest of the chunk could fill.
-				left := 1 + (ck.hi-ck.lines.off)/minEdgeLine
-				block = make([][2]Vertex, 0, min(blockRecords, left))
+				block = make([][2]Vertex, 0, min(max(2*cap(block), firstBlockRecords), blockRecords))
 			}
 			block = append(block, [2]Vertex{rec.u, rec.v})
 			continue

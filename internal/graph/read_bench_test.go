@@ -34,3 +34,26 @@ func BenchmarkReadStream(b *testing.B) {
 		readSink = h
 	}
 }
+
+// BenchmarkRead reads an upload-shaped input through Read, the one-chunk
+// reader over an io.Reader: G(10000, 16) with uniform[1,100) weights in the
+// canonical "mwvc-graph 1" text that POST /v1/graphs bodies use, from
+// memory. MB/s counts the input bytes.
+func BenchmarkRead(b *testing.B) {
+	g := gen.ApplyWeights(gen.GnpAvgDegree(1, 10_000, 16), 1, gen.UniformRange{Lo: 1, Hi: 100})
+	var buf bytes.Buffer
+	if err := graph.Write(&buf, g); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := graph.Read(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		readSink = h
+	}
+}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -22,8 +23,8 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	assertSameGraph(t, g, h)
 }
 
-// TestReadStreamMatchesRead pins that the two-pass CSR path and the one-pass
-// Builder path parse every input to the identical graph, for both formats.
+// TestReadStreamMatchesRead pins that Read and ReadStream parse both formats
+// to the written graph, and bounds the bytes Read allocates.
 func TestReadStreamMatchesRead(t *testing.T) {
 	g := randomGraph(99, 60, 340)
 	for _, write := range []struct {
@@ -55,23 +56,31 @@ func TestReadStreamMatchesRead(t *testing.T) {
 		})
 	}
 
-	// ReadStream sizes its CSR arrays once and keeps its edge records in
-	// fixed blocks, where Read's Builder grows its pending edge list by
-	// appending, so on an input large enough to grow that list the
-	// streaming path allocates fewer objects.
+	// Read sizes the CSR arrays once and keeps its edge records, 8 bytes
+	// each, in blocks that never grow by copying, so beyond the finished
+	// graph's 24m + 12n bytes it allocates little more than those records,
+	// its line buffer and one n-sized scratch array.
+	h := randomGraph(7, 5000, 40000)
 	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, randomGraph(7, 5000, 40000)); err != nil {
+	if err := WriteEdgeList(&buf, h); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	read := testing.AllocsPerRun(3, func() { Read(bytes.NewReader(data)) })
-	stream := testing.AllocsPerRun(3, func() {
-		r := bytes.NewReader(data)
-		ReadStream(r, r.Size())
-	})
-	if stream >= read {
-		t.Fatalf("ReadStream allocates %v objects per read, not below Read's %v", stream, read)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const reads = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reads {
+		if _, err := Read(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	runtime.ReadMemStats(&after)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / reads / float64(24*h.NumEdges()+12*h.NumVertices())
+	if ratio >= 2 {
+		t.Fatalf("Read allocates %.2f× the graph's %d vertices and %d edges, want below 2×", ratio, h.NumVertices(), h.NumEdges())
+	}
+	t.Logf("Read allocates %.2f× the graph", ratio)
 }
 
 func TestEdgeListToleratesDuplicatesAndInterleaving(t *testing.T) {

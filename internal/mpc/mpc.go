@@ -170,14 +170,6 @@ func (m *Machine) Charge(words int64) error {
 	return nil
 }
 
-// Release returns words of resident memory to the budget.
-func (m *Machine) Release(words int64) {
-	m.resident -= words
-	if m.resident < 0 {
-		m.resident = 0
-	}
-}
-
 // Resident returns the machine's current resident words.
 func (m *Machine) Resident() int64 { return m.resident }
 

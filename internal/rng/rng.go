@@ -117,14 +117,6 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	}
 }
 
-// InRange returns a uniform float64 in [lo, hi). It panics if hi < lo.
-func (s *Source) InRange(lo, hi float64) float64 {
-	if hi < lo {
-		panic("rng: InRange called with hi < lo")
-	}
-	return lo + (hi-lo)*s.Float64()
-}
-
 // Perm returns a random permutation of [0, n) as a slice.
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

@@ -113,23 +113,6 @@ func TestUint64nUniformity(t *testing.T) {
 	}
 }
 
-func TestInRange(t *testing.T) {
-	s := New(8)
-	for i := 0; i < 10000; i++ {
-		v := s.InRange(2.5, 3.5)
-		if v < 2.5 || v >= 3.5 {
-			t.Fatalf("InRange out of bounds: %v", v)
-		}
-	}
-}
-
-func TestInRangeDegenerate(t *testing.T) {
-	s := New(8)
-	if v := s.InRange(1.0, 1.0); v != 1.0 {
-		t.Fatalf("InRange(1,1) = %v, want 1", v)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(12)
 	for _, n := range []int{0, 1, 2, 10, 1000} {

@@ -232,7 +232,8 @@ func TestEngineRecoversDataDir(t *testing.T) {
 	if err := req.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := req.Result()
+	snap := req.Snapshot()
+	sol, err := snap.Sol, snap.Err
 	if err != nil || sol == nil {
 		t.Fatalf("recovered solve: sol=%v err=%v", sol, err)
 	}

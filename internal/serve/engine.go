@@ -244,30 +244,6 @@ type Request struct {
 	doneAt      time.Time
 }
 
-// Status returns the request's current lifecycle state.
-func (r *Request) Status() Status {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.status
-}
-
-// IsCached reports that the request was answered from the solution cache at
-// admission, without running the solver.
-func (r *Request) IsCached() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cached
-}
-
-// IsCoalesced reports that the request was admitted as a follower of an
-// identical in-flight request (same cache key) and shares its outcome
-// instead of occupying a queue slot of its own.
-func (r *Request) IsCoalesced() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.coalesced
-}
-
 // Wait blocks until the request finishes or ctx is done. A ctx error
 // abandons the wait, not the solve: the request keeps running and its
 // result still lands in the cache — unless the caller also signals real
@@ -311,64 +287,31 @@ func (r *Request) Abandon() {
 	}
 }
 
-// Result returns the solution or error of a finished request (nil, nil
-// while it is still queued or running).
-func (r *Request) Result() (*mwvc.Solution, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sol, r.err
-}
-
-// ErrorMessage is the user-facing failure description: the unified
-// "deadline exceeded after N rounds" form for deadline errors (shared with
-// cmd/mwvc -timeout via internal/cli), the raw error otherwise, "" on
-// success.
-func (r *Request) ErrorMessage() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.errMsg
-}
-
-// Rounds returns the number of communication rounds observed so far — live
-// while running, final after completion (for cached requests, the cached
-// solution's round count).
-func (r *Request) Rounds() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rounds
-}
-
-// CoverSize returns the cardinality of the finished request's cover (0
-// while unfinished), computed once at completion.
-func (r *Request) CoverSize() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.coverSize
-}
-
-// TraceDropped returns how many observer events were discarded beyond the
-// MaxTraceEvents trace-buffer cap — nonzero means replayed traces are
-// truncated (live subscribers may additionally drop on their own buffers).
-func (r *Request) TraceDropped() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
 // Snapshot is a consistent point-in-time view of a request's mutable state,
-// taken under one lock. Renderers must use it instead of stitching together
-// individual accessors — a request can finish between two accessor calls,
-// producing contradictory output (status "running" with a solution
-// attached).
+// taken under one lock; it is the one way to read that state, so no reader
+// sees a request half finished (status "running" with a solution attached).
 type Snapshot struct {
-	Status       Status
-	Cached       bool
-	Coalesced    bool
-	Sol          *mwvc.Solution
-	Err          error
-	ErrMsg       string
-	Rounds       int
-	CoverSize    int
+	Status Status
+	// Cached marks a request answered from the solution cache at admission,
+	// without running the solver. Coalesced marks a follower of an
+	// identical in-flight request (same cache key), which shares its
+	// outcome instead of occupying a queue slot of its own.
+	Cached    bool
+	Coalesced bool
+	// Sol and Err are the outcome, both nil while queued or running. ErrMsg
+	// is the user-facing failure text: the "deadline exceeded after N
+	// rounds" form cmd/mwvc -timeout shares (internal/cli) for a deadline
+	// error, the raw error otherwise, "" on success.
+	Sol    *mwvc.Solution
+	Err    error
+	ErrMsg string
+	// Rounds counts the communication rounds observed so far: live while
+	// running, final after completion (a cached solution's own count).
+	Rounds int
+	// CoverSize is the finished cover's cardinality, 0 while unfinished.
+	CoverSize int
+	// TraceDropped counts observer events discarded beyond MaxTraceEvents;
+	// nonzero means a replayed trace is truncated.
 	TraceDropped int
 	QueuedAt     time.Time
 	StartedAt    time.Time
@@ -993,7 +936,7 @@ func (e *Engine) run(req *Request) {
 
 	if err != nil {
 		msg := err.Error()
-		if m, ok := cli.DeadlineMessage(err, req.Rounds()); ok {
+		if m, ok := cli.DeadlineMessage(err, req.Snapshot().Rounds); ok {
 			msg = m
 		}
 		e.complete(req, nil, err, msg)

@@ -33,7 +33,8 @@ func TestKernelConcurrentFirstSolves(t *testing.T) {
 		if err := req.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		sol, err := req.Result()
+		snap := req.Snapshot()
+		sol, err := snap.Sol, snap.Err
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func TestKernelNotStoredAfterDeadline(t *testing.T) {
 	if werr != nil {
 		t.Fatal(werr)
 	}
-	if _, err := req.Result(); !errors.Is(err, context.DeadlineExceeded) {
+	if err := req.Snapshot().Err; !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("stalled solve: err %v, want the deadline", err)
 	}
 	past, _, cancel := req.Subscribe(1)

@@ -51,7 +51,7 @@ func TestCoalescing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("duplicate %d rejected: %v", i, err)
 		}
-		if !f.IsCoalesced() {
+		if !f.Snapshot().Coalesced {
 			t.Fatalf("duplicate %d not coalesced", i)
 		}
 		followers[i] = f
@@ -61,7 +61,8 @@ func TestCoalescing(t *testing.T) {
 	if err := leader.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	leaderSol, err := leader.Result()
+	snap := leader.Snapshot()
+	leaderSol, err := snap.Sol, snap.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,8 @@ func TestCoalescing(t *testing.T) {
 		if err := f.Wait(context.Background()); err != nil {
 			t.Fatalf("follower %d: %v", i, err)
 		}
-		sol, err := f.Result()
+		snap := f.Snapshot()
+		sol, err := snap.Sol, snap.Err
 		if err != nil || sol != leaderSol {
 			t.Fatalf("follower %d: sol=%p err=%v, want the leader's solution %p", i, sol, err, leaderSol)
 		}
@@ -125,8 +127,8 @@ func TestOverloadDegradation(t *testing.T) {
 	if err := deg.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if sol, err := deg.Result(); err != nil || sol == nil {
-		t.Fatalf("degraded solve: sol=%v err=%v", sol, err)
+	if snap := deg.Snapshot(); snap.Err != nil || snap.Sol == nil {
+		t.Fatalf("degraded solve: sol=%v err=%v", snap.Sol, snap.Err)
 	}
 	if m := e.Metrics(); m.Degraded != 1 {
 		t.Fatalf("metrics report %d degraded, want 1", m.Degraded)
@@ -183,8 +185,8 @@ func TestDrain(t *testing.T) {
 	if err := inflight.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if sol, err := inflight.Result(); err != nil || sol == nil {
-		t.Fatalf("in-flight solve across drain: sol=%v err=%v", sol, err)
+	if snap := inflight.Snapshot(); snap.Err != nil || snap.Sol == nil {
+		t.Fatalf("in-flight solve across drain: sol=%v err=%v", snap.Sol, snap.Err)
 	}
 }
 
@@ -230,8 +232,8 @@ func TestClientDisconnectCancelsSolve(t *testing.T) {
 	if err := after.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if sol, err := after.Result(); err != nil || sol == nil {
-		t.Fatalf("worker not freed after disconnect: sol=%v err=%v", sol, err)
+	if snap := after.Snapshot(); snap.Err != nil || snap.Sol == nil {
+		t.Fatalf("worker not freed after disconnect: sol=%v err=%v", snap.Sol, snap.Err)
 	}
 }
 

@@ -161,11 +161,12 @@ func TestSolveAndCacheHit(t *testing.T) {
 	if err := req1.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sol1, err := req1.Result()
+	snap1 := req1.Snapshot()
+	sol1, err := snap1.Sol, snap1.Err
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req1.IsCached() {
+	if snap1.Cached {
 		t.Fatal("first solve reported cached")
 	}
 	if sol1.Weight <= 0 || sol1.Rounds == 0 {
@@ -179,11 +180,12 @@ func TestSolveAndCacheHit(t *testing.T) {
 	if err := req2.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sol2, err := req2.Result()
+	snap2 := req2.Snapshot()
+	sol2, err := snap2.Sol, snap2.Err
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !req2.IsCached() {
+	if !snap2.Cached {
 		t.Fatal("identical request not served from cache")
 	}
 	if sol2 != sol1 {
@@ -202,7 +204,7 @@ func TestSolveAndCacheHit(t *testing.T) {
 	if err := req3.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if req3.IsCached() {
+	if req3.Snapshot().Cached {
 		t.Fatal("different seed served from cache")
 	}
 }
@@ -242,7 +244,7 @@ func TestMetricsCountedBeforeWaitReturns(t *testing.T) {
 		done++
 		check("fresh solve")
 
-		if !submitWait(p).IsCached() {
+		if !submitWait(p).Snapshot().Cached {
 			t.Fatal("repeat not served from the cache")
 		}
 		done++
@@ -260,7 +262,7 @@ func TestMetricsCountedBeforeWaitReturns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !follower.IsCoalesced() {
+		if !follower.Snapshot().Coalesced {
 			t.Fatal("duplicate of a running request not coalesced")
 		}
 		release()
@@ -274,7 +276,7 @@ func TestMetricsCountedBeforeWaitReturns(t *testing.T) {
 		release = setGate(t) // held: the deadline fails the request
 		r := submitWait(SolveParams{GraphHash: hash, Algorithm: "test-gated", Seed: 2000 + i, Timeout: time.Millisecond})
 		release()
-		if _, err := r.Result(); err == nil {
+		if err := r.Snapshot().Err; err == nil {
 			t.Fatal("request past its deadline succeeded")
 		}
 		failed++
@@ -323,7 +325,7 @@ func TestQueueBackpressure(t *testing.T) {
 		if err := r.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.Result(); err != nil {
+		if err := r.Snapshot().Err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -343,12 +345,12 @@ func waitStatus(t *testing.T, r *Request, want Status) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if r.Status() == want {
+		if r.Snapshot().Status == want {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("request %s never reached %s (now %s)", r.ID, want, r.Status())
+	t.Fatalf("request %s never reached %s (now %s)", r.ID, want, r.Snapshot().Status)
 }
 
 func TestPerRequestDeadline(t *testing.T) {
@@ -362,14 +364,14 @@ func TestPerRequestDeadline(t *testing.T) {
 	if err := req.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, err = req.Result()
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("deadline error not surfaced: %v", err)
+	snap := req.Snapshot()
+	if !errors.Is(snap.Err, context.DeadlineExceeded) {
+		t.Fatalf("deadline error not surfaced: %v", snap.Err)
 	}
-	if req.Status() != StatusFailed {
-		t.Fatalf("status %s, want failed", req.Status())
+	if snap.Status != StatusFailed {
+		t.Fatalf("status %s, want failed", snap.Status)
 	}
-	if msg := req.ErrorMessage(); !strings.Contains(msg, "deadline exceeded") {
+	if msg := snap.ErrMsg; !strings.Contains(msg, "deadline exceeded") {
 		t.Fatalf("error message %q not unified", msg)
 	}
 	if m := e.Metrics(); m.Failed != 1 {
@@ -400,17 +402,17 @@ func TestDeadlineCoversQueueWait(t *testing.T) {
 	if err := req2.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := req2.Result(); !errors.Is(err, context.DeadlineExceeded) {
+	if err := req2.Snapshot().Err; !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued-past-deadline request: %v, want DeadlineExceeded", err)
 	}
-	if msg := req2.ErrorMessage(); !strings.Contains(msg, "deadline exceeded") {
+	if msg := req2.Snapshot().ErrMsg; !strings.Contains(msg, "deadline exceeded") {
 		t.Fatalf("error message %q not unified", msg)
 	}
 	// The worker stayed healthy: req1 completed normally.
 	if err := req1.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := req1.Result(); err != nil {
+	if err := req1.Snapshot().Err; err != nil {
 		t.Fatal(err)
 	}
 }
@@ -425,7 +427,8 @@ func TestRequestTraceObserved(t *testing.T) {
 	if err := req.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := req.Result()
+	snap := req.Snapshot()
+	sol, err := snap.Sol, snap.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,8 +446,8 @@ func TestRequestTraceObserved(t *testing.T) {
 	if rounds != sol.Rounds {
 		t.Fatalf("trace has %d round events, solution says %d rounds", rounds, sol.Rounds)
 	}
-	if req.Rounds() != sol.Rounds {
-		t.Fatalf("Rounds() %d != solution %d", req.Rounds(), sol.Rounds)
+	if snap.Rounds != sol.Rounds {
+		t.Fatalf("snapshot rounds %d != solution %d", snap.Rounds, sol.Rounds)
 	}
 	m := e.Metrics()
 	if m.RoundsTotal != int64(sol.Rounds) || m.EventsTotal < int64(len(past)) {
@@ -474,7 +477,7 @@ func TestEngineCloseRejectsAndDrains(t *testing.T) {
 	if err := req1.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := req1.Result(); err != nil {
+	if err := req1.Snapshot().Err; err != nil {
 		t.Fatalf("in-flight solve not completed on close: %v", err)
 	}
 	e.Close() // idempotent
@@ -521,11 +524,12 @@ func solveFresh(t *testing.T, e *Engine, p SolveParams) *mwvc.Solution {
 	if err := req.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sol, err := req.Result()
+	snap := req.Snapshot()
+	sol, err := snap.Sol, snap.Err
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.IsCached() {
+	if snap.Cached {
 		t.Fatalf("%+v answered from cache on first submission", p)
 	}
 	return sol
@@ -568,7 +572,7 @@ func TestReductionCacheKeyAndMetrics(t *testing.T) {
 		if err := req.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if !req.IsCached() {
+		if !req.Snapshot().Cached {
 			t.Fatalf("repeat with noReduce=%v missed the cache", noReduce)
 		}
 	}
@@ -638,11 +642,12 @@ func TestImprovementCacheKeyAndMetrics(t *testing.T) {
 		if err := req.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		sol, err := req.Result()
+		snap := req.Snapshot()
+		sol, err := snap.Sol, snap.Err
 		if err != nil {
 			t.Fatal(err)
 		}
-		if req.IsCached() {
+		if snap.Cached {
 			t.Fatalf("budget=%dms answered from cache on first submission", budgetMS)
 		}
 		return sol
@@ -670,7 +675,7 @@ func TestImprovementCacheKeyAndMetrics(t *testing.T) {
 		if err := req.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if !req.IsCached() {
+		if !req.Snapshot().Cached {
 			t.Fatalf("repeat with budget=%dms missed the cache", budget)
 		}
 	}
@@ -730,7 +735,7 @@ func TestImproveBudgetClamped(t *testing.T) {
 	if err := req3.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !req3.IsCached() {
+	if !req3.Snapshot().Cached {
 		t.Fatal("clamp-equivalent budget missed the cache")
 	}
 }

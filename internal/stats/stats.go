@@ -1,35 +1,10 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: quantiles, least-squares fits (for verifying growth
-// rates such as "rounds grow like log log d"), and formatting of aligned
-// text tables and CSV.
+// experiment harness: least-squares fits (for verifying growth rates such
+// as "rounds grow like log log d") and formatting of aligned text tables
+// and CSV.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
-
-// Quantile returns the q-quantile (0<=q<=1) of xs using linear
-// interpolation between order statistics. It copies the input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %v out of [0,1]", q))
-	}
-	ys := append([]float64(nil), xs...)
-	sort.Float64s(ys)
-	pos := q * float64(len(ys)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return ys[lo]
-	}
-	frac := pos - float64(lo)
-	return ys[lo]*(1-frac) + ys[hi]*frac
-}
+import "math"
 
 // LinearFit fits y = a + b·x by least squares and returns (a, b, r²).
 // Degenerate inputs (fewer than 2 points, zero x-variance) return NaNs.

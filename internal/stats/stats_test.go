@@ -8,35 +8,6 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 4 {
-		t.Fatalf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); !almost(q, 2.5) {
-		t.Fatalf("median = %v", q)
-	}
-	// Input must be unmodified.
-	if xs[0] != 4 {
-		t.Fatal("Quantile modified its input")
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Fatal("Quantile(nil) not NaN")
-	}
-}
-
-func TestQuantilePanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for q=2")
-		}
-	}()
-	Quantile([]float64{1}, 2)
-}
-
 func TestLinearFitExact(t *testing.T) {
 	x := []float64{0, 1, 2, 3}
 	y := []float64{1, 3, 5, 7} // y = 1 + 2x

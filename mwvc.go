@@ -73,9 +73,9 @@ type Vertex = graph.Vertex
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // ReadGraph parses a graph in either of the repository's text formats
-// (docs/FORMATS.md) from a one-shot stream, buffering the edge list in
-// memory. For large on-disk instances prefer ReadGraphFile, which reads
-// the file once on every core and builds the CSR arrays in place.
+// (docs/FORMATS.md) from a one-shot stream, with ReadGraphFile's reader and
+// the whole body as one chunk on the caller's goroutine. For large on-disk
+// instances prefer ReadGraphFile, which reads the file on every core.
 func ReadGraph(r io.Reader) (*Graph, error) { return graph.Read(r) }
 
 // ReadGraphFile reads a graph file via the streaming ingestion path, which
