@@ -38,6 +38,5 @@ func solveGreedy(ctx context.Context, g *graph.Graph, cfg solver.Config) (*solve
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sol := Greedy(g)
-	return &solver.Outcome{Cover: sol.Cover}, nil
+	return &solver.Outcome{Cover: Greedy(g)}, nil
 }

@@ -12,14 +12,16 @@
 // Frozen vertices form the cover; weak LP duality (Lemma 3.2) certifies the
 // (2+O(ε)) ratio (Proposition 3.3).
 //
-// The same code serves four roles in this repository: the paper's final
+// The same code serves five roles in this repository: the paper's final
 // "solve the remainder on one machine" phase (Algorithm 2 Line 3, run on the
 // residual graph that package core gathers, with residual weights as vertex
-// weights); the centralized reference run that the MPC simulation is coupled
-// against in the Lemma 4.6 experiments; the O(log Δ) / O(log nW) LOCAL
-// baselines (one iteration = one round); and the approximation-quality
+// weights); each simulation machine's I iterations on its partition class
+// (Algorithm 2 Line 2g, with the biased estimator folded into the
+// threshold); the centralized reference run that the MPC simulation is
+// coupled against in the Lemma 4.6 experiments; the O(log Δ) / O(log nW)
+// LOCAL baselines (one iteration = one round); and the approximation-quality
 // workhorse for small instances. Every vertex of the instance starts
-// active: a caller with a residual instance builds it as a graph.
+// active: a caller with a residual instance passes it as a Graph.
 package centralized
 
 import (
@@ -99,10 +101,13 @@ type Options struct {
 	// provable bound from the instance" (log_{1/(1−ε)} of the largest
 	// weight-to-initial-dual ratio, plus slack).
 	MaxIterations int
-	// StopAfter, when positive, ends the run after exactly StopAfter
-	// iterations even if active edges remain (no error). This is how the
-	// Lemma 4.6 coupling runs the centralized algorithm "for I iterations on
-	// the graph induced by V^high".
+	// StopAfter, when positive, runs exactly StopAfter iterations: the run
+	// ends there even if active edges remain (no error), and it goes on
+	// drawing thresholds after the last active edge froze, so a vertex whose
+	// edges are all frozen can still freeze. This is Algorithm 2's Line 2g,
+	// "for t = 0..I−1" on a machine's class, and how the Lemma 4.6 coupling
+	// runs the centralized algorithm "for I iterations on the graph induced
+	// by V^high". 0 runs until no edge is active.
 	StopAfter int
 	// RecordTrace, when set, stores y_{v,t} for every vertex and iteration
 	// (O(n·T) memory) — needed by the Lemma 4.6 coupling experiments.
@@ -113,11 +118,26 @@ type Options struct {
 	Observer solver.Observer
 }
 
+// Graph is the instance structure Run reads: vertex weights, the flat
+// endpoint array (edge e joins EdgeEndpoints()[2e] and [2e+1]), and per-vertex
+// rows in which Neighbors and IncidentEdges are slot-aligned. Run's float
+// sums follow the edge ids and the row order. *graph.Graph satisfies it;
+// package core's simulation machines pass their partition classes without
+// building a graph.
+type Graph interface {
+	NumVertices() int
+	NumEdges() int
+	Weights() []float64
+	EdgeEndpoints() []graph.Vertex
+	Neighbors(v graph.Vertex) []graph.Vertex
+	IncidentEdges(v graph.Vertex) []graph.EdgeID
+}
+
 // Instance is a problem: a graph whose vertex weights are the weights to
 // cover, and optionally an explicit initial matching. Every vertex starts
 // active.
 type Instance struct {
-	G  *graph.Graph
+	G  Graph
 	X0 []float64 // nil ⇒ derived from Options.Init
 }
 
@@ -146,7 +166,7 @@ type Result struct {
 // DeriveX0 computes the initial fractional matching on g per the policy.
 // On a residual graph the degrees are residual degrees, the paper's
 // convention (Remark 4.2).
-func DeriveX0(g *graph.Graph, policy InitPolicy) ([]float64, error) {
+func DeriveX0(g Graph, policy InitPolicy) ([]float64, error) {
 	w := g.Weights()
 	ep := g.EdgeEndpoints()
 	x0 := make([]float64, g.NumEdges())
@@ -155,7 +175,7 @@ func DeriveX0(g *graph.Graph, policy InitPolicy) ([]float64, error) {
 		// w(v)/d(v) once per vertex; an isolated vertex's +Inf is never read.
 		share := make([]float64, len(w))
 		for v := range share {
-			share[v] = w[v] / float64(g.Degree(graph.Vertex(v)))
+			share[v] = w[v] / float64(len(g.Neighbors(graph.Vertex(v))))
 		}
 		for e := range x0 {
 			x0[e] = min(share[ep[2*e]], share[ep[2*e+1]])
@@ -271,15 +291,18 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 	// events; it is the raw dual total the certificate later builds on.
 	frozenDualSum := 0.0
 	var freezeList []graph.Vertex
+	// With StopAfter set the loop runs exactly StopAfter iterations, also
+	// after the last active edge froze: live vertices keep drawing
+	// thresholds and growing, as on a Line 2g machine.
 	t := 0
-	for ; len(edges) > 0; t++ {
+	for ; len(edges) > 0 || t < opts.StopAfter; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if opts.StopAfter > 0 && t >= opts.StopAfter {
 			break
 		}
-		if t >= maxIter {
+		if len(edges) > 0 && t >= maxIter {
 			return nil, fmt.Errorf("centralized: no termination after %d iterations (%d active edges remain)", t, len(edges))
 		}
 		res.ActiveEdgesPerIter = append(res.ActiveEdgesPerIter, len(edges))
@@ -330,7 +353,7 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 			}
 		}
 		edges = edges[:k]
-		if len(edges) > 0 {
+		if len(edges) > 0 || t+1 < opts.StopAfter {
 			k = 0
 			for _, v := range live {
 				if !res.Cover[v] {

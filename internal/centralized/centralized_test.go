@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/solver"
 	"repro/internal/verify"
 )
 
@@ -101,6 +102,27 @@ func TestEdgelessGraph(t *testing.T) {
 	}
 }
 
+// With StopAfter the run goes on past its last active edge: on an edgeless
+// graph, a threshold that turns negative at t = 1 freezes every vertex
+// there, and all three iterations run.
+func TestStopAfterRunsEveryIteration(t *testing.T) {
+	g := graph.NewBuilder(5).MustBuild()
+	res := run(t, g, Options{Epsilon: 0.1, StopAfter: 3, Threshold: func(_ graph.Vertex, it int) float64 {
+		if it >= 1 {
+			return -1
+		}
+		return 0.7
+	}})
+	if res.Iterations != 3 {
+		t.Fatalf("%d iterations, want 3", res.Iterations)
+	}
+	for v, fi := range res.FreezeIter {
+		if fi != 1 || !res.Cover[v] {
+			t.Fatalf("vertex %d froze at %d (cover %v), want 1", v, fi, res.Cover[v])
+		}
+	}
+}
+
 func TestDualFeasibleThroughout(t *testing.T) {
 	// Feasibility of the *final* duals is checked by the certificate in
 	// every other test; here we re-run with traces and verify y never
@@ -189,6 +211,36 @@ func TestUniformInitDegradesWithWeightRange(t *testing.T) {
 	}
 	if uniBig <= 2*awareBig {
 		t.Fatalf("uniform (%d iters) should be ≫ degree-aware (%d) at W=1e9", uniBig, awareBig)
+	}
+}
+
+// TestLocalPrimalDualRounds runs the two registered LOCAL baselines, one
+// iteration per round, on weights log-uniform in [1, 1e6).
+func TestLocalPrimalDualRounds(t *testing.T) {
+	eps := 0.1
+	g := gen.ApplyWeights(gen.GnpAvgDegree(7, 1000, 32), 2, gen.PowerLaw{MaxWeight: 1e6})
+	rounds := make(map[InitPolicy]int)
+	for _, init := range []InitPolicy{InitDegreeAware, InitUniform} {
+		out, err := solverFor(init)(context.Background(), g, solver.Config{Epsilon: eps, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert, err := verify.NewCertificate(g, out.Cover, out.Duals)
+		if err != nil {
+			t.Fatalf("%v: %v", init, err)
+		}
+		if cert.Ratio() > 2+10*eps+1e-9 {
+			t.Fatalf("%v: ratio %v", init, cert.Ratio())
+		}
+		if out.Rounds <= 0 {
+			t.Fatalf("%v: no rounds", init)
+		}
+		rounds[init] = out.Rounds
+	}
+	// The weight range of 1e6 must hurt the uniform baseline, not the
+	// degree-aware one — this is the gap the paper's initialization closes.
+	if rounds[InitUniform] <= rounds[InitDegreeAware] {
+		t.Fatalf("uniform (%d rounds) should exceed degree-aware (%d)", rounds[InitUniform], rounds[InitDegreeAware])
 	}
 }
 

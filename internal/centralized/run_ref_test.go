@@ -74,7 +74,7 @@ func refDeriveX0(g *graph.Graph, policy InitPolicy) ([]float64, error) {
 // for freezing and grows all m edges and n vertices under the activity
 // masks. Run must match it bit for bit.
 func refRun(ctx context.Context, inst Instance, opts Options) (*refResult, error) {
-	g := inst.G
+	g, _ := inst.G.(*graph.Graph)
 	if g == nil {
 		return nil, errors.New("centralized: nil graph")
 	}
@@ -160,15 +160,17 @@ func refRun(ctx context.Context, inst Instance, opts Options) (*refResult, error
 	// events; it is the raw dual total the certificate later builds on.
 	frozenDualSum := 0.0
 	var freezeList []graph.Vertex
+	// With StopAfter set, exactly StopAfter iterations run, also after the
+	// last active edge froze.
 	t := 0
-	for ; activeEdges > 0; t++ {
+	for ; activeEdges > 0 || t < opts.StopAfter; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if opts.StopAfter > 0 && t >= opts.StopAfter {
 			break
 		}
-		if t >= maxIter {
+		if activeEdges > 0 && t >= maxIter {
 			return nil, fmt.Errorf("centralized: no termination after %d iterations (%d active edges remain)", t, activeEdges)
 		}
 		res.ActiveEdgesPerIter = append(res.ActiveEdgesPerIter, activeEdges)
@@ -213,7 +215,7 @@ func refRun(ctx context.Context, inst Instance, opts Options) (*refResult, error
 		}
 
 		// Lines (4b)/(4c): active edges grow by 1/(1−ε); frozen stay.
-		if activeEdges > 0 {
+		if activeEdges > 0 || t+1 < opts.StopAfter {
 			for e := 0; e < m; e++ {
 				if edgeActive[e] {
 					x[e] *= growth
@@ -287,6 +289,7 @@ var refOptions = []struct {
 	{"fixed-threshold", Options{Epsilon: 0.1, Threshold: FixedThreshold(0.1)}, false},
 	{"stop-after-1", Options{Epsilon: 0.1, Seed: 3, StopAfter: 1}, false},
 	{"stop-after-3", Options{Epsilon: 0.05, Seed: 3, StopAfter: 3}, false},
+	{"stop-after-64", Options{Epsilon: 0.1, Seed: 3, StopAfter: 64, RecordTrace: true}, false},
 	{"trace", Options{Epsilon: 0.1, Seed: 3, RecordTrace: true}, false},
 	{"max-iterations", Options{Epsilon: 0.1, Seed: 3, MaxIterations: 2}, false},
 }

@@ -33,6 +33,22 @@ const (
 	labelThreshold uint64 = 'T'
 )
 
+// thresholds returns phase's freeze thresholds T(v,t) for the local
+// vertices of an instance whose global ids are ids: uniform in
+// [1−4ε, 1−2ε] from (seed, 'T', phase, ids[v], t), or 1−3ε under
+// FixedThresholds. They stay keyed by the global id, so every instance of a
+// vertex draws the same thresholds. Line 3 runs as phase number Phases.
+func (p *Params) thresholds(phase int, ids []graph.Vertex) centralized.ThresholdFunc {
+	eps := p.Epsilon
+	if p.FixedThresholds {
+		return centralized.FixedThreshold(eps)
+	}
+	lo, hi, seed := 1-4*eps, 1-2*eps, p.Seed
+	return func(v graph.Vertex, t int) float64 {
+		return rng.UniformAt(seed, lo, hi, labelThreshold, uint64(phase), uint64(ids[v]), uint64(t))
+	}
+}
+
 // noFreeze marks a vertex that stayed active through a local simulation.
 const noFreeze = -1
 
@@ -78,20 +94,18 @@ type GatherStats struct {
 
 // machScratch is one simulated machine's reusable working set: the
 // co-located edges it ships as a home machine, the per-destination counters
-// and arena-backed message buffers of the scatter and result rounds, the
-// decoded local instance, and the local-simulation arrays. One machScratch
-// per machine id lives for the whole run; messages are staged straight into
-// the machine's outgoing arena (count → Reserve → Alloc → fill), so the
-// per-phase MPC rounds allocate nothing at steady state and only arena
-// growth on the first phase.
+// and arena-backed message buffers of the scatter and result rounds, and
+// the decoded class. One machScratch per machine id lives for the whole
+// run; messages are staged straight into the machine's outgoing arena
+// (count → Reserve → Alloc → fill), so the per-phase MPC rounds allocate
+// nothing at steady state and only arena growth on the first phase.
 type machScratch struct {
 	vCnt, eCnt []int32    // per-destination record counts, then write cursors
 	vBuf, eBuf [][]uint64 // per-destination Alloc'd message buffers
 	// edgeIDs lists this home's co-located E[V^high] edges (both endpoints
 	// in one part) in increasing id order; partition fills it.
 	edgeIDs []int32
-	li      localInstance
-	sim     simScratch
+	class   class
 }
 
 // ensure sizes the per-destination arrays for a fleet of `total` machines.
@@ -169,16 +183,15 @@ type driver struct {
 	highIndex, partOf, freezeIter, localIdx []int32
 	highList, newlyFrozen                   []graph.Vertex
 	highEdges                               []int32
-	pow                                     []float64
+	pow, bias                               []float64
 	partWords, localEdges, homeCount        []int64
 	scratch                                 []machScratch
 
 	// The running phase's schedule and parameters.
-	sched     schedule
-	deg       float64 // average residual degree d
-	parts     int     // simulation machines, or groups when gathered
-	iters     int
-	threshold func(graph.Vertex, int) float64
+	sched schedule
+	deg   float64 // average residual degree d
+	parts int     // simulation machines, or groups when gathered
+	iters int
 }
 
 func run(ctx context.Context, g *graph.Graph, p Params, gs *GatherStats, gatherWords func(int) int64) (*Result, error) {
@@ -427,15 +440,8 @@ func (d *driver) phases() (int, error) {
 			partitioned(d)
 		}
 		d.iters = max(1, p.PhaseIterations(d.parts, eps))
+		d.bias = biasSchedule(d.bias, p.BiasCoefficient, p.BiasGrowth, d.parts, d.iters)
 		d.emit(solver.KindPhaseStart)
-		lo, hi := 1-4*eps, 1-2*eps
-		d.threshold = func(v graph.Vertex, t int) float64 {
-			return rng.UniformAt(p.Seed, lo, hi, labelThreshold, uint64(phase), uint64(v), uint64(t))
-		}
-		if p.FixedThresholds {
-			fixed := 1 - 3*eps
-			d.threshold = func(graph.Vertex, int) float64 { return fixed }
-		}
 
 		// Line (2g) on the cluster.
 		if err := d.rounds(); err != nil {
@@ -791,10 +797,10 @@ func (d *driver) scatter(mach *mpc.Machine) error {
 	return nil
 }
 
-// simulate has each simulation machine materialize its induced subgraph
-// (charged against its memory budget — the Lemma 4.1 constraint), run Lines
-// (2g i–iii), and route the freeze results to each vertex's home machine.
-// Under the gathered schedule machine 0 also checks the piggybacked counts.
+// simulate has each simulation machine decode its class (charged against
+// its memory budget — the Lemma 4.1 constraint), run Lines (2g i–iii) on
+// it, and route the freeze results to each vertex's home machine. Under the
+// gathered schedule machine 0 also checks the piggybacked counts.
 func (d *driver) simulate(mach *mpc.Machine) error {
 	id := mach.ID()
 	inbox := mach.Inbox()
@@ -812,8 +818,7 @@ func (d *driver) simulate(mach *mpc.Machine) error {
 		return nil
 	}
 	sc := &d.scratch[id]
-	li := &sc.li
-	li.Reset()
+	c := &sc.class
 	nV, nE := 0, 0
 	for _, msg := range inbox {
 		if len(msg.Data) == 0 {
@@ -826,7 +831,7 @@ func (d *driver) simulate(mach *mpc.Machine) error {
 			nE += (len(msg.Data) - 1) / mpc.EdgeRecordWords
 		}
 	}
-	li.Grow(nV, nE)
+	c.reset(nV, nE)
 	for _, msg := range inbox {
 		if len(msg.Data) == 0 || msg.Data[0] != tagVertex {
 			continue
@@ -838,9 +843,9 @@ func (d *driver) simulate(mach *mpc.Machine) error {
 		}
 		for i := 0; i < cnt; i++ {
 			v, w := mpc.DecodeVertexRecord(body, i)
-			d.localIdx[v] = int32(len(li.VertexIDs))
-			li.VertexIDs = append(li.VertexIDs, v)
-			li.ResWeight = append(li.ResWeight, w)
+			d.localIdx[v] = int32(len(c.ids))
+			c.ids = append(c.ids, v)
+			c.w = append(c.w, w)
 		}
 	}
 	for _, msg := range inbox {
@@ -858,20 +863,24 @@ func (d *driver) simulate(mach *mpc.Machine) error {
 			if lu < 0 || lv < 0 {
 				return fmt.Errorf("core: machine %d received edge (%d,%d) without both endpoints", id, u, v)
 			}
-			li.Edges = append(li.Edges, [2]int32{lu, lv})
-			li.X0 = append(li.X0, x0)
+			c.ep = append(c.ep, lu, lv)
+			c.x0 = append(c.x0, x0)
 		}
 	}
-	if err := mach.Charge(li.Words()); err != nil {
+	if err := mach.Charge(c.Words()); err != nil {
 		return err
 	}
-	d.localEdges[id] = int64(len(li.Edges))
-	freeze := runLocalSim(li, d.parts, d.iters, d.p.Epsilon, d.p.BiasCoefficient, d.p.BiasGrowth, d.threshold, &sc.sim)
+	d.localEdges[id] = int64(c.NumEdges())
+	c.place()
+	freeze, err := c.run(d.parts, d.iters, d.p.Epsilon, d.bias, d.p.thresholds(d.phase, c.ids))
+	if err != nil {
+		return err
+	}
 	// Stage the freeze results per home machine, reusing the scatter
 	// counters/buffers (count → Reserve → Alloc → fill, as above).
 	rCnt, rBuf := sc.vCnt, sc.vBuf
 	clear(rCnt)
-	for _, v := range li.VertexIDs {
+	for _, v := range c.ids {
 		rCnt[int(v)%d.fleet]++
 	}
 	total := int64(0)
@@ -892,7 +901,7 @@ func (d *driver) simulate(mach *mpc.Machine) error {
 		}
 		rCnt[dst] = 0 // reuse as write cursor
 	}
-	for i, v := range li.VertexIDs {
+	for i, v := range c.ids {
 		home := int(v) % d.fleet
 		mpc.SetResultRecord(rBuf[home], int(rCnt[home]), v, freeze[i])
 		rCnt[home]++
@@ -1041,14 +1050,14 @@ func (d *driver) reconcile() (frozenAtSim, frozenAt2i int) {
 // gather is one more round, and the memory charge enforces that it fits)
 // and the centralized algorithm finishes it there, on the residual graph.
 //
-// The residual graph holds the active vertices and the nonfrozen edges (a
-// nonfrozen edge has both endpoints active), with w′ as vertex weights and
-// local ids assigned in increasing global order. The relabeling is monotone
-// and edge ids are lexicographic, so residual edge i is the i-th nonfrozen
-// edge and every row keeps its neighbor order: the centralized run performs
-// the same float operations in the same order as on the whole graph with
-// the frozen part masked out. When nothing froze, g itself is the residual
-// graph.
+// The residual instance is a class: the active vertices and the nonfrozen
+// edges (a nonfrozen edge has both endpoints active), with w′ as vertex
+// weights and local ids assigned in increasing global order. The relabeling
+// is monotone and edge ids are lexicographic, so residual edge i is the
+// i-th nonfrozen edge and every row, placed in edge order, keeps its
+// neighbor order: the centralized run performs the same float operations in
+// the same order as on the whole graph with the frozen part masked out.
+// When nothing froze, g itself is the residual graph.
 func (s *state) finalPhase() error {
 	n, eps := s.n, s.p.Epsilon
 	verts := make([]graph.Vertex, 0, n) // residual vertex → global vertex
@@ -1081,9 +1090,7 @@ func (s *state) finalPhase() error {
 	inst := centralized.Instance{G: s.g}
 	var edges []int32 // residual edge → global edge; nil while inst.G is g
 	if finalEdges < int64(s.m) {
-		if inst.G, edges, err = s.residualGraph(verts, wres); err != nil {
-			return fmt.Errorf("core: final residual graph: %w", err)
-		}
+		inst.G, edges = s.residualClass(verts, wres)
 	}
 	if s.p.UniformInit && len(wres) > 0 {
 		// InitUniform would divide by the residual vertex count; Line 3's
@@ -1094,16 +1101,7 @@ func (s *state) finalPhase() error {
 			inst.X0[i] = base
 		}
 	}
-	// Thresholds stay keyed by the global vertex id.
-	threshold := centralized.FixedThreshold(eps)
-	if !s.p.FixedThresholds {
-		lo, hi, seed := 1-4*eps, 1-2*eps, s.p.Seed
-		fp := uint64(s.res.Phases)
-		threshold = func(v graph.Vertex, t int) float64 {
-			return rng.UniformAt(seed, lo, hi, labelThreshold, fp, uint64(verts[v]), uint64(t))
-		}
-	}
-	cres, err := centralized.Run(s.ctx, inst, centralized.Options{Epsilon: eps, Threshold: threshold})
+	cres, err := centralized.Run(s.ctx, inst, centralized.Options{Epsilon: eps, Threshold: s.p.thresholds(s.res.Phases, verts)})
 	if err != nil {
 		return fmt.Errorf("core: final centralized phase: %w", err)
 	}
@@ -1129,33 +1127,22 @@ func (s *state) finalPhase() error {
 	return nil
 }
 
-// residualGraph builds the graph on the active vertices verts (increasing)
-// with weights wres, whose edges are the nonfrozen edges, and returns it with
-// the global id of each of its edges.
-func (s *state) residualGraph(verts []graph.Vertex, wres []float64) (*graph.Graph, []int32, error) {
+// residualClass returns the class of the active vertices verts (increasing)
+// with weights wres, whose edges are the nonfrozen edges, and the global id
+// of each of its edges.
+func (s *state) residualClass(verts []graph.Vertex, wres []float64) (*class, []int32) {
 	local := make([]graph.Vertex, s.n)
 	for i, v := range verts {
 		local[v] = graph.Vertex(i)
 	}
+	c := &class{ids: verts, w: wres, ep: make([]graph.Vertex, 0, 2*s.nonfrozen)}
 	edges := make([]int32, 0, s.nonfrozen)
-	b := graph.NewCSRBuilder(len(verts)).SetWeights(wres)
 	for e, frozen := range s.edgeFrozen {
-		if frozen {
-			continue
-		}
-		edges = append(edges, int32(e))
-		if err := b.CountEdge(local[s.ep[2*e]], local[s.ep[2*e+1]]); err != nil {
-			return nil, nil, err
+		if !frozen {
+			edges = append(edges, int32(e))
+			c.ep = append(c.ep, local[s.ep[2*e]], local[s.ep[2*e+1]])
 		}
 	}
-	if err := b.EndCount(); err != nil {
-		return nil, nil, err
-	}
-	for _, e := range edges {
-		if err := b.AddEdge(local[s.ep[2*e]], local[s.ep[2*e+1]]); err != nil {
-			return nil, nil, err
-		}
-	}
-	rg, err := b.Build()
-	return rg, edges, err
+	c.place()
+	return c, edges
 }

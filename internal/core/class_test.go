@@ -12,38 +12,30 @@ func constThreshold(th float64) func(graph.Vertex, int) float64 {
 	return func(graph.Vertex, int) float64 { return th }
 }
 
+// simRun runs Line 2g on c as a machine of a phase with the given machine
+// and iteration counts, ε = 0.1 and bias b_t = biasCoeff·m^{−0.2}·biasGrowth^t,
+// and returns the freeze iterations.
+func simRun(t *testing.T, c *class, machines, iters int, biasCoeff, biasGrowth float64, threshold func(graph.Vertex, int) float64) []int {
+	t.Helper()
+	bias := biasSchedule(nil, biasCoeff, biasGrowth, machines, iters)
+	out, err := c.run(machines, iters, 0.1, bias, threshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestLocalSimEmptyInstance(t *testing.T) {
-	li := &localInstance{}
-	out := runLocalSim(li, 4, 3, 0.1, 0, 1, constThreshold(0.7), &simScratch{})
+	out := simRun(t, newClass(nil, nil, nil, nil), 4, 3, 0, 1, constThreshold(0.7))
 	if len(out) != 0 {
 		t.Fatal("nonempty result for empty instance")
 	}
 }
 
-func TestLocalSimZeroIterations(t *testing.T) {
-	li := &localInstance{
-		VertexIDs: []graph.Vertex{10, 11},
-		ResWeight: []float64{1, 1},
-		Edges:     [][2]int32{{0, 1}},
-		X0:        []float64{0.5},
-	}
-	out := runLocalSim(li, 4, 0, 0.1, 0, 1, constThreshold(0.7), &simScratch{})
-	for i, f := range out {
-		if f != -1 {
-			t.Fatalf("vertex %d froze with zero iterations", i)
-		}
-	}
-}
-
 func TestLocalSimImmediateFreeze(t *testing.T) {
 	// m·x0 = 4·0.5 = 2 ≥ 0.7·w for w=1: both endpoints freeze at t=0.
-	li := &localInstance{
-		VertexIDs: []graph.Vertex{10, 11},
-		ResWeight: []float64{1, 1},
-		Edges:     [][2]int32{{0, 1}},
-		X0:        []float64{0.5},
-	}
-	out := runLocalSim(li, 4, 3, 0.1, 0, 1, constThreshold(0.7), &simScratch{})
+	c := newClass([]graph.Vertex{10, 11}, []float64{1, 1}, [][2]int32{{0, 1}}, []float64{0.5})
+	out := simRun(t, c, 4, 3, 0, 1, constThreshold(0.7))
 	if out[0] != 0 || out[1] != 0 {
 		t.Fatalf("freeze iterations %v, want [0 0]", out)
 	}
@@ -53,13 +45,8 @@ func TestLocalSimGrowthThenFreeze(t *testing.T) {
 	// m=1 machine: estimate = x exactly. x0 = 0.5, threshold 0.7·1.
 	// x grows by 1/0.9 per iteration: crosses 0.7 at t=4
 	// (0.5·1.111⁴ = 0.762).
-	li := &localInstance{
-		VertexIDs: []graph.Vertex{5, 6},
-		ResWeight: []float64{1, 1},
-		Edges:     [][2]int32{{0, 1}},
-		X0:        []float64{0.5},
-	}
-	out := runLocalSim(li, 1, 10, 0.1, 0, 1, constThreshold(0.7), &simScratch{})
+	c := newClass([]graph.Vertex{5, 6}, []float64{1, 1}, [][2]int32{{0, 1}}, []float64{0.5})
+	out := simRun(t, c, 1, 10, 0, 1, constThreshold(0.7))
 	if out[0] != 4 || out[1] != 4 {
 		t.Fatalf("freeze iterations %v, want [4 4]", out)
 	}
@@ -70,13 +57,9 @@ func TestLocalSimFrozenEdgesStopGrowing(t *testing.T) {
 	// 0.05·(1/0.9)^t ≥ 0.7·0.1 first holds at t=4), freezing edge (a,b) at
 	// its then-current value. c has a huge weight and never freezes; b's y
 	// afterwards only grows through edge (b,c).
-	li := &localInstance{
-		VertexIDs: []graph.Vertex{1, 2, 3},
-		ResWeight: []float64{0.1, 10, 1000},
-		Edges:     [][2]int32{{0, 1}, {1, 2}},
-		X0:        []float64{0.05, 0.05},
-	}
-	out := runLocalSim(li, 1, 30, 0.1, 0, 1, constThreshold(0.7), &simScratch{})
+	c := newClass([]graph.Vertex{1, 2, 3}, []float64{0.1, 10, 1000},
+		[][2]int32{{0, 1}, {1, 2}}, []float64{0.05, 0.05})
+	out := simRun(t, c, 1, 30, 0, 1, constThreshold(0.7))
 	if out[0] != 4 {
 		t.Fatalf("cheap vertex froze at %d, want 4", out[0])
 	}
@@ -93,17 +76,14 @@ func TestLocalSimFrozenEdgesStopGrowing(t *testing.T) {
 func TestLocalSimBiasAloneCanFreeze(t *testing.T) {
 	// No edges; the bias term alone crosses the threshold when
 	// biasCoeff·m^{-0.2}·w ≥ th·w, i.e. biasCoeff ≥ th·m^{0.2}.
-	li := &localInstance{
-		VertexIDs: []graph.Vertex{9},
-		ResWeight: []float64{2},
-	}
+	c := newClass([]graph.Vertex{9}, []float64{2}, nil, nil)
 	m := 4
 	needed := 0.7 * math.Pow(float64(m), 0.2)
-	out := runLocalSim(li, m, 2, 0.1, needed+0.01, 1, constThreshold(0.7), &simScratch{})
+	out := simRun(t, c, m, 2, needed+0.01, 1, constThreshold(0.7))
 	if out[0] != 0 {
 		t.Fatalf("bias did not freeze the isolated vertex: %v", out)
 	}
-	out = runLocalSim(li, m, 2, 0.1, needed-0.01, 1, constThreshold(0.7), &simScratch{})
+	out = simRun(t, c, m, 2, needed-0.01, 1, constThreshold(0.7))
 	if out[0] != -1 {
 		t.Fatalf("sub-threshold bias froze the vertex: %v", out)
 	}
@@ -112,13 +92,10 @@ func TestLocalSimBiasAloneCanFreeze(t *testing.T) {
 func TestLocalSimBiasGrowthCompounds(t *testing.T) {
 	// Bias below threshold at t=0, above at t=2 thanks to growth 15:
 	// bias(t) = c·m^{-0.2}·15^t.
-	li := &localInstance{
-		VertexIDs: []graph.Vertex{9},
-		ResWeight: []float64{1},
-	}
+	cl := newClass([]graph.Vertex{9}, []float64{1}, nil, nil)
 	m := 4
 	c := 0.7 * math.Pow(float64(m), 0.2) / 100 // bias(0) = th/100
-	out := runLocalSim(li, m, 5, 0.1, c, 15, constThreshold(0.7), &simScratch{})
+	out := simRun(t, cl, m, 5, c, 15, constThreshold(0.7))
 	// 15^2 = 225 ≥ 100 ⇒ freeze at t=2.
 	if out[0] != 2 {
 		t.Fatalf("freeze at %v, want 2", out[0])
@@ -128,13 +105,9 @@ func TestLocalSimBiasGrowthCompounds(t *testing.T) {
 func TestLocalSimSimultaneousFreezeConsistency(t *testing.T) {
 	// A triangle of identical vertices: all three freeze at the same
 	// iteration (symmetric state, same threshold).
-	li := &localInstance{
-		VertexIDs: []graph.Vertex{1, 2, 3},
-		ResWeight: []float64{1, 1, 1},
-		Edges:     [][2]int32{{0, 1}, {1, 2}, {0, 2}},
-		X0:        []float64{0.2, 0.2, 0.2},
-	}
-	out := runLocalSim(li, 1, 10, 0.1, 0, 1, constThreshold(0.7), &simScratch{})
+	c := newClass([]graph.Vertex{1, 2, 3}, []float64{1, 1, 1},
+		[][2]int32{{0, 1}, {1, 2}, {0, 2}}, []float64{0.2, 0.2, 0.2})
+	out := simRun(t, c, 1, 10, 0, 1, constThreshold(0.7))
 	if out[0] != out[1] || out[1] != out[2] {
 		t.Fatalf("symmetric vertices froze at different times: %v", out)
 	}
@@ -144,13 +117,8 @@ func TestLocalSimSimultaneousFreezeConsistency(t *testing.T) {
 }
 
 func TestLocalSimWords(t *testing.T) {
-	li := &localInstance{
-		VertexIDs: []graph.Vertex{1, 2, 3},
-		ResWeight: []float64{1, 1, 1},
-		Edges:     [][2]int32{{0, 1}},
-		X0:        []float64{0.1},
-	}
-	if w := li.Words(); w != 3+6 {
+	c := newClass([]graph.Vertex{1, 2, 3}, []float64{1, 1, 1}, [][2]int32{{0, 1}}, []float64{0.1})
+	if w := c.Words(); w != 3+6 {
 		t.Fatalf("words = %d, want 9", w)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"math"
 
 	"repro/internal/centralized"
-	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // CouplingReport quantifies, for one phase, how closely the MPC simulation
@@ -43,48 +41,14 @@ type CouplingReport struct {
 // reports the deviations.
 func AnalyzeCoupling(cp CouplingPhase, p Params) (*CouplingReport, error) {
 	nv := len(cp.High)
-	b := graph.NewBuilder(nv)
-	for i := 0; i < nv; i++ {
-		b.SetWeight(graph.Vertex(i), cp.ResidualWeight[i])
-	}
-	for _, e := range cp.Edges {
-		b.AddEdge(e[0], e[1])
-	}
-	localG, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("core: coupling graph: %w", err)
-	}
-	if localG.NumEdges() != len(cp.Edges) {
-		return nil, fmt.Errorf("core: coupling phase has duplicate edges")
-	}
-	// Map the captured edge order onto the built graph's edge ids.
-	x0 := make([]float64, localG.NumEdges())
-	edgeIdx := make([]graph.EdgeID, len(cp.Edges))
-	for i, e := range cp.Edges {
-		id := localG.EdgeBetween(e[0], e[1])
-		if id < 0 {
-			return nil, fmt.Errorf("core: coupling edge (%d,%d) missing after build", e[0], e[1])
-		}
-		edgeIdx[i] = id
-		x0[id] = cp.X0[i]
-	}
-
 	eps := p.Epsilon
-	lo, hi := 1-4*eps, 1-2*eps
-	threshold := func(v graph.Vertex, t int) float64 {
-		return rng.UniformAt(p.Seed, lo, hi, labelThreshold, uint64(cp.Phase), uint64(cp.High[v]), uint64(t))
-	}
-	if p.FixedThresholds {
-		fixed := 1 - 3*eps
-		threshold = func(graph.Vertex, int) float64 { return fixed }
-	}
 	// The replay is an offline analysis step, not a serving path; it runs
 	// uncancellable on a background context.
 	cres, err := centralized.Run(context.Background(),
-		centralized.Instance{G: localG, X0: x0},
+		centralized.Instance{G: newClass(cp.High, cp.ResidualWeight, cp.Edges, cp.X0), X0: cp.X0},
 		centralized.Options{
 			Epsilon:     eps,
-			Threshold:   threshold,
+			Threshold:   p.thresholds(cp.Phase, cp.High),
 			StopAfter:   cp.Iterations,
 			RecordTrace: true,
 		},
@@ -92,17 +56,11 @@ func AnalyzeCoupling(cp CouplingPhase, p Params) (*CouplingReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: coupling centralized run: %w", err)
 	}
-	traceAt := func(t int) []float64 {
-		if t >= len(cres.YTrace) {
-			t = len(cres.YTrace) - 1
-		}
-		return cres.YTrace[t]
-	}
 
 	growth := 1 / (1 - eps)
 	iters := cp.Iterations
 	mf := float64(cp.Machines)
-	biasBase := p.BiasCoefficient * math.Pow(mf, -0.2)
+	bias := biasSchedule(nil, p.BiasCoefficient, p.BiasGrowth, cp.Machines, iters+1)
 
 	// t′_e per captured edge: earliest endpoint freeze in the MPC run.
 	fiOf := func(i int32) int {
@@ -133,7 +91,6 @@ func AnalyzeCoupling(cp CouplingPhase, p Params) (*CouplingReport, error) {
 	yMPC := make([]float64, nv)
 	yTilde := make([]float64, nv)
 	pow := 1.0
-	bias := biasBase
 	for t := 0; t <= iters; t++ {
 		for i := range yMPC {
 			yMPC[i] = 0
@@ -154,10 +111,10 @@ func AnalyzeCoupling(cp CouplingPhase, p Params) (*CouplingReport, error) {
 				yTilde[e[1]] += x
 			}
 		}
-		yCent := traceAt(t)
+		yCent := cres.YTrace[t]
 		for i := 0; i < nv; i++ {
 			w := cp.ResidualWeight[i]
-			est := bias*w + mf*yTilde[i]
+			est := bias[t]*w + mf*yTilde[i]
 			devEst := math.Abs(yCent[i]-est) / w
 			devY := math.Abs(yCent[i]-yMPC[i]) / w
 			if devEst > rep.MaxDevEstimate {
@@ -176,7 +133,6 @@ func AnalyzeCoupling(cp CouplingPhase, p Params) (*CouplingReport, error) {
 			}
 		}
 		pow *= growth
-		bias *= p.BiasGrowth
 	}
 	for i := 0; i < nv; i++ {
 		if cres.FreezeIter[i] != cp.FreezeIter[i] {

@@ -63,7 +63,7 @@ func runE12(cfg Config) ([]Renderable, error) {
 		start = time.Now()
 		greedy := baselines.Greedy(g)
 		greedyMS := time.Since(start).Milliseconds()
-		greedyCert, err := verify.NewCertificate(g, greedy.Cover, byeDuals)
+		greedyCert, err := verify.NewCertificate(g, greedy, byeDuals)
 		if err != nil {
 			return nil, err
 		}

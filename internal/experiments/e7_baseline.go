@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 
-	"repro/internal/baselines"
 	"repro/internal/centralized"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -36,19 +35,22 @@ func runE7(cfg Config) ([]Renderable, error) {
 		if err != nil {
 			return nil, err
 		}
-		aware, err := baselines.LocalPrimalDual(context.Background(), g, eps, cfg.Seed+21, centralized.InitDegreeAware)
+		// The LOCAL baselines run Algorithm 1 one iteration per round.
+		aware, err := centralized.Run(context.Background(), centralized.Instance{G: g},
+			centralized.Options{Epsilon: eps, Seed: cfg.Seed + 21, Init: centralized.InitDegreeAware})
 		if err != nil {
 			return nil, err
 		}
-		uniform, err := baselines.LocalPrimalDual(context.Background(), g, eps, cfg.Seed+21, centralized.InitUniform)
+		uniform, err := centralized.Run(context.Background(), centralized.Instance{G: g},
+			centralized.Options{Epsilon: eps, Seed: cfg.Seed + 21, Init: centralized.InitUniform})
 		if err != nil {
 			return nil, err
 		}
-		tb.AddRow(d, res.Rounds, res.Phases, aware.Rounds, uniform.Rounds)
+		tb.AddRow(d, res.Rounds, res.Phases, aware.Iterations, uniform.Iterations)
 		ds = append(ds, log2(d))
 		mpcR = append(mpcR, float64(res.Rounds))
-		awareR = append(awareR, float64(aware.Rounds))
-		uniformR = append(uniformR, float64(uniform.Rounds))
+		awareR = append(awareR, float64(aware.Iterations))
+		uniformR = append(uniformR, float64(uniform.Iterations))
 	}
 	chart := stats.NewChart("E7 figure: rounds vs log2 d", "log2 d", "rounds")
 	chart.AddSeries("mpc (this paper)", ds, mpcR)

@@ -63,9 +63,6 @@ func OpenGraphStore(dir string, max int) (*GraphStore, error) {
 	return s, nil
 }
 
-// Dir returns the durable store's data directory ("" for in-memory stores).
-func (s *GraphStore) Dir() string { return s.dir }
-
 // Recovery returns the startup scan's findings (zero for in-memory stores).
 func (s *GraphStore) Recovery() RecoveryStats {
 	s.mu.RLock()
