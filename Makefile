@@ -23,9 +23,11 @@ bench:
 # The lint gate: go vet (its single run — test and docs-check depend on
 # this target instead of re-running it), gofmt cleanliness, and the
 # project's own rule suite (cmd/mwvc-lint; see DESIGN.md "Enforced
-# invariants").
+# invariants"). The root ./... stops at the nested benchmark module,
+# which imports the internal packages, so that module is vetted too.
 lint:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi

@@ -14,9 +14,9 @@
 //
 // With -data-dir the graph store is durable: uploads are fsynced to disk
 // before they are acknowledged, and a restart recovers every acknowledged
-// graph. With -degrade the engine downgrades eligible requests to the cheap
-// fallback solver when the queue passes the overload threshold, instead of
-// making them wait full-cost or 429ing outright.
+// graph. With -degrade the engine downgrades eligible requests to the fast
+// tier's preferred solver once the queue is three quarters full, instead
+// of making them wait full-cost or 429ing outright.
 //
 // A quick session against a running server:
 //
@@ -50,8 +50,7 @@ func main() {
 		maxTimeout  = flag.Duration("max-timeout", 10*time.Minute, "cap on per-request deadlines")
 		maxGraphs   = flag.Int("max-graphs", 0, "graph store cap (0 = 1024)")
 		dataDir     = flag.String("data-dir", "", "durable graph store directory (empty = in-memory only)")
-		degrade     = flag.Bool("degrade", false, "downgrade eligible requests to the fast-tier fallback solver under overload")
-		degradeAlgo = flag.String("degrade-algo", "", "fallback solver for degraded requests (empty = pdfast)")
+		degrade     = flag.Bool("degrade", false, "downgrade eligible requests to the fast tier's preferred solver under overload")
 	)
 	flag.Parse()
 
@@ -64,7 +63,6 @@ func main() {
 		MaxGraphs:         *maxGraphs,
 		DataDir:           *dataDir,
 		DegradeEnabled:    *degrade,
-		DegradeAlgorithm:  *degradeAlgo,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mwvc-serve:", err)

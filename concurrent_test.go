@@ -30,7 +30,7 @@ import (
 // pipeline's overlap) and must still return the sequential solution.
 func TestConcurrentSolvesAreIsolated(t *testing.T) {
 	graphs := []*Graph{
-		RandomGraph(1, 90, 5),  // unit weights: every algorithm applies (ggk too)
+		RandomGraph(1, 90, 5),  // unit weights
 		RandomGraph(2, 140, 8), // denser; forces real MPC traffic
 	}
 	regular, err := cli.BuildGraph("regular", 500, 4, "unit", 1)
@@ -43,7 +43,7 @@ func TestConcurrentSolvesAreIsolated(t *testing.T) {
 	overlapAlgos := []Algorithm{AlgoMPC, AlgoMPCCompress, AlgoPDFast}
 	algos := []Algorithm{
 		AlgoMPC, AlgoCentralized, AlgoLocalUniform, AlgoBYE,
-		AlgoGreedy, AlgoCongestedClique, AlgoGGK,
+		AlgoGreedy, AlgoCongestedClique,
 	}
 	// roundAccounting marks the algorithms whose KindRound event count must
 	// equal Solution.Rounds exactly (the observer-stream guarantee).

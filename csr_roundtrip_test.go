@@ -27,7 +27,7 @@ func TestCSRRoundTripBitIdenticalSolutions(t *testing.T) {
 		name string
 		g    *mwvc.Graph
 	}{
-		// n ≤ 64 keeps exact in play; unit weights keep ggk in play.
+		// n ≤ 64 keeps exact in play.
 		{"unit-weights", gen.GnpAvgDegree(3, 48, 6)},
 		{"weighted", gen.ApplyWeights(gen.GnpAvgDegree(4, 56, 5), 9, gen.UniformRange{Lo: 1, Hi: 100})},
 	}
@@ -52,7 +52,7 @@ func TestCSRRoundTripBitIdenticalSolutions(t *testing.T) {
 					}
 					if errWant != nil {
 						// Same unsupported-domain rejection on both paths (e.g.
-						// ggk on the weighted instance) is a pass.
+						// exact beyond its vertex limit) is a pass.
 						if !errors.Is(errWant, solver.ErrUnsupported) || errWant.Error() != errGot.Error() {
 							t.Fatalf("%s seed %d: errors differ: %v vs %v", algo, seed, errWant, errGot)
 						}

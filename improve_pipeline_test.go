@@ -110,9 +110,9 @@ func TestImprovedPipelineProperties(t *testing.T) {
 }
 
 // TestWithoutImprovementBitIdentical pins the default-off guarantee: a plain
-// Solve, Solve(WithoutImprovement()) and Solve(WithImprovement(0)) are one
-// code path — bit-for-bit identical floats, accounting and cover, with no
-// improvement stats attached.
+// Solve and Solve(WithImprovement(b)) with b ≤ 0 are one code path —
+// bit-for-bit identical floats, accounting and cover, with no improvement
+// stats attached.
 func TestWithoutImprovementBitIdentical(t *testing.T) {
 	for name, g := range reducibleInstances(t) {
 		for _, algo := range Algorithms() {
@@ -125,9 +125,8 @@ func TestWithoutImprovementBitIdentical(t *testing.T) {
 				t.Fatalf("%s/%s: %v", name, algo, err)
 			}
 			for variant, opts := range map[string][]Option{
-				"WithoutImprovement": {WithAlgorithm(algo), WithSeed(2), WithEpsilon(0.1), WithoutImprovement()},
-				"ZeroBudget":         {WithAlgorithm(algo), WithSeed(2), WithEpsilon(0.1), WithImprovement(0)},
-				"NegativeBudget":     {WithAlgorithm(algo), WithSeed(2), WithEpsilon(0.1), WithImprovement(-time.Second)},
+				"ZeroBudget":     {WithAlgorithm(algo), WithSeed(2), WithEpsilon(0.1), WithImprovement(0)},
+				"NegativeBudget": {WithAlgorithm(algo), WithSeed(2), WithEpsilon(0.1), WithImprovement(-time.Second)},
 			} {
 				got, err := Solve(context.Background(), g, opts...)
 				if err != nil {

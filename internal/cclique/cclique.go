@@ -19,9 +19,9 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/centralized"
 	"repro/internal/graph"
 	"repro/internal/mpc"
-	"repro/internal/rng"
 	"repro/internal/solver"
 )
 
@@ -71,10 +71,7 @@ func Run(ctx context.Context, g *graph.Graph, cfg solver.Config) (*Result, error
 	defer cluster.Close()
 
 	growth := 1 / (1 - epsilon)
-	lo, hi := 1-4*epsilon, 1-2*epsilon
-	threshold := func(v graph.Vertex, t int) float64 {
-		return rng.UniformAt(seed, lo, hi, 'T', uint64(v), uint64(t))
-	}
+	threshold := centralized.RandomThresholds(seed, epsilon)
 
 	// Per-machine state, owned by machine v (index v). Slices are only
 	// touched by their owning machine inside rounds, so access is race-free.

@@ -97,10 +97,6 @@ type Options struct {
 	Threshold ThresholdFunc
 	// Seed feeds the default threshold function.
 	Seed uint64
-	// MaxIterations caps the main loop as a safety net. 0 means "derive the
-	// provable bound from the instance" (log_{1/(1−ε)} of the largest
-	// weight-to-initial-dual ratio, plus slack).
-	MaxIterations int
 	// StopAfter, when positive, runs exactly StopAfter iterations: the run
 	// ends there even if active edges remain (no error), and it goes on
 	// drawing thresholds after the last active edge froze, so a vertex whose
@@ -154,9 +150,6 @@ type Result struct {
 	// (equivalently: rounds when the algorithm is read as a LOCAL/PRAM
 	// baseline, one iteration per communication round).
 	Iterations int
-	// ActiveEdgesPerIter[t] is the number of active edges at the start of
-	// iteration t (a progress trace used by the decay experiments).
-	ActiveEdgesPerIter []int
 	// YTrace[t][v] is y_{v,t} when Options.RecordTrace is set, else nil.
 	// It has Iterations+1 entries: one per executed iteration plus a final
 	// snapshot of the state after the last growth step.
@@ -255,13 +248,11 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 		}
 	}
 
-	maxIter := opts.MaxIterations
-	if maxIter == 0 {
-		// An active edge e=(u,v) reaches x_e ≥ min(w(u), w(v)) after at most
-		// log_growth(maxRatio) iterations, at which point an endpoint must
-		// have frozen (its threshold is at most (1−2ε) < 1). +3 for slack.
-		maxIter = int(math.Ceil(math.Log(maxRatio)/math.Log(growth))) + 3
-	}
+	// The loop's safety net: an active edge e=(u,v) reaches
+	// x_e ≥ min(w(u), w(v)) after at most log_growth(maxRatio) iterations,
+	// at which point an endpoint must have frozen (its threshold is at most
+	// (1−2ε) < 1). +3 for slack.
+	maxIter := int(math.Ceil(math.Log(maxRatio)/math.Log(growth))) + 3
 
 	res := &Result{
 		Cover:      make([]bool, n),
@@ -305,7 +296,6 @@ func Run(ctx context.Context, inst Instance, opts Options) (*Result, error) {
 		if len(edges) > 0 && t >= maxIter {
 			return nil, fmt.Errorf("centralized: no termination after %d iterations (%d active edges remain)", t, len(edges))
 		}
-		res.ActiveEdgesPerIter = append(res.ActiveEdgesPerIter, len(edges))
 		if opts.RecordTrace {
 			snap := make([]float64, n)
 			for v := 0; v < n; v++ {

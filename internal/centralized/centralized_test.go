@@ -335,16 +335,27 @@ func TestFixedThresholdAblation(t *testing.T) {
 	}
 }
 
+// TestActiveEdgeTraceMonotone reads the active-edge counts off the
+// KindRound events: one event per iteration, and the count never grows.
 func TestActiveEdgeTraceMonotone(t *testing.T) {
 	g := gen.Gnp(6, 200, 0.05)
-	res := run(t, g, defaultOpts())
-	for i := 1; i < len(res.ActiveEdgesPerIter); i++ {
-		if res.ActiveEdgesPerIter[i] > res.ActiveEdgesPerIter[i-1] {
-			t.Fatalf("active edges increased at iteration %d", i)
+	var active []int64
+	opts := defaultOpts()
+	opts.Observer = solver.ObserverFunc(func(e solver.Event) {
+		if e.Kind == solver.KindRound {
+			active = append(active, e.ActiveEdges)
 		}
+	})
+	res := run(t, g, opts)
+	if len(active) != res.Iterations {
+		t.Fatalf("%d round events vs %d iterations", len(active), res.Iterations)
 	}
-	if len(res.ActiveEdgesPerIter) != res.Iterations {
-		t.Fatalf("trace length %d vs iterations %d", len(res.ActiveEdgesPerIter), res.Iterations)
+	prev := int64(g.NumEdges())
+	for i, a := range active {
+		if a > prev {
+			t.Fatalf("active edges increased at iteration %d: %d > %d", i, a, prev)
+		}
+		prev = a
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // The registry ranks mirror the pre-registry Algorithms() listing order:
 // mpc(0), centralized(10), local-uniform(20), bye(30), greedy(40),
-// congested-clique(50), ggk(60), exact(70).
+// congested-clique(50), exact(70).
 func init() {
 	solver.Register(solver.Meta{
 		Name:    "centralized",

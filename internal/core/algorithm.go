@@ -52,6 +52,10 @@ func (p *Params) thresholds(phase int, ids []graph.Vertex) centralized.Threshold
 // noFreeze marks a vertex that stayed active through a local simulation.
 const noFreeze = -1
 
+// maxPhases caps the sampled-phase loop as a safety net: a run still
+// sampling at this phase fails with a "no convergence" error.
+const maxPhases = 64
+
 // partitioned, when a test sets it, sees the driver after each phase's
 // partition and before the phase's rounds.
 var partitioned func(*driver)
@@ -366,10 +370,6 @@ func (s *state) residual(v graph.Vertex) (float64, bool) {
 // phases runs the sampled phases and returns how many ran.
 func (d *driver) phases() (int, error) {
 	p, n, eps := d.p, d.n, d.p.Epsilon
-	maxPhases := p.MaxPhases
-	if maxPhases == 0 {
-		maxPhases = 64
-	}
 	stalls := 0
 	for phase := 0; ; phase++ {
 		if err := d.ctx.Err(); err != nil {

@@ -259,7 +259,6 @@ func TestValidateParams(t *testing.T) {
 		func(p *Params) { p.PhaseIterations = nil },
 		func(p *Params) { p.NumMachines = nil },
 		func(p *Params) { p.MemoryWords = nil },
-		func(p *Params) { p.MaxPhases = -1 },
 	}
 	for i, mutate := range cases {
 		p := ParamsPractical(0.1, 1)
@@ -381,17 +380,6 @@ func TestFeasibleDualScaling(t *testing.T) {
 	}
 	if out.Rounds != res.Rounds || out.Phases != res.Phases || &out.Cover[0] != &res.Cover[0] {
 		t.Fatal("Outcome does not carry the result's cover and counts")
-	}
-}
-
-func TestMaxPhasesGuard(t *testing.T) {
-	g := gen.GnpAvgDegree(18, 2000, 64)
-	p := ParamsPractical(0.1, 3)
-	p.MaxPhases = 1
-	// Either it finishes within 1 phase or errors cleanly — never loops.
-	res, err := Run(context.Background(), g, p)
-	if err == nil && res.Phases > 1 {
-		t.Fatalf("ran %d phases with MaxPhases=1", res.Phases)
 	}
 }
 

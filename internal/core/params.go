@@ -71,8 +71,6 @@ type Params struct {
 	// MemoryWords returns S, the per-machine memory budget in words, for a
 	// graph with n vertices (paper: Õ(n)).
 	MemoryWords func(n int) int64
-	// MaxPhases caps the phase loop as a safety net (0 = 64).
-	MaxPhases int
 	// Parallelism bounds concurrent machine execution (0 = GOMAXPROCS).
 	Parallelism int
 	// Observer, when non-nil, receives phase and round events as the
@@ -203,9 +201,6 @@ func (p *Params) Validate() error {
 	}
 	if p.SwitchThreshold == nil || p.PhaseIterations == nil || p.NumMachines == nil || p.MemoryWords == nil {
 		return fmt.Errorf("core: nil parameter function (use ParamsPractical/ParamsPaper as a base)")
-	}
-	if p.MaxPhases < 0 {
-		return fmt.Errorf("core: negative MaxPhases %d", p.MaxPhases)
 	}
 	return nil
 }

@@ -86,7 +86,7 @@ func tooLarge(ctx context.Context, g *graph.Graph) error {
 	}
 	k := red.Stats.KernelVertices
 	if k < n && k <= MaxVertices {
-		return fmt.Errorf("exact: %d vertices exceed the %d-vertex solver limit, but the instance reduces to a %d-vertex kernel — enable reduction (mwvc.WithReduction, the default; CLI -reduce) to solve it exactly: %w",
+		return fmt.Errorf("exact: %d vertices exceed the %d-vertex solver limit, but the instance reduces to a %d-vertex kernel — leave reduction on (the default; no mwvc.WithoutReduction, no CLI -reduce=false) to solve it exactly: %w",
 			n, MaxVertices, k, solver.ErrUnsupported)
 	}
 	return fmt.Errorf("exact: %d vertices exceed the %d-vertex solver limit and the kernel is still too large (%d vertices after reduction): %w",

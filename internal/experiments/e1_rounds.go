@@ -7,9 +7,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/stats"
-	"repro/internal/verify"
 )
 
 func init() {
@@ -182,7 +180,7 @@ func e1RoundsComparison(cfg Config) ([]e1Point, error) {
 		if cres.Fallback {
 			return nil, fmt.Errorf("E1c: d=%v fell back to native rounds; the comparison would be vacuous", d)
 		}
-		cratio, err := compressedRatio(g, cres)
+		cratio, err := certifiedRatio(g, &cres.Result)
 		if err != nil {
 			return nil, err
 		}
@@ -205,14 +203,4 @@ func e1RoundsComparison(cfg Config) ([]e1Point, error) {
 		})
 	}
 	return pts, nil
-}
-
-// compressedRatio is certifiedRatio for the compressed solver's result.
-func compressedRatio(g *graph.Graph, res *compress.Result) (float64, error) {
-	scaled, _ := res.FeasibleDual(g)
-	cert, err := verify.NewCertificate(g, res.Cover, scaled)
-	if err != nil {
-		return 0, err
-	}
-	return cert.Ratio(), nil
 }

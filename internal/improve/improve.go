@@ -46,10 +46,9 @@ import (
 	"repro/internal/verify"
 )
 
-// DefaultSampleSize is the number of cover vertices the swap loop samples
-// per step (FastVC's best-from-multiple-selection width) when
-// Options.SampleSize is zero.
-const DefaultSampleSize = 64
+// sampleSize is the number of cover vertices the swap loop samples per
+// step (FastVC's best-from-multiple-selection width).
+const sampleSize = 64
 
 // Options configures one improvement run.
 type Options struct {
@@ -60,9 +59,6 @@ type Options struct {
 	// Seed drives candidate sampling and all tie-breaking; same seed and
 	// step count ⇒ same output.
 	Seed uint64
-	// SampleSize is the BMS width of the swap loop (default
-	// DefaultSampleSize).
-	SampleSize int
 	// OnStep, when non-nil, is invoked synchronously after every accepted
 	// move with the 1-based accepted-move count and the cover weight after
 	// the move. It must be fast; the caller turns these into observer
@@ -183,9 +179,6 @@ func newState(ctx context.Context, g *graph.Graph, cover []bool, opts Options, s
 	}
 	if opts.Budget > 0 {
 		s.deadline = start.Add(opts.Budget)
-	}
-	if s.opts.SampleSize <= 0 {
-		s.opts.SampleSize = DefaultSampleSize
 	}
 	for v := 0; v < n; v++ {
 		s.pos[v] = -1
@@ -350,7 +343,7 @@ func (s *state) swapLoop() {
 	// After this many consecutive sample steps without an improving
 	// candidate, fall back to one exhaustive sweep to either find a move the
 	// sampler keeps missing or certify convergence.
-	failLimit := 4 * s.opts.SampleSize
+	const failLimit = 4 * sampleSize
 	fails := 0
 	for {
 		if s.stoppedNow() {
@@ -377,7 +370,7 @@ func (s *state) swapLoop() {
 	}
 }
 
-// sample draws up to SampleSize cover vertices from the seeded RNG and
+// sample draws up to sampleSize cover vertices from the seeded RNG and
 // returns the one with the best positive gain (ties by RNG priority, then
 // id).
 //
@@ -385,7 +378,7 @@ func (s *state) swapLoop() {
 func (s *state) sample() (graph.Vertex, bool) {
 	var best graph.Vertex = -1
 	bestGain := 0.0
-	for i := 0; i < s.opts.SampleSize; i++ {
+	for i := 0; i < sampleSize; i++ {
 		u := s.coverList[s.rnd.Intn(len(s.coverList))]
 		g := s.gain(u)
 		if g <= 0 {

@@ -40,36 +40,29 @@ type Config struct {
 	MaxTimeout     time.Duration
 	// MaxGraphs caps the graph store (see NewGraphStore; default 1024).
 	MaxGraphs int
-	// MaxTraceEvents bounds the per-request trace buffer; events beyond it
-	// are counted but not retained (default 65536).
-	MaxTraceEvents int
-	// MaxCacheEntries bounds the solution cache; when full the entry with
-	// the smallest key, under a total order on keys, is evicted to admit
-	// the new one (default 4096).
-	MaxCacheEntries int
-	// RetainRequests bounds how many finished requests stay addressable for
-	// GET /v1/solve/{id} after completion (default 1024, FIFO eviction).
-	RetainRequests int
 	// DataDir, when non-empty, makes the graph store durable: uploads are
 	// fsynced to this directory before they are acknowledged, and a restart
 	// recovers every acknowledged graph (see OpenGraphStore). Empty keeps
 	// the store in-memory only.
 	DataDir string
 	// DegradeEnabled turns on overload-aware degradation: once the queue
-	// passes DegradeThreshold of its depth, eligible new requests are
-	// downgraded to DegradeAlgorithm with a tightened improvement budget
-	// instead of waiting full-cost in a deep queue, and their responses are
-	// marked degraded. Requests already asking for DegradeAlgorithm are not
-	// eligible (there is nothing cheaper to fall back to).
+	// holds three quarters of its depth, eligible new requests run the fast
+	// tier's preferred solver (the one a `tier: "fast"` request resolves
+	// to) with a tightened improvement budget instead of waiting full-cost
+	// in a deep queue, and their responses are marked degraded. Requests
+	// already asking for that solver are not eligible.
 	DegradeEnabled bool
-	// DegradeAlgorithm is the fallback solver for degraded requests
-	// (default "pdfast" — the O(m) fast-tier sweep, which still returns a
-	// certified 2-approximation at a fraction of the full solve cost).
-	DegradeAlgorithm string
-	// DegradeThreshold is the queue-fullness fraction past which degradation
-	// engages (default 0.75; clamped to (0, 1]).
-	DegradeThreshold float64
 }
+
+// Engine bounds: each request's trace buffer (events beyond it are counted
+// in Snapshot.TraceDropped, not kept), the solution cache (at capacity the
+// smallest key under compareCacheKeys is evicted), and the finished
+// requests that stay addressable for GET /v1/solve/{id} (FIFO eviction).
+const (
+	maxTraceEvents  = 65536
+	maxCacheEntries = 4096
+	retainRequests  = 1024
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -90,23 +83,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 10 * time.Minute
 	}
-	if c.MaxTraceEvents <= 0 {
-		c.MaxTraceEvents = 65536
-	}
-	if c.MaxCacheEntries <= 0 {
-		c.MaxCacheEntries = 4096
-	}
 	if c.MaxGraphs <= 0 {
 		c.MaxGraphs = 1024
-	}
-	if c.RetainRequests <= 0 {
-		c.RetainRequests = 1024
-	}
-	if c.DegradeAlgorithm == "" {
-		c.DegradeAlgorithm = "pdfast"
-	}
-	if c.DegradeThreshold <= 0 || c.DegradeThreshold > 1 {
-		c.DegradeThreshold = 0.75
 	}
 	return c
 }
@@ -310,7 +288,7 @@ type Snapshot struct {
 	Rounds int
 	// CoverSize is the finished cover's cardinality, 0 while unfinished.
 	CoverSize int
-	// TraceDropped counts observer events discarded beyond MaxTraceEvents;
+	// TraceDropped counts observer events discarded beyond maxTraceEvents;
 	// nonzero means a replayed trace is truncated.
 	TraceDropped int
 	QueuedAt     time.Time
@@ -402,7 +380,7 @@ func (r *Request) observe(e mwvc.Event) {
 	if e.Kind == mwvc.KindRound {
 		r.rounds = e.Round
 	}
-	if len(r.events) < r.engine.cfg.MaxTraceEvents {
+	if len(r.events) < maxTraceEvents {
 		r.events = append(r.events, e)
 	} else {
 		r.dropped++
@@ -467,12 +445,13 @@ func (r *Request) settle(sol *mwvc.Solution, err error, errMsg string) (release 
 
 // Engine runs solves. Create with NewEngine, stop with Close.
 type Engine struct {
-	cfg       Config
-	store     *GraphStore
-	queue     chan *Request
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	degradeAt int // queue length at which degradation engages
+	cfg         Config
+	store       *GraphStore
+	queue       chan *Request
+	stop        chan struct{}
+	wg          sync.WaitGroup
+	degradeAt   int    // queue length at which degradation engages
+	degradeAlgo string // the solver a degraded request runs
 
 	mu       sync.Mutex
 	closed   bool
@@ -488,10 +467,19 @@ type Engine struct {
 
 // NewEngine builds the engine and starts its worker pool. With
 // Config.DataDir set it opens the durable graph store, running the startup
-// recovery scan before any request is admitted; an unusable data directory
-// or an unknown Config.DegradeAlgorithm is an error.
+// recovery scan before any request is admitted. An unusable data directory
+// is an error, and so is Config.DegradeEnabled with no fast-tier solver
+// registered.
 func NewEngine(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
+	var degradeAlgo string
+	if cfg.DegradeEnabled {
+		fast := solver.ByTier(solver.TierFast)
+		if len(fast) == 0 {
+			return nil, errors.New("serve: degradation needs a fast-tier solver, and none is registered")
+		}
+		degradeAlgo = fast[0].Name
+	}
 	var store *GraphStore
 	if cfg.DataDir != "" {
 		var err error
@@ -501,23 +489,16 @@ func NewEngine(cfg Config) (*Engine, error) {
 	} else {
 		store = NewGraphStore(cfg.MaxGraphs)
 	}
-	if cfg.DegradeEnabled {
-		if _, ok := solver.Lookup(cfg.DegradeAlgorithm); !ok {
-			return nil, fmt.Errorf("serve: unknown degrade algorithm %q", cfg.DegradeAlgorithm)
-		}
-	}
 	e := &Engine{
-		cfg:       cfg,
-		store:     store,
-		queue:     make(chan *Request, cfg.QueueDepth),
-		stop:      make(chan struct{}),
-		requests:  make(map[string]*Request),
-		cache:     make(map[cacheKey]*mwvc.Solution),
-		inflight:  make(map[cacheKey]*Request),
-		degradeAt: int(cfg.DegradeThreshold * float64(cfg.QueueDepth)),
-	}
-	if e.degradeAt < 1 {
-		e.degradeAt = 1
+		cfg:         cfg,
+		store:       store,
+		queue:       make(chan *Request, cfg.QueueDepth),
+		stop:        make(chan struct{}),
+		requests:    make(map[string]*Request),
+		cache:       make(map[cacheKey]*mwvc.Solution),
+		inflight:    make(map[cacheKey]*Request),
+		degradeAt:   max(1, 3*cfg.QueueDepth/4),
+		degradeAlgo: degradeAlgo,
 	}
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -644,10 +625,10 @@ func (e *Engine) Submit(p SolveParams) (*Request, error) {
 	// the request to the cheap fallback before considering rejection. The
 	// degraded tuple gets its own cache and coalescing checks — under
 	// sustained identical load the fallback answer is usually already there.
-	if e.cfg.DegradeEnabled && p.Algorithm != e.cfg.DegradeAlgorithm && len(e.queue) >= e.degradeAt {
+	if e.cfg.DegradeEnabled && p.Algorithm != e.degradeAlgo && len(e.queue) >= e.degradeAt {
 		req.Degraded = true
 		req.RequestedAlgo = p.Algorithm
-		p.Algorithm = e.cfg.DegradeAlgorithm
+		p.Algorithm = e.degradeAlgo
 		if p.ImproveBudgetMS > degradedImproveBudgetMS {
 			p.ImproveBudgetMS = degradedImproveBudgetMS
 		}
@@ -705,7 +686,7 @@ func (e *Engine) completeCacheHitLocked(req *Request, sol *mwvc.Solution, now ti
 // cap. Caller holds e.mu.
 func (e *Engine) retainLocked(id string) {
 	e.finished = append(e.finished, id)
-	for len(e.finished) > e.cfg.RetainRequests {
+	for len(e.finished) > retainRequests {
 		delete(e.requests, e.finished[0])
 		e.finished = e.finished[1:]
 	}
@@ -944,7 +925,7 @@ func (e *Engine) run(req *Request) {
 	}
 	key := keyOf(p)
 	e.mu.Lock()
-	if _, exists := e.cache[key]; !exists && len(e.cache) >= e.cfg.MaxCacheEntries {
+	if _, exists := e.cache[key]; !exists && len(e.cache) >= maxCacheEntries {
 		// Evict the smallest key under a total order so which tuples stay
 		// warm never depends on map iteration order: two replicas replaying
 		// the same request log keep identical caches. Eviction only runs at

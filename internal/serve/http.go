@@ -251,8 +251,8 @@ func (s *server) status(w http.ResponseWriter, r *http.Request) {
 // solveStatusCode maps a finished request's error to its HTTP status: 200
 // on success, 504 for a blown per-request deadline (the unified deadline
 // handling shared with cmd/mwvc -timeout), 422 for parameters outside the
-// algorithm's domain (exact beyond its vertex limit, ggk on a weighted
-// graph, ε out of range — a client mistake, not a server fault), 503 with
+// algorithm's domain (exact beyond its vertex limit, ε out of range — a
+// client mistake, not a server fault), 503 with
 // Retry-After for typed transient failures (recovered panic, tripped
 // worker, shutdown), 500 otherwise.
 func solveStatusCode(err error) int {

@@ -484,32 +484,55 @@ func TestEngineCloseRejectsAndDrains(t *testing.T) {
 }
 
 func TestRequestRetention(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 2, QueueDepth: 8, RetainRequests: 3})
+	e := newTestEngine(t, Config{Workers: 2, QueueDepth: 8})
 	hash := addGraph(t, e, testGraph(t, 1, 40, 4))
+	// One solve, then retainRequests+1 cache hits of it, each finished
+	// before the next is submitted.
 	var ids []string
-	for seed := uint64(0); seed < 6; seed++ {
-		req, err := e.Submit(SolveParams{GraphHash: hash, Algorithm: "greedy", Seed: seed})
+	for i := 0; i < retainRequests+2; i++ {
+		req, err := e.Submit(SolveParams{GraphHash: hash, Algorithm: "greedy"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := req.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		if cached := req.Snapshot().Cached; cached != (i > 0) {
+			t.Fatalf("request %d: cached %v, want %v", i, cached, i > 0)
+		}
 		ids = append(ids, req.ID)
 	}
-	// All six requests completed (distinct seeds, so distinct cache keys);
-	// only the last RetainRequests stay addressable.
-	retained := 0
-	for _, id := range ids {
-		if _, ok := e.Lookup(id); ok {
-			retained++
+	// Only the last retainRequests stay addressable: the two oldest go.
+	for i, id := range ids {
+		if _, ok := e.Lookup(id); ok != (i >= 2) {
+			t.Fatalf("request %d of %d: addressable %v, want %v", i, len(ids), ok, i >= 2)
 		}
 	}
-	if retained != 3 {
-		t.Fatalf("retained %d finished requests, want 3", retained)
+}
+
+// TestCacheEvictsSmallestKey fills the solution cache one key past its
+// bound: admitting the last key evicts the smallest one (seed 0, every
+// other field equal) and keeps the rest.
+func TestCacheEvictsSmallestKey(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 8})
+	hash := addGraph(t, e, testGraph(t, 1, 40, 4))
+	p := SolveParams{GraphHash: hash, Algorithm: "greedy", Epsilon: 0.1}
+	for seed := uint64(0); seed <= maxCacheEntries; seed++ {
+		p.Seed = seed
+		solveFresh(t, e, p)
 	}
-	if _, ok := e.Lookup(ids[len(ids)-1]); !ok {
-		t.Fatal("most recent request evicted before older ones")
+	cached := func(seed uint64) bool {
+		p.Seed = seed
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		_, ok := e.cache[keyOf(p)]
+		return ok
+	}
+	if cached(0) {
+		t.Fatal("seed 0, the smallest key, survived the eviction")
+	}
+	if !cached(1) || !cached(maxCacheEntries) {
+		t.Fatal("eviction dropped a key other than the smallest")
 	}
 }
 

@@ -2,8 +2,8 @@
 // algorithm package in the repository and the registry the public facade
 // dispatches through.
 //
-// Each algorithm package (core, centralized, baselines, cclique, ggk,
-// exact) registers a named Solver from an init function in its
+// Each algorithm package (core, compress, centralized, pdfast, baselines,
+// cclique, exact) registers a named Solver from an init function in its
 // register.go; the facade (package mwvc), the CLI -algo flag, and the
 // Algorithms() listing all derive from the one registration table, so they
 // cannot drift. Config carries the cross-algorithm parameters (ε, seed,

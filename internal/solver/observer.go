@@ -5,7 +5,7 @@ type EventKind int
 
 const (
 	// KindPhaseStart fires when a sampled phase of a round-compression
-	// algorithm begins (AlgoMPC, AlgoGGK).
+	// algorithm begins (AlgoMPC, AlgoMPCCompress, and ggk.Run in E13).
 	KindPhaseStart EventKind = iota
 	// KindRound fires after each accounted communication round (MPC cluster
 	// round, congested-clique round) or, for the LOCAL baselines, after each

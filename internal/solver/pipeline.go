@@ -36,7 +36,7 @@ type Result struct {
 	// algorithms. Measured on the kernel when reduction ran: the honest
 	// cost of the solve that actually executed.
 	Rounds int `json:"rounds,omitempty"`
-	// Phases counts the sampled MPC phases (mpc, mpc-compress and ggk only).
+	// Phases counts the sampled MPC phases (mpc and mpc-compress only).
 	Phases int `json:"phases,omitempty"`
 	// Exact reports that Weight is the true optimum: the exact solver, or
 	// any algorithm on an instance the reduction rules solved outright

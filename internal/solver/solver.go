@@ -13,9 +13,9 @@ import (
 
 // ErrUnsupported marks a solve error caused by the request itself — an
 // instance or parameter outside the algorithm's domain (exact beyond its
-// vertex limit, ggk on a weighted graph, ε out of range) rather than an
-// internal failure. Solvers wrap it with %w at their input-validation
-// sites; servers classify such failures as client errors via errors.Is.
+// vertex limit, ε out of range) rather than an internal failure. Solvers
+// wrap it with %w at their input-validation sites; servers classify such
+// failures as client errors via errors.Is.
 var ErrUnsupported = errors.New("unsupported instance or parameters")
 
 // Config carries the cross-algorithm solve parameters. Solvers ignore fields

@@ -55,7 +55,6 @@ import (
 	_ "repro/internal/compress"
 	_ "repro/internal/core"
 	_ "repro/internal/exact"
-	_ "repro/internal/ggk"
 	_ "repro/internal/pdfast"
 )
 
@@ -124,9 +123,6 @@ const (
 	// AlgoCongestedClique runs the primal–dual algorithm one-round-per-
 	// iteration under congested-clique constraints.
 	AlgoCongestedClique Algorithm = "congested-clique"
-	// AlgoGGK runs the unweighted GGK+18 round-compression algorithm
-	// (unit-weight graphs only) — the paper's direct ancestor.
-	AlgoGGK Algorithm = "ggk"
 	// AlgoExact is branch-and-bound (n ≤ 64 only).
 	AlgoExact Algorithm = "exact"
 )
@@ -263,20 +259,10 @@ func WithObserver(obs Observer) Option {
 	return func(s *settings) { s.cfg.Observer = obs }
 }
 
-// WithReduction enables the kernelization stage (the default): the instance
-// is shrunk by the weighted reduction rules of internal/reduce, the
-// selected algorithm solves the kernel, and the cover and certificate are
-// lifted back to — and verified against — the original graph. Reduction
-// never loosens the result: the forced weight adds exactly to both the
-// cover weight and the certified lower bound, so CertifiedRatio stays
-// meaningful (and Solution.Reduction reports what the stage did).
-func WithReduction() Option {
-	return func(s *settings) { s.reduce = true }
-}
-
-// WithoutReduction skips the kernelization stage: the selected algorithm
-// runs on the raw graph, reproducing the pre-reduction pipeline bit for
-// bit. Solution.Reduction is nil on this path.
+// WithoutReduction skips the kernelization stage, which is on by default:
+// the selected algorithm runs on the raw graph, reproducing the
+// pre-reduction pipeline bit for bit. Solution.Reduction is nil on this
+// path.
 func WithoutReduction() Option {
 	return func(s *settings) { s.reduce = false }
 }
@@ -311,7 +297,8 @@ func WithKernel(k *Kernel) Option {
 // tighten. Budget expiry and cancellation are not errors — the stage
 // returns the best cover reached, always valid and never heavier.
 // Exact solves skip the stage (there is nothing to improve).
-// A zero or negative budget is WithoutImprovement.
+// A zero or negative budget leaves the stage off, as without the option:
+// the solve is bit-for-bit identical and Solution.Improvement is nil.
 func WithImprovement(budget time.Duration) Option {
 	return func(s *settings) {
 		if budget < 0 {
@@ -319,13 +306,6 @@ func WithImprovement(budget time.Duration) Option {
 		}
 		s.cfg.ImproveBudget = budget
 	}
-}
-
-// WithoutImprovement skips the improvement stage (the default): solve
-// results are bit-for-bit identical to the pre-improvement pipeline, and
-// Solution.Improvement is nil.
-func WithoutImprovement() Option {
-	return func(s *settings) { s.cfg.ImproveBudget = 0 }
 }
 
 // Solution is the outcome of Solve: the verified cover with its quality

@@ -36,12 +36,12 @@ func TestSolveAllAlgorithmsSmall(t *testing.T) {
 
 func TestAlgorithmsDeriveFromRegistry(t *testing.T) {
 	algos := Algorithms()
-	if len(algos) != 10 {
-		t.Fatalf("expected the 10 built-in algorithms, got %d: %v", len(algos), algos)
+	if len(algos) != 9 {
+		t.Fatalf("expected the 9 built-in algorithms, got %d: %v", len(algos), algos)
 	}
 	want := []Algorithm{
 		AlgoMPC, AlgoMPCCompress, AlgoCentralized, AlgoLocalUniform, AlgoPDFast,
-		AlgoBYE, AlgoGreedy, AlgoCongestedClique, AlgoGGK, AlgoExact,
+		AlgoBYE, AlgoGreedy, AlgoCongestedClique, AlgoExact,
 	}
 	for i, a := range want {
 		if algos[i] != a {

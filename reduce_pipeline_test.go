@@ -49,7 +49,7 @@ func TestReducedPipelineProperties(t *testing.T) {
 				sol, err := Solve(context.Background(), g,
 					WithAlgorithm(algo), WithSeed(seed), WithEpsilon(0.1))
 				if errors.Is(err, solver.ErrUnsupported) {
-					continue // e.g. ggk on weighted instances, exact on big kernels
+					continue // e.g. exact on big kernels
 				}
 				if err != nil {
 					t.Fatalf("%s/%s/seed%d: %v", name, algo, seed, err)
