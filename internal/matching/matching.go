@@ -6,9 +6,8 @@
 // [II86] is the O(log n)-round building block the pre-round-compression
 // algorithms rest on.
 //
-// Two implementations are provided: a sequential greedy pass (a reference
-// for this package's tests; the exact solver bounds with its own
-// Bar-Yehuda–Even pass, not with a matching) and a randomized
+// Two implementations are provided: a sequential greedy pass (the
+// reference this package's tests check against) and a randomized
 // Israeli–Itai-style distributed algorithm executed on the MPC substrate
 // with one vertex-machine per vertex, whose round count is O(log n) w.h.p.
 package matching
