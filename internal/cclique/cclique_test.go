@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mpc"
 	"repro/internal/verify"
 )
 
@@ -114,5 +115,33 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a.Rounds != b.Rounds {
 		t.Fatal("same seed, different rounds")
+	}
+}
+
+// TestMetricsPinned pins the round count and every cluster metric on E9's
+// quick inputs at seed 1 (built as runE9 builds them) and on a 60-vertex
+// star. The golden digests hash cover, duals, rounds and events, but no
+// metric.
+func TestMetricsPinned(t *testing.T) {
+	e9 := func(n int, d float64) *graph.Graph {
+		return gen.ApplyWeights(gen.GnpAvgDegree(1+uint64(n), n, d), 31, gen.UniformRange{Lo: 1, Hi: 10})
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		seed uint64
+		want mpc.Metrics
+	}{
+		{"e9-500-16", e9(500, 16), 32, mpc.Metrics{Rounds: 15, MaxResidentWords: 232, MaxSentWords: 27, MaxRecvWords: 27, TotalWords: 15306, TotalMessages: 15306}},
+		{"e9-1000-32", e9(1000, 32), 32, mpc.Metrics{Rounds: 19, MaxResidentWords: 432, MaxSentWords: 52, MaxRecvWords: 52, TotalWords: 62576, TotalMessages: 62576}},
+		{"star-60", gen.Star(60), 1, mpc.Metrics{Rounds: 3, MaxResidentWords: 488, MaxSentWords: 59, MaxRecvWords: 59, TotalWords: 177, TotalMessages: 177}},
+	} {
+		res, err := Run(context.Background(), tc.g, solver.Config{Epsilon: 0.1, Seed: tc.seed})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Rounds != tc.want.Rounds || res.Metrics != tc.want {
+			t.Errorf("%s: rounds %d, metrics %+v; want %+v", tc.name, res.Rounds, res.Metrics, tc.want)
+		}
 	}
 }
