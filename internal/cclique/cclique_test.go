@@ -1,16 +1,16 @@
 package cclique
 
 import (
-	"repro/internal/solver"
-
 	"context"
-
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/centralized"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mpc"
+	"repro/internal/solver"
 	"repro/internal/verify"
 )
 
@@ -63,8 +63,9 @@ func TestPairCapsRespected(t *testing.T) {
 }
 
 func TestEndpointDualsAgree(t *testing.T) {
-	// The X reconstruction takes the max over the two endpoints' views;
-	// feasibility of the result implies the views never diverged upward.
+	// Both endpoints of an edge compute its dual from the same two ratios
+	// and growth steps, so one value per edge is well defined: it must be
+	// positive and feasible at both ends.
 	g := gen.ApplyWeights(gen.GnpAvgDegree(6, 150, 8), 9, gen.UniformRange{Lo: 0.5, Hi: 5})
 	res, err := Run(context.Background(), g, solver.Config{Epsilon: 0.05, Seed: 11})
 	if err != nil {
@@ -143,5 +144,82 @@ func TestMetricsPinned(t *testing.T) {
 		if res.Rounds != tc.want.Rounds || res.Metrics != tc.want {
 			t.Errorf("%s: rounds %d, metrics %+v; want %+v", tc.name, res.Rounds, res.Metrics, tc.want)
 		}
+	}
+}
+
+// TestMatchesCentralized checks that congested-clique computes exactly what
+// Algorithm 1's loop computes: on every input both fail, or both return the
+// same cover and the same dual bits, with Rounds = Iterations + 2 (setup,
+// one round per iteration, termination detection).
+func TestMatchesCentralized(t *testing.T) {
+	shapes := []struct {
+		name string
+		g    func(seed uint64) *graph.Graph
+	}{
+		{"gnp", func(seed uint64) *graph.Graph { return gen.GnpAvgDegree(seed, 120, 10) }},
+		{"powerlaw", func(seed uint64) *graph.Graph { return gen.PreferentialAttachment(seed, 120, 3) }},
+		{"bipartite", func(seed uint64) *graph.Graph { return gen.RandomBipartite(seed, 40, 60, 0.1) }},
+		{"grid", func(uint64) *graph.Graph { return gen.Grid(8, 9) }},
+		{"star", func(uint64) *graph.Graph { return gen.Star(30) }},
+	}
+	type input struct {
+		name string
+		g    *graph.Graph
+		eps  float64
+		seed uint64
+	}
+	var inputs []input
+	for _, sh := range shapes {
+		for _, model := range gen.StandardModels() {
+			for seed := uint64(1); seed <= 3; seed++ {
+				g := gen.ApplyWeights(sh.g(seed), seed+100, model)
+				for _, eps := range []float64{0.05, 0.1} {
+					inputs = append(inputs, input{fmt.Sprintf("%s/%s/%d/%v", sh.name, model.Name(), seed, eps), g, eps, seed})
+				}
+			}
+		}
+	}
+	// A star whose weights mix a subnormal, [1, 2) and a value near the
+	// float maximum: the center weighs 11 ulps of the smallest subnormal and
+	// has three neighbors, so its degree-aware share w/3 rounds up to 4 ulps
+	// per edge and the initial matching already exceeds its weight. Both
+	// solvers must refuse it.
+	b := graph.NewBuilder(4)
+	for v, w := range []float64{11 * math.SmallestNonzeroFloat64, 1.5, 1.25, 1.7e308} {
+		b.SetWeight(graph.Vertex(v), w)
+	}
+	for v := 1; v < 4; v++ {
+		b.AddEdge(0, graph.Vertex(v))
+	}
+	inputs = append(inputs, input{"subnormal-star", b.MustBuild(), 0.1, 1})
+
+	failures := 0
+	for _, in := range inputs {
+		got, err := Run(context.Background(), in.g, solver.Config{Epsilon: in.eps, Seed: in.seed})
+		want, wantErr := centralized.Run(context.Background(), centralized.Instance{G: in.g},
+			centralized.Options{Epsilon: in.eps, Seed: in.seed})
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s: congested-clique error %v, centralized error %v", in.name, err, wantErr)
+		}
+		if err != nil {
+			failures++
+			continue
+		}
+		if got.Rounds != want.Iterations+2 {
+			t.Fatalf("%s: %d rounds, want %d iterations + 2", in.name, got.Rounds, want.Iterations)
+		}
+		for v := range want.Cover {
+			if got.Cover[v] != want.Cover[v] {
+				t.Fatalf("%s: vertex %d covered %v, centralized %v", in.name, v, got.Cover[v], want.Cover[v])
+			}
+		}
+		for e := range want.X {
+			if math.Float64bits(got.X[e]) != math.Float64bits(want.X[e]) {
+				t.Fatalf("%s: edge %d dual %v, centralized %v", in.name, e, got.X[e], want.X[e])
+			}
+		}
+	}
+	if failures != 1 {
+		t.Fatalf("%d inputs failed on both solvers, want only the subnormal star", failures)
 	}
 }
