@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,9 +53,9 @@ type Config struct {
 }
 
 // Engine bounds: each request's trace buffer (events beyond it are counted
-// in Snapshot.TraceDropped, not kept), the solution cache (at capacity the
-// smallest key under compareCacheKeys is evicted), and the finished
-// requests that stay addressable for GET /v1/solve/{id} (FIFO eviction).
+// in Snapshot.TraceDropped, not kept), the solution cache, and the finished
+// requests that stay addressable for GET /v1/solve/{id}. Both of the last
+// two evict in FIFO order.
 const (
 	maxTraceEvents  = 65536
 	maxCacheEntries = 4096
@@ -459,6 +457,7 @@ type Engine struct {
 	requests map[string]*Request
 	finished []string // completed request ids, oldest first (retention ring)
 	cache    map[cacheKey]*mwvc.Solution
+	cacheSeq []cacheKey            // cache keys, oldest first (eviction ring)
 	inflight map[cacheKey]*Request // enqueued/running leaders, for coalescing
 	nextID   uint64
 
@@ -787,42 +786,6 @@ func keyOf(p SolveParams) cacheKey {
 		paper: p.PaperConstants, noReduce: p.NoReduce, improveMS: p.ImproveBudgetMS}
 }
 
-// compareCacheKeys orders cache keys field by field; epsilon compares by
-// its bit pattern (the key is an exact tuple, not a tolerance).
-func compareCacheKeys(a, b cacheKey) int {
-	if c := cmp.Compare(a.hash, b.hash); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.algo, b.algo); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(math.Float64bits(a.eps), math.Float64bits(b.eps)); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.seed, b.seed); c != 0 {
-		return c
-	}
-	if c := boolCompare(a.paper, b.paper); c != 0 {
-		return c
-	}
-	if c := boolCompare(a.noReduce, b.noReduce); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.improveMS, b.improveMS)
-}
-
-// boolCompare orders false before true.
-func boolCompare(a, b bool) int {
-	switch {
-	case a == b:
-		return 0
-	case b:
-		return -1
-	default:
-		return 1
-	}
-}
-
 // run executes one dequeued request end to end: deadline context, observed
 // solve through the facade, outcome classification, cache fill. It does not
 // look the cache up again: Submit checks the cache, coalesces and enqueues
@@ -925,17 +888,14 @@ func (e *Engine) run(req *Request) {
 	}
 	key := keyOf(p)
 	e.mu.Lock()
-	if _, exists := e.cache[key]; !exists && len(e.cache) >= maxCacheEntries {
-		// Evict the smallest key under a total order so which tuples stay
-		// warm never depends on map iteration order: two replicas replaying
-		// the same request log keep identical caches. Eviction only runs at
-		// capacity, so the O(n) scan is off the common path.
-		var keys []cacheKey
-		for k := range e.cache {
-			keys = append(keys, k)
+	if _, exists := e.cache[key]; !exists {
+		// Evict the key inserted first: which tuples stay warm follows the
+		// order their solves finished in, never map iteration order.
+		e.cacheSeq = append(e.cacheSeq, key)
+		if len(e.cacheSeq) > maxCacheEntries {
+			delete(e.cache, e.cacheSeq[0])
+			e.cacheSeq = e.cacheSeq[1:]
 		}
-		slices.SortFunc(keys, compareCacheKeys)
-		delete(e.cache, keys[0])
 	}
 	e.cache[key] = sol
 	e.mu.Unlock()

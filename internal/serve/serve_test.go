@@ -510,29 +510,43 @@ func TestRequestRetention(t *testing.T) {
 	}
 }
 
-// TestCacheEvictsSmallestKey fills the solution cache one key past its
-// bound: admitting the last key evicts the smallest one (seed 0, every
-// other field equal) and keeps the rest.
-func TestCacheEvictsSmallestKey(t *testing.T) {
-	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 8})
-	hash := addGraph(t, e, testGraph(t, 1, 40, 4))
-	p := SolveParams{GraphHash: hash, Algorithm: "greedy", Epsilon: 0.1}
-	for seed := uint64(0); seed <= maxCacheEntries; seed++ {
-		p.Seed = seed
-		solveFresh(t, e, p)
-	}
-	cached := func(seed uint64) bool {
-		p.Seed = seed
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		_, ok := e.cache[keyOf(p)]
-		return ok
-	}
-	if cached(0) {
-		t.Fatal("seed 0, the smallest key, survived the eviction")
-	}
-	if !cached(1) || !cached(maxCacheEntries) {
-		t.Fatal("eviction dropped a key other than the smallest")
+// TestCacheEvictsOldestKey fills the solution cache one key past its bound,
+// in ascending and in descending seed order (every other field equal):
+// admitting the last key evicts the first one admitted and keeps the rest.
+func TestCacheEvictsOldestKey(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seed func(i uint64) uint64 // the i-th seed admitted
+		gone uint64
+		kept []uint64
+	}{
+		{"ascending", func(i uint64) uint64 { return i }, 0, []uint64{1, maxCacheEntries}},
+		{"descending", func(i uint64) uint64 { return maxCacheEntries - i }, maxCacheEntries, []uint64{0, 1, maxCacheEntries - 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(t, Config{Workers: 1, QueueDepth: 8})
+			hash := addGraph(t, e, testGraph(t, 1, 40, 4))
+			p := SolveParams{GraphHash: hash, Algorithm: "greedy", Epsilon: 0.1}
+			for i := uint64(0); i <= maxCacheEntries; i++ {
+				p.Seed = tc.seed(i)
+				solveFresh(t, e, p)
+			}
+			cached := func(seed uint64) bool {
+				p.Seed = seed
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				_, ok := e.cache[keyOf(p)]
+				return ok
+			}
+			if cached(tc.gone) {
+				t.Fatalf("seed %d, the oldest key, survived the eviction", tc.gone)
+			}
+			for _, seed := range tc.kept {
+				if !cached(seed) {
+					t.Fatalf("eviction dropped seed %d, not the oldest key", seed)
+				}
+			}
+		})
 	}
 }
 
