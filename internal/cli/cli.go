@@ -28,20 +28,12 @@ func BuildGraph(generator string, n int, d float64, weights string, seed uint64)
 	}
 	var g *graph.Graph
 	switch strings.ToLower(generator) {
-	case "gnp":
-		g = gen.GnpAvgDegree(seed, n, d)
 	case "powerlaw":
 		k := int(d / 2)
 		if k < 1 {
 			k = 1
 		}
 		g = gen.PreferentialAttachment(seed, n, k)
-	case "bipartite":
-		p := d / float64(n)
-		if p > 1 {
-			p = 1
-		}
-		g = gen.RandomBipartite(seed, n/2, n-n/2, p)
 	case "regular":
 		k := int(d)
 		if k >= n {
@@ -51,14 +43,6 @@ func BuildGraph(generator string, n int, d float64, weights string, seed uint64)
 			k = 0
 		}
 		g = gen.RandomRegular(seed, n, k)
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		g = gen.Grid(side, side)
-	case "star":
-		g = gen.Star(n)
 	case "clique":
 		g = gen.Clique(n)
 	case "planted":
@@ -90,7 +74,12 @@ func BuildGraph(generator string, n int, d float64, weights string, seed uint64)
 		}
 		g = gen.WattsStrogatz(seed, n, k, 0.2)
 	default:
-		return nil, fmt.Errorf("cli: unknown generator %q (options: %s)", generator, strings.Join(Generators(), ", "))
+		// gnp, bipartite, grid and star: the stream `-stream` writes.
+		nv, stream, ok := streamSpec(generator, n, d, seed)
+		if !ok {
+			return nil, fmt.Errorf("cli: unknown generator %q (options: %s)", generator, strings.Join(Generators(), ", "))
+		}
+		g = gen.FromStream(nv, stream)
 	}
 	model, err := WeightModel(weights)
 	if err != nil {

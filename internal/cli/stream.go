@@ -18,10 +18,10 @@ func StreamableGenerators() []string {
 }
 
 // streamSpec resolves generator parameters to the actual vertex count and a
-// replayable edge stream, mirroring BuildGraph's parameter interpretation
-// exactly so that `-stream` and in-memory generation describe the same
-// instance.
-func streamSpec(generator string, n int, d float64, seed uint64) (int, func(gen.EdgeEmitter), error) {
+// replayable edge stream. BuildGraph builds these generators from the same
+// stream, so `-stream` and in-memory generation describe the same instance.
+// ok is false for a generator that does not stream.
+func streamSpec(generator string, n int, d float64, seed uint64) (nv int, stream func(gen.EdgeEmitter), ok bool) {
 	switch strings.ToLower(generator) {
 	case "gnp":
 		p := 0.0
@@ -31,25 +31,24 @@ func streamSpec(generator string, n int, d float64, seed uint64) (int, func(gen.
 				p = 1
 			}
 		}
-		return n, func(emit gen.EdgeEmitter) { gen.EmitGnp(seed, n, p, emit) }, nil
+		return n, func(emit gen.EdgeEmitter) { gen.EmitGnp(seed, n, p, emit) }, true
 	case "bipartite":
 		p := d / float64(n)
 		if p > 1 {
 			p = 1
 		}
 		nLeft, nRight := n/2, n-n/2
-		return n, func(emit gen.EdgeEmitter) { gen.EmitRandomBipartite(seed, nLeft, nRight, p, emit) }, nil
+		return n, func(emit gen.EdgeEmitter) { gen.EmitRandomBipartite(seed, nLeft, nRight, p, emit) }, true
 	case "grid":
 		side := 1
 		for side*side < n {
 			side++
 		}
-		return side * side, func(emit gen.EdgeEmitter) { gen.EmitGrid(side, side, emit) }, nil
+		return side * side, func(emit gen.EdgeEmitter) { gen.EmitGrid(side, side, emit) }, true
 	case "star":
-		return n, func(emit gen.EdgeEmitter) { gen.EmitStar(n, emit) }, nil
+		return n, func(emit gen.EdgeEmitter) { gen.EmitStar(n, emit) }, true
 	default:
-		return 0, nil, fmt.Errorf("cli: generator %q is not streamable (options: %s)",
-			generator, strings.Join(StreamableGenerators(), ", "))
+		return 0, nil, false
 	}
 }
 
@@ -74,9 +73,10 @@ func PrepareStream(generator string, n int, d float64, weights string, seed uint
 	if n < 0 {
 		return nil, fmt.Errorf("cli: negative vertex count %d", n)
 	}
-	nv, stream, err := streamSpec(generator, n, d, seed)
-	if err != nil {
-		return nil, err
+	nv, stream, ok := streamSpec(generator, n, d, seed)
+	if !ok {
+		return nil, fmt.Errorf("cli: generator %q is not streamable (options: %s)",
+			generator, strings.Join(StreamableGenerators(), ", "))
 	}
 	model, err := WeightModel(weights)
 	if err != nil {

@@ -26,7 +26,7 @@ func Gnp(seed uint64, n int, p float64) *graph.Graph {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("gen: Gnp probability %v out of [0,1]", p))
 	}
-	return buildStreamed(n, func(emit EdgeEmitter) { EmitGnp(seed, n, p, emit) })
+	return FromStream(n, func(emit EdgeEmitter) { EmitGnp(seed, n, p, emit) })
 }
 
 // GnpAvgDegree returns G(n, p) with p chosen so the expected average degree
@@ -95,7 +95,7 @@ func RandomBipartite(seed uint64, nLeft, nRight int, p float64) *graph.Graph {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("gen: RandomBipartite probability %v out of [0,1]", p))
 	}
-	return buildStreamed(nLeft+nRight, func(emit EdgeEmitter) {
+	return FromStream(nLeft+nRight, func(emit EdgeEmitter) {
 		EmitRandomBipartite(seed, nLeft, nRight, p, emit)
 	})
 }
@@ -129,12 +129,12 @@ func RandomRegular(seed uint64, n, d int) *graph.Graph {
 
 // Grid returns the rows×cols grid graph.
 func Grid(rows, cols int) *graph.Graph {
-	return buildStreamed(rows*cols, func(emit EdgeEmitter) { EmitGrid(rows, cols, emit) })
+	return FromStream(rows*cols, func(emit EdgeEmitter) { EmitGrid(rows, cols, emit) })
 }
 
 // Star returns a star with one center (vertex 0) and n-1 leaves.
 func Star(n int) *graph.Graph {
-	return buildStreamed(n, func(emit EdgeEmitter) { EmitStar(n, emit) })
+	return FromStream(n, func(emit EdgeEmitter) { EmitStar(n, emit) })
 }
 
 // Clique returns the complete graph K_n.

@@ -15,15 +15,16 @@ type EdgeEmitter func(u, v graph.Vertex)
 // streamable ones below expose that determinism directly: an Emit* function
 // produces the identical edge sequence every time it is called with the
 // same arguments. That is exactly the contract the two-pass CSRBuilder
-// wants, so buildStreamed assembles a Graph by simply running the emitter
+// wants, so FromStream assembles a Graph by simply running the emitter
 // twice — no edge-list buffer exists at any point, for generation or for
 // construction. The same emitters back `mwvc-gen -stream`, which writes the
 // edge stream to disk without materializing the graph at all.
 
-// buildStreamed builds a graph by replaying a deterministic edge stream
-// through the two passes of a CSRBuilder. It panics on error: emitters are
-// correct by construction (in-range endpoints, no self-loops).
-func buildStreamed(n int, stream func(EdgeEmitter)) *graph.Graph {
+// FromStream builds a graph on n vertices by replaying a deterministic edge
+// stream through the two passes of a CSRBuilder. It panics on error: the
+// Emit* streams are correct by construction (in-range endpoints, no
+// self-loops).
+func FromStream(n int, stream func(EdgeEmitter)) *graph.Graph {
 	c := graph.NewCSRBuilder(n)
 	var err error
 	stream(func(u, v graph.Vertex) {
