@@ -63,7 +63,6 @@ func Run(ctx context.Context, g *graph.Graph, cfg solver.Config) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	freezeIter := run.FreezeIter
 
 	// Memory: a vertex-machine stores its adjacency and per-edge duals.
 	// The congested clique model does not constrain local memory, so the
@@ -85,7 +84,7 @@ func Run(ctx context.Context, g *graph.Graph, cfg solver.Config) (*Result, error
 	frozenAt := make([]int64, run.Iterations)
 	ep := g.EdgeEndpoints()
 	for e := 0; e < g.NumEdges(); e++ {
-		tu, tv := freezeIter[ep[2*e]], freezeIter[ep[2*e+1]]
+		tu, tv := run.FreezeIter[ep[2*e]], run.FreezeIter[ep[2*e+1]]
 		if tu < 0 || (tv >= 0 && tv < tu) {
 			tu = tv
 		}
@@ -149,7 +148,7 @@ func Run(ctx context.Context, g *graph.Graph, cfg solver.Config) (*Result, error
 					}
 				}
 			}
-			if freezeIter[v] == t {
+			if run.FreezeIter[v] == t {
 				for _, u := range nbrs {
 					if err := m.Send(int(u), []uint64{1}); err != nil {
 						return err
