@@ -63,9 +63,9 @@ func TestPairCapsRespected(t *testing.T) {
 }
 
 func TestEndpointDualsAgree(t *testing.T) {
-	// Both endpoints of an edge compute its dual from the same two ratios
-	// and growth steps, so one value per edge is well defined: it must be
-	// positive and feasible at both ends.
+	// Every edge carries one dual, which both endpoints' machines could
+	// derive from the same two ratios and growth steps: it must be
+	// positive, and feasible at both ends.
 	g := gen.ApplyWeights(gen.GnpAvgDegree(6, 150, 8), 9, gen.UniformRange{Lo: 0.5, Hi: 5})
 	res, err := Run(context.Background(), g, solver.Config{Epsilon: 0.05, Seed: 11})
 	if err != nil {
