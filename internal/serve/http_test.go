@@ -370,3 +370,179 @@ func TestHTTP256ConcurrentSolves(t *testing.T) {
 		t.Fatalf("observer totals not fed under load: %+v", m)
 	}
 }
+
+// TestSSEWireForm pins the bytes of an SSE trace event: the event line names
+// the kind, and the data line carries the event's fields under their JSON
+// names, with zero degree, machines, iterations and weight left out.
+func TestSSEWireForm(t *testing.T) {
+	cases := []struct {
+		ev   mwvc.Event
+		want string
+	}{
+		{mwvc.Event{Kind: mwvc.KindPhaseStart, ActiveEdges: 1200, Degree: 24.5, Machines: 8, Iterations: 3},
+			"event: phase-start\ndata: {\"kind\":\"phase-start\",\"phase\":0,\"round\":0,\"active_edges\":1200,\"dual_bound\":0,\"degree\":24.5,\"machines\":8,\"iterations\":3}\n\n"},
+		{mwvc.Event{Kind: mwvc.KindRound, Round: 1, ActiveEdges: 900, DualBound: 12.25},
+			"event: round\ndata: {\"kind\":\"round\",\"phase\":0,\"round\":1,\"active_edges\":900,\"dual_bound\":12.25}\n\n"},
+		{mwvc.Event{Kind: mwvc.KindPhaseEnd, Round: 3, ActiveEdges: 40, DualBound: 310.5},
+			"event: phase-end\ndata: {\"kind\":\"phase-end\",\"phase\":0,\"round\":3,\"active_edges\":40,\"dual_bound\":310.5}\n\n"},
+		{mwvc.Event{Kind: mwvc.KindFinalPhase, Phase: -1, Round: 4, DualBound: 402.75, Iterations: 5},
+			"event: final-phase\ndata: {\"kind\":\"final-phase\",\"phase\":-1,\"round\":4,\"active_edges\":0,\"dual_bound\":402.75,\"iterations\":5}\n\n"},
+		{mwvc.Event{Kind: mwvc.KindReduceStart, Phase: -1, ActiveEdges: 1500},
+			"event: reduce-start\ndata: {\"kind\":\"reduce-start\",\"phase\":-1,\"round\":0,\"active_edges\":1500,\"dual_bound\":0}\n\n"},
+		{mwvc.Event{Kind: mwvc.KindReduceEnd, Phase: -1, ActiveEdges: 1200},
+			"event: reduce-end\ndata: {\"kind\":\"reduce-end\",\"phase\":-1,\"round\":0,\"active_edges\":1200,\"dual_bound\":0}\n\n"},
+		{mwvc.Event{Kind: mwvc.KindImproveStart, Phase: -1, ActiveEdges: -1, Weight: 812.5},
+			"event: improve-start\ndata: {\"kind\":\"improve-start\",\"phase\":-1,\"round\":0,\"active_edges\":-1,\"dual_bound\":0,\"weight\":812.5}\n\n"},
+		{mwvc.Event{Kind: mwvc.KindImproveStep, Phase: -1, Round: 1, ActiveEdges: -1, Weight: 790},
+			"event: improve-step\ndata: {\"kind\":\"improve-step\",\"phase\":-1,\"round\":1,\"active_edges\":-1,\"dual_bound\":0,\"weight\":790}\n\n"},
+		{mwvc.Event{Kind: mwvc.KindImproveEnd, Phase: -1, Round: 7, ActiveEdges: -1, Weight: 701.125},
+			"event: improve-end\ndata: {\"kind\":\"improve-end\",\"phase\":-1,\"round\":7,\"active_edges\":-1,\"dual_bound\":0,\"weight\":701.125}\n\n"},
+		{mwvc.Event{Kind: mwvc.KindCompress, Phase: 1, Round: 9, ActiveEdges: 12, DualBound: 399.5, Machines: 4, Iterations: 11},
+			"event: compress\ndata: {\"kind\":\"compress\",\"phase\":1,\"round\":9,\"active_edges\":12,\"dual_bound\":399.5,\"machines\":4,\"iterations\":11}\n\n"},
+		{mwvc.Event{Kind: 99, Phase: 2, Round: 5, ActiveEdges: 7, DualBound: 1},
+			"event: unknown\ndata: {\"kind\":\"unknown\",\"phase\":2,\"round\":5,\"active_edges\":7,\"dual_bound\":1}\n\n"},
+		{mwvc.Event{},
+			"event: phase-start\ndata: {\"kind\":\"phase-start\",\"phase\":0,\"round\":0,\"active_edges\":0,\"dual_bound\":0}\n\n"},
+		{mwvc.Event{Kind: mwvc.KindRound, Phase: -1, Round: 2, ActiveEdges: 3, DualBound: math.SmallestNonzeroFloat64, Degree: 5e-310, Weight: 0x1p-1022},
+			"event: round\ndata: {\"kind\":\"round\",\"phase\":-1,\"round\":2,\"active_edges\":3,\"dual_bound\":5e-324,\"degree\":5e-310,\"weight\":2.2250738585072014e-308}\n\n"},
+	}
+	for i, tc := range cases {
+		rec := httptest.NewRecorder()
+		writeSSE(rec, &tc.ev)
+		if got := rec.Body.String(); got != tc.want {
+			t.Errorf("event %d (%+v):\n got %q\nwant %q", i, tc.ev, got, tc.want)
+		}
+	}
+}
+
+// TestMetricsExposition pins the bytes of GET /metrics after a scripted
+// session on a one-worker server: a fresh mpc solve, its cache hit, an
+// mpc-compress solve that takes the stored kernel, and a pdfast solve without
+// reduction. Each *_seconds_sum value follows the wall clock and is masked.
+func TestMetricsExposition(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	hash := uploadGraph(t, srv, mwvc.RandomGraph(5, 200, 8)).Graph
+	noReduce := false
+	for _, body := range []SolveRequest{
+		{Graph: hash, Algorithm: "mpc", Seed: 1},
+		{Graph: hash, Algorithm: "mpc", Seed: 1},
+		{Graph: hash, Algorithm: "mpc-compress", Seed: 1},
+		{Graph: hash, Algorithm: "pdfast", Seed: 1, Reduce: &noReduce},
+	} {
+		if resp, sr := postSolve(t, srv, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: status %d %+v", body, resp.StatusCode, sr)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	for i, line := range lines {
+		if name, _, ok := strings.Cut(line, " "); ok && strings.HasSuffix(name, "_seconds_sum") {
+			lines[i] = name + " <masked>\n"
+		}
+	}
+	if got := strings.Join(lines, ""); got != metricsExposition {
+		t.Fatalf("GET /metrics:\n%s\nwant:\n%s", got, metricsExposition)
+	}
+}
+
+const metricsExposition = `# HELP mwvc_requests_total Solve requests submitted (admitted or rejected).
+# TYPE mwvc_requests_total counter
+mwvc_requests_total 4
+# HELP mwvc_requests_rejected_total Requests rejected by queue backpressure.
+# TYPE mwvc_requests_rejected_total counter
+mwvc_requests_rejected_total 0
+# HELP mwvc_cache_hits_total Requests answered from the solution cache.
+# TYPE mwvc_cache_hits_total counter
+mwvc_cache_hits_total 1
+# HELP mwvc_requests_done_total Requests completed successfully.
+# TYPE mwvc_requests_done_total counter
+mwvc_requests_done_total 4
+# HELP mwvc_requests_failed_total Requests failed (deadline, error, shutdown).
+# TYPE mwvc_requests_failed_total counter
+mwvc_requests_failed_total 0
+# HELP mwvc_requests_degraded_total Requests downgraded to the fallback solver under overload.
+# TYPE mwvc_requests_degraded_total counter
+mwvc_requests_degraded_total 0
+# HELP mwvc_requests_coalesced_total Duplicate requests coalesced onto an identical in-flight solve.
+# TYPE mwvc_requests_coalesced_total counter
+mwvc_requests_coalesced_total 0
+# HELP mwvc_requests_abandoned_total Requests abandoned by every waiting client.
+# TYPE mwvc_requests_abandoned_total counter
+mwvc_requests_abandoned_total 0
+# HELP mwvc_solver_panics_total Panics recovered in the request path.
+# TYPE mwvc_solver_panics_total counter
+mwvc_solver_panics_total 0
+# HELP mwvc_draining 1 while the engine refuses new work ahead of shutdown.
+# TYPE mwvc_draining gauge
+mwvc_draining 0
+# HELP mwvc_store_recovered_total Graph files verified and re-indexed by the startup recovery scan.
+# TYPE mwvc_store_recovered_total counter
+mwvc_store_recovered_total 0
+# HELP mwvc_store_quarantined_total Graph files quarantined by the startup recovery scan.
+# TYPE mwvc_store_quarantined_total counter
+mwvc_store_quarantined_total 0
+# HELP mwvc_store_temps_removed_total Orphaned write temps removed by the startup recovery scan.
+# TYPE mwvc_store_temps_removed_total counter
+mwvc_store_temps_removed_total 0
+# HELP mwvc_solves_in_flight Solves currently executing.
+# TYPE mwvc_solves_in_flight gauge
+mwvc_solves_in_flight 0
+# HELP mwvc_queue_depth Requests waiting in the FIFO queue.
+# TYPE mwvc_queue_depth gauge
+mwvc_queue_depth 0
+# HELP mwvc_graphs_stored Graphs in the content-addressed store.
+# TYPE mwvc_graphs_stored gauge
+mwvc_graphs_stored 1
+# HELP mwvc_rounds_total Communication rounds observed across all solves.
+# TYPE mwvc_rounds_total counter
+mwvc_rounds_total 2
+# HELP mwvc_observer_events_total Observer events fanned into the metrics stream.
+# TYPE mwvc_observer_events_total counter
+mwvc_observer_events_total 9
+# HELP mwvc_solve_seconds_sum Total wall-clock seconds spent solving (failed solves included).
+# TYPE mwvc_solve_seconds_sum counter
+mwvc_solve_seconds_sum <masked>
+# HELP mwvc_solve_seconds_count Solver executions timed, successful or failed (cache hits excluded).
+# TYPE mwvc_solve_seconds_count counter
+mwvc_solve_seconds_count 3
+# HELP mwvc_reduce_total Successful solver executions that ran the kernelization stage, reused kernels included.
+# TYPE mwvc_reduce_total counter
+mwvc_reduce_total 2
+# HELP mwvc_reduce_reused_total Successful solver executions that took their stored graph's kernel instead of reducing.
+# TYPE mwvc_reduce_reused_total counter
+mwvc_reduce_reused_total 1
+# HELP mwvc_reduce_seconds_sum Total wall-clock seconds spent kernelizing (successful solves; only reductions that ran).
+# TYPE mwvc_reduce_seconds_sum counter
+mwvc_reduce_seconds_sum <masked>
+# HELP mwvc_reduce_vertices_removed_total Vertices removed by kernelization across successful solves.
+# TYPE mwvc_reduce_vertices_removed_total counter
+mwvc_reduce_vertices_removed_total 8
+# HELP mwvc_reduce_edges_removed_total Edges removed by kernelization across successful solves.
+# TYPE mwvc_reduce_edges_removed_total counter
+mwvc_reduce_edges_removed_total 46
+# HELP mwvc_improve_total Successful solver executions that ran the anytime improvement stage.
+# TYPE mwvc_improve_total counter
+mwvc_improve_total 0
+# HELP mwvc_improve_seconds_sum Total wall-clock seconds spent improving (successful solves).
+# TYPE mwvc_improve_seconds_sum counter
+mwvc_improve_seconds_sum <masked>
+# HELP mwvc_improve_steps_total Accepted improvement moves across successful solves.
+# TYPE mwvc_improve_steps_total counter
+mwvc_improve_steps_total 0
+# HELP mwvc_improve_weight_removed_total Cover weight removed by improvement across successful solves.
+# TYPE mwvc_improve_weight_removed_total counter
+mwvc_improve_weight_removed_total 0
+# HELP mwvc_solves_by_algorithm_total Solver executions by algorithm.
+# TYPE mwvc_solves_by_algorithm_total counter
+mwvc_solves_by_algorithm_total{algorithm="mpc"} 1
+mwvc_solves_by_algorithm_total{algorithm="mpc-compress"} 1
+mwvc_solves_by_algorithm_total{algorithm="pdfast"} 1
+`

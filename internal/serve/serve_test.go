@@ -776,3 +776,53 @@ func TestImproveBudgetClamped(t *testing.T) {
 		t.Fatal("clamp-equivalent budget missed the cache")
 	}
 }
+
+// TestCacheKeyIgnoresOnlyTimeout pins the solution-cache key: resubmitting a
+// solved tuple with another Timeout is a cache hit, and changing any other
+// SolveParams field solves afresh.
+func TestCacheKeyIgnoresOnlyTimeout(t *testing.T) {
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 4})
+	hash := addGraph(t, e, testGraph(t, 1, 40, 4))
+	other := addGraph(t, e, testGraph(t, 2, 40, 4))
+	base := SolveParams{GraphHash: hash, Algorithm: "greedy", Epsilon: 0.1, Seed: 1}
+	solveFresh(t, e, base)
+
+	p := base
+	p.Timeout = 30 * time.Second
+	req, err := e.Submit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := req.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !req.Snapshot().Cached {
+		t.Fatal("resubmission with another Timeout missed the cache")
+	}
+
+	variants := []struct {
+		field  string
+		change func(*SolveParams)
+	}{
+		{"GraphHash", func(p *SolveParams) { p.GraphHash = other }},
+		{"Algorithm", func(p *SolveParams) { p.Algorithm = "bye" }},
+		{"Epsilon", func(p *SolveParams) { p.Epsilon = 0.2 }},
+		{"Seed", func(p *SolveParams) { p.Seed = 2 }},
+		{"PaperConstants", func(p *SolveParams) { p.PaperConstants = true }},
+		{"NoReduce", func(p *SolveParams) { p.NoReduce = true }},
+		{"ImproveBudgetMS", func(p *SolveParams) { p.ImproveBudgetMS = 5 }},
+	}
+	fields := map[string]bool{"Timeout": true}
+	for _, v := range variants {
+		fields[v.field] = true
+		p := base
+		v.change(&p)
+		solveFresh(t, e, p)
+	}
+	typ := reflect.TypeOf(SolveParams{})
+	for i := 0; i < typ.NumField(); i++ {
+		if name := typ.Field(i).Name; !fields[name] {
+			t.Errorf("SolveParams.%s has no variant in this test", name)
+		}
+	}
+}
