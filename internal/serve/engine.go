@@ -334,10 +334,14 @@ func (r *Request) Times() (queued, started, done time.Time) {
 
 // Subscribe returns the trace so far plus a live channel of subsequent
 // events; the channel is closed when the request finishes (immediately for
-// an already-finished request). Slow subscribers do not block the solve:
-// events beyond the channel's buffer are dropped. Call the returned cancel
-// function when done reading.
+// an already-finished request). A coalesced follower subscribes to its
+// leader, whose solve is the one it shares. Slow subscribers do not block
+// the solve: events beyond the channel's buffer are dropped. Call the
+// returned cancel function when done reading.
 func (r *Request) Subscribe(buffer int) (past []mwvc.Event, live <-chan mwvc.Event, cancel func()) {
+	if r.leader != nil {
+		return r.leader.Subscribe(buffer)
+	}
 	if buffer <= 0 {
 		buffer = 256
 	}

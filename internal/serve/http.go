@@ -349,7 +349,10 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 		select {
 		case e, ok := <-live:
 			if !ok {
-				// Request finished: emit the terminal event and stop.
+				// Request finished: emit the terminal event and stop. A
+				// follower's channel is its leader's, which can close
+				// before the follower has settled, so wait for it.
+				<-req.done
 				snap := req.Snapshot()
 				final := struct {
 					Status  Status `json:"status"`

@@ -272,3 +272,48 @@ func TestResponseEncodeFault(t *testing.T) {
 		t.Fatalf("retry after encode fault: %d %s", resp.StatusCode, raw)
 	}
 }
+
+// TestCoalescedFollowerTrace: a coalesced follower's trace stream is its
+// leader's. The gated solver's reduce events arrive before it blocks at the
+// gate, so the follower's stream, opened while the leader waits there,
+// carries them and then the leader's outcome, byte for byte as the leader's
+// own stream does.
+func TestCoalescedFollowerTrace(t *testing.T) {
+	release := setGate(t)
+	srv, e := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	hash := uploadGraph(t, srv, testGraph(t, 1, 60, 8)).Graph
+	wait := false
+	body := SolveRequest{Graph: hash, Algorithm: "test-gated", Seed: 9, Wait: &wait}
+	_, lead := postSolve(t, srv, body)
+	leader, ok := e.Lookup(lead.ID)
+	if !ok {
+		t.Fatalf("leader %s not addressable", lead.ID)
+	}
+	waitStatus(t, leader, StatusRunning)
+	_, fol := postSolve(t, srv, body)
+	if !fol.Coalesced {
+		t.Fatalf("duplicate of a running request not coalesced: %+v", fol)
+	}
+	trace := func(id string) (*http.Response, error) { return http.Get(srv.URL + "/v1/solve/" + id + "/trace") }
+	resp, err := trace(fol.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release() // the follower's stream is open: the rest of it arrives live
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err = trace(lead.ID); err != nil {
+		t.Fatal(err)
+	}
+	want, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(got, []byte("event: reduce-start\n")) || !bytes.Equal(got, want) {
+		t.Fatalf("follower's trace:\n%s\nleader's trace:\n%s", got, want)
+	}
+}
