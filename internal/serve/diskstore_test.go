@@ -237,7 +237,7 @@ func TestEngineRecoversDataDir(t *testing.T) {
 	if err != nil || sol == nil {
 		t.Fatalf("recovered solve: sol=%v err=%v", sol, err)
 	}
-	if m := e2.Metrics(); m.StoreRecovered != 1 {
-		t.Fatalf("metrics report %d recovered graphs, want 1", m.StoreRecovered)
+	if n := e2.store.Recovery().Recovered; n != 1 {
+		t.Fatalf("store reports %d recovered graphs, want 1", n)
 	}
 }

@@ -122,16 +122,6 @@ type SolveParams struct {
 	Timeout time.Duration
 }
 
-type cacheKey struct {
-	hash      string
-	algo      string
-	eps       float64
-	seed      uint64
-	paper     bool
-	noReduce  bool
-	improveMS int64
-}
-
 // Status is a request's lifecycle state.
 type Status string
 
@@ -198,26 +188,15 @@ type Request struct {
 
 	mu        sync.Mutex
 	completed bool // settle ran; all later settles are no-ops
-	cached    bool
-	coalesced bool
+	snap      Snapshot
 	// interest counts attached waiters that may still cancel: the submitter
 	// plus one per coalesced follower. When every sync waiter abandons
 	// (client disconnect) it reaches zero and the solve is cancelled.
 	interest    int
 	abandoned   bool
 	cancelSolve context.CancelFunc
-	status      Status
-	sol         *mwvc.Solution
-	coverSize   int
-	err         error
-	errMsg      string
-	rounds      int
 	events      []mwvc.Event
-	dropped     int
 	subs        []chan mwvc.Event
-	queuedAt    time.Time
-	startedAt   time.Time
-	doneAt      time.Time
 }
 
 // Wait blocks until the request finishes or ctx is done. A ctx error
@@ -263,9 +242,10 @@ func (r *Request) Abandon() {
 	}
 }
 
-// Snapshot is a consistent point-in-time view of a request's mutable state,
-// taken under one lock; it is the one way to read that state, so no reader
-// sees a request half finished (status "running" with a solution attached).
+// Snapshot is a request's mutable state. The request keeps its state as
+// one Snapshot, guarded by its lock, and Request.Snapshot returns a copy:
+// that is the one way to read the state, so no reader sees a request half
+// finished (status "running" with a solution attached).
 type Snapshot struct {
 	Status Status
 	// Cached marks a request answered from the solution cache at admission,
@@ -294,24 +274,11 @@ type Snapshot struct {
 	DoneAt       time.Time
 }
 
-// Snapshot returns an atomic view of the request's state.
+// Snapshot returns a copy of the request's state, taken under its lock.
 func (r *Request) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return Snapshot{
-		Status:       r.status,
-		Cached:       r.cached,
-		Coalesced:    r.coalesced,
-		Sol:          r.sol,
-		Err:          r.err,
-		ErrMsg:       r.errMsg,
-		Rounds:       r.rounds,
-		CoverSize:    r.coverSize,
-		TraceDropped: r.dropped,
-		QueuedAt:     r.queuedAt,
-		StartedAt:    r.startedAt,
-		DoneAt:       r.doneAt,
-	}
+	return r.snap
 }
 
 func coverSize(sol *mwvc.Solution) int {
@@ -329,7 +296,7 @@ func coverSize(sol *mwvc.Solution) int {
 func (r *Request) Times() (queued, started, done time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.queuedAt, r.startedAt, r.doneAt
+	return r.snap.QueuedAt, r.snap.StartedAt, r.snap.DoneAt
 }
 
 // Subscribe returns the trace so far plus a live channel of subsequent
@@ -348,7 +315,7 @@ func (r *Request) Subscribe(buffer int) (past []mwvc.Event, live <-chan mwvc.Eve
 	ch := make(chan mwvc.Event, buffer)
 	r.mu.Lock()
 	past = append([]mwvc.Event(nil), r.events...)
-	finished := r.status == StatusDone || r.status == StatusFailed
+	finished := r.snap.Status == StatusDone || r.snap.Status == StatusFailed
 	if finished {
 		close(ch)
 	} else {
@@ -380,12 +347,12 @@ func (r *Request) observe(e mwvc.Event) {
 	}
 	r.mu.Lock()
 	if e.Kind == mwvc.KindRound {
-		r.rounds = e.Round
+		r.snap.Rounds = e.Round
 	}
 	if len(r.events) < maxTraceEvents {
 		r.events = append(r.events, e)
 	} else {
-		r.dropped++
+		r.snap.TraceDropped++
 	}
 	for _, ch := range r.subs {
 		select {
@@ -403,9 +370,9 @@ func (r *Request) observe(e mwvc.Event) {
 // settle records the outcome and detaches the subscribers, and returns the
 // release step that closes their channels and done, waking every waiter. The
 // engine counts the request between the two steps, so a waiter that returns
-// from Wait sees it in Metrics. running reports that the request was in the
-// in-flight gauge. The first call wins; later calls (a worker's panic guard
-// firing after a normal completion path, a racing Close) return a nil
+// from Wait sees it in the counters. running reports that the request was in
+// the in-flight gauge. The first call wins; later calls (a worker's panic
+// guard firing after a normal completion path, a racing Close) return a nil
 // release. The cover cardinality is computed once here, not on every status
 // poll.
 func (r *Request) settle(sol *mwvc.Solution, err error, errMsg string) (release func(), running bool) {
@@ -414,25 +381,24 @@ func (r *Request) settle(sol *mwvc.Solution, err error, errMsg string) (release 
 		r.mu.Unlock()
 		return nil, false
 	}
-	running = r.status == StatusRunning
+	s := &r.snap
+	running = s.Status == StatusRunning
 	r.completed = true
-	r.sol = sol
-	r.err = err
-	r.errMsg = errMsg
+	s.Sol, s.Err, s.ErrMsg = sol, err, errMsg
 	if err == nil {
-		r.status = StatusDone
+		s.Status = StatusDone
 		if sol != nil && sol.Rounds > 0 {
-			r.rounds = sol.Rounds
+			s.Rounds = sol.Rounds
 		}
 	} else {
-		r.status = StatusFailed
+		s.Status = StatusFailed
 	}
 	if sol != nil {
-		r.coverSize = coverSize(sol)
+		s.CoverSize = coverSize(sol)
 	}
-	r.doneAt = time.Now()
-	if r.startedAt.IsZero() {
-		r.startedAt = r.doneAt // never ran (drain, coalesced, abandoned)
+	s.DoneAt = time.Now()
+	if s.StartedAt.IsZero() {
+		s.StartedAt = s.DoneAt // never ran (drain, coalesced, abandoned)
 	}
 	subs := r.subs
 	r.subs = nil
@@ -460,9 +426,9 @@ type Engine struct {
 	draining bool
 	requests map[string]*Request
 	finished []string // completed request ids, oldest first (retention ring)
-	cache    map[cacheKey]*mwvc.Solution
-	cacheSeq []cacheKey            // cache keys, oldest first (eviction ring)
-	inflight map[cacheKey]*Request // enqueued/running leaders, for coalescing
+	cache    map[SolveParams]*mwvc.Solution
+	cacheSeq []SolveParams            // cache keys, oldest first (eviction ring)
+	inflight map[SolveParams]*Request // enqueued/running leaders, for coalescing
 	nextID   uint64
 
 	met engineMetrics
@@ -498,8 +464,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		queue:       make(chan *Request, cfg.QueueDepth),
 		stop:        make(chan struct{}),
 		requests:    make(map[string]*Request),
-		cache:       make(map[cacheKey]*mwvc.Solution),
-		inflight:    make(map[cacheKey]*Request),
+		cache:       make(map[SolveParams]*mwvc.Solution),
+		inflight:    make(map[SolveParams]*Request),
 		degradeAt:   max(1, 3*cfg.QueueDepth/4),
 		degradeAlgo: degradeAlgo,
 	}
@@ -566,8 +532,8 @@ func (e *Engine) Lookup(id string) (*Request, bool) {
 }
 
 // Submit admits one solve request. It validates the algorithm and graph,
-// answers from the solution cache when the exact (graph, algorithm, ε, seed,
-// constants) tuple has already been solved, coalesces onto an identical
+// answers from the solution cache when the same normalized params, the
+// deadline aside, have already been solved, coalesces onto an identical
 // in-flight request (N concurrent duplicates share one solver execution),
 // and otherwise enqueues — degrading eligible requests to the cheap
 // fallback solver first when the queue is past the overload threshold. It
@@ -615,8 +581,7 @@ func (e *Engine) Submit(p SolveParams) (*Request, error) {
 		engine:   e,
 		done:     make(chan struct{}),
 		deadline: now.Add(p.Timeout),
-		status:   StatusQueued,
-		queuedAt: now,
+		snap:     Snapshot{Status: StatusQueued, QueuedAt: now},
 		interest: 1,
 	}
 	if sol, ok := e.cache[keyOf(p)]; ok {
@@ -647,7 +612,7 @@ func (e *Engine) Submit(p SolveParams) (*Request, error) {
 	// slot, no duplicate solver execution.
 	if leader, ok := e.inflight[keyOf(p)]; ok {
 		req.leader = leader
-		req.coalesced = true
+		req.snap.Coalesced = true
 		leader.followers = append(leader.followers, req)
 		leader.mu.Lock()
 		leader.interest++
@@ -671,13 +636,8 @@ func (e *Engine) Submit(p SolveParams) (*Request, error) {
 // admission time. Caller holds e.mu.
 func (e *Engine) completeCacheHitLocked(req *Request, sol *mwvc.Solution, now time.Time) {
 	req.completed = true
-	req.cached = true
-	req.status = StatusDone
-	req.sol = sol
-	req.coverSize = coverSize(sol)
-	req.rounds = sol.Rounds
-	req.startedAt = now
-	req.doneAt = now
+	req.snap = Snapshot{Status: StatusDone, Cached: true, Sol: sol, Rounds: sol.Rounds,
+		CoverSize: coverSize(sol), QueuedAt: now, StartedAt: now, DoneAt: now}
 	e.met.cacheHits.Add(1)
 	e.met.done.Add(1)
 	e.requests[req.ID] = req
@@ -785,9 +745,11 @@ func (e *Engine) countOutcome(err error) {
 	}
 }
 
-func keyOf(p SolveParams) cacheKey {
-	return cacheKey{hash: p.GraphHash, algo: p.Algorithm, eps: p.Epsilon, seed: p.Seed,
-		paper: p.PaperConstants, noReduce: p.NoReduce, improveMS: p.ImproveBudgetMS}
+// keyOf returns the solution-cache and coalescing key of the normalized
+// params p: p without its deadline, which a cached solution satisfies.
+func keyOf(p SolveParams) SolveParams {
+	p.Timeout = 0
+	return p
 }
 
 // run executes one dequeued request end to end: deadline context, observed
@@ -805,8 +767,8 @@ func (e *Engine) run(req *Request) {
 		e.complete(req, nil, context.Canceled, "abandoned: client disconnected while queued")
 		return
 	}
-	req.status = StatusRunning
-	req.startedAt = time.Now()
+	req.snap.Status = StatusRunning
+	req.snap.StartedAt = time.Now()
 	e.met.inFlight.Add(1) // complete takes it out before it releases the waiters
 	req.mu.Unlock()
 
@@ -921,19 +883,27 @@ func (e *Engine) solveGuarded(ctx context.Context, sg *StoredGraph, opts []mwvc.
 	return mwvc.Solve(ctx, sg.Graph, opts...)
 }
 
-// engineMetrics is the engine's aggregate instrumentation; see metrics.go
-// for the exported snapshot and the Prometheus exposition.
+// engineMetrics is the engine's aggregate instrumentation, fed by the
+// request lifecycle and by the observer stream of every solve;
+// writeMetrics (metrics.go) renders it as GET /metrics.
 type engineMetrics struct {
+	// Request lifecycle: Submit calls, admitted or rejected; backpressure
+	// rejections; cache hits at admission; requests finished done (cache
+	// hits included) or failed (deadline, solver error, shutdown); and the
+	// solves executing now (a gauge).
 	requestsTotal atomic.Int64
 	rejected      atomic.Int64
 	cacheHits     atomic.Int64
 	done          atomic.Int64
 	failed        atomic.Int64
 	inFlight      atomic.Int64
-	roundsTotal   atomic.Int64
-	eventsTotal   atomic.Int64
-	solveCount    atomic.Int64
-	solveNanos    atomic.Int64
+	// Observer stream across all solves: KindRound events and all events.
+	roundsTotal atomic.Int64
+	eventsTotal atomic.Int64
+	// Solver executions and their wall-clock time, failed ones included (a
+	// deadline-bound failure still burns worker time); cache hits excluded.
+	solveCount atomic.Int64
+	solveNanos atomic.Int64
 
 	// Robustness accounting: overload degradations, coalesced duplicate
 	// admissions, abandoned (client-disconnected) requests and recovered
@@ -956,12 +926,14 @@ type engineMetrics struct {
 	reduceEdgesRemoved    atomic.Int64
 
 	// Anytime-improvement accounting across successful solver executions
-	// that ran the stage (same exclusions as the reduce counters).
+	// that ran the stage (same exclusions as the reduce counters; exact
+	// solves skip the stage).
 	improveCount         atomic.Int64
 	improveNanos         atomic.Int64
 	improveSteps         atomic.Int64
 	improveWeightRemoved atomicFloat64
 
+	// perAlgo counts solver executions by algorithm, as solveCount does.
 	algoMu  sync.Mutex
 	perAlgo map[string]int64
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	mwvc "repro"
@@ -310,20 +309,6 @@ func (s *server) response(req *Request, snap Snapshot, includeCover bool) SolveR
 	return resp
 }
 
-// traceEventJSON is the SSE data payload for one observer event.
-type traceEventJSON struct {
-	Kind        string  `json:"kind"`
-	Phase       int     `json:"phase"`
-	Round       int     `json:"round"`
-	ActiveEdges int64   `json:"active_edges"`
-	DualBound   float64 `json:"dual_bound"`
-	Degree      float64 `json:"degree,omitempty"`
-	Machines    int     `json:"machines,omitempty"`
-	Iterations  int     `json:"iterations,omitempty"`
-	// Weight is the current cover weight for improvement-stage events.
-	Weight float64 `json:"weight,omitempty"`
-}
-
 func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.engine.Lookup(r.PathValue("id"))
 	if !ok {
@@ -374,29 +359,16 @@ func (s *server) trace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeSSE writes one observer event as an SSE event named after its kind,
+// with the event's own JSON as the data payload.
 func writeSSE(w http.ResponseWriter, e *mwvc.Event) {
-	data, _ := json.Marshal(traceEventJSON{
-		Kind:        e.Kind.String(),
-		Phase:       e.Phase,
-		Round:       e.Round,
-		ActiveEdges: e.ActiveEdges,
-		DualBound:   e.DualBound,
-		Degree:      e.Degree,
-		Machines:    e.Machines,
-		Iterations:  e.Iterations,
-		Weight:      e.Weight,
-	})
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Kind.String(), data)
+	data, _ := json.Marshal(e)
+	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Kind, data)
 }
 
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-	if err := WriteMetrics(&b, s.engine.Metrics()); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	fmt.Fprint(w, b.String())
+	s.engine.writeMetrics(w)
 }
 
 type errorResponse struct {

@@ -356,18 +356,18 @@ func TestHTTP256ConcurrentSolves(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	m := e.Metrics()
-	if m.RequestsTotal != clients || m.Done != clients || m.Rejected != 0 || m.Failed != 0 {
-		t.Fatalf("metrics after burst: %+v", m)
+	m := &e.met
+	if got, want := [...]int64{m.requestsTotal.Load(), m.done.Load(), m.rejected.Load(), m.failed.Load()}, [...]int64{clients, clients, 0, 0}; got != want {
+		t.Fatalf("requests, done, rejected, failed after burst: %v, want %v", got, want)
 	}
 	// Every request was answered exactly once: by a solver execution, from
 	// the cache, or by coalescing onto an identical in-flight solve (the
 	// split between the three is timing-dependent — only the sum is exact).
-	if m.SolveCount+m.CacheHits+m.Coalesced != clients {
-		t.Fatalf("solves %d + hits %d + coalesced %d != %d", m.SolveCount, m.CacheHits, m.Coalesced, clients)
+	if solves, hits, coalesced := m.solveCount.Load(), m.cacheHits.Load(), m.coalesced.Load(); solves+hits+coalesced != clients {
+		t.Fatalf("solves %d + hits %d + coalesced %d != %d", solves, hits, coalesced, clients)
 	}
-	if m.RoundsTotal == 0 || m.EventsTotal == 0 {
-		t.Fatalf("observer totals not fed under load: %+v", m)
+	if rounds, events := m.roundsTotal.Load(), m.eventsTotal.Load(); rounds == 0 || events == 0 {
+		t.Fatalf("observer totals not fed under load: %d rounds, %d events", rounds, events)
 	}
 }
 

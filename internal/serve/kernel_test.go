@@ -49,13 +49,12 @@ func TestKernelConcurrentFirstSolves(t *testing.T) {
 			took++
 		}
 	}
-	m := e.Metrics()
-	if m.ReduceCount != first || m.ReduceReused != took || took == first {
+	if count, reused := e.met.reduceCount.Load(), e.met.reduceReused.Load(); count != first || reused != took || took == first {
 		t.Fatalf("reduce count %d, reused %d, solves that took a kernel %d; want %d, equal, fewer than %d",
-			m.ReduceCount, m.ReduceReused, took, first, first)
+			count, reused, took, first, first)
 	}
 	sol := solveFresh(t, e, SolveParams{GraphHash: hash, Algorithm: "pdfast", Seed: 9})
-	if sol.Reduction.ReduceNS != 0 || e.Metrics().ReduceReused != took+1 {
+	if sol.Reduction.ReduceNS != 0 || e.met.reduceReused.Load() != took+1 {
 		t.Fatalf("the solve after the first ones reduced again (ReduceNS %d)", sol.Reduction.ReduceNS)
 	}
 }
@@ -100,7 +99,7 @@ func TestKernelNotStoredAfterDeadline(t *testing.T) {
 			t.Fatalf("solve %d after the stalled one: reduced %v, want %v", i+1, reduced, wantReduce)
 		}
 	}
-	if m := e.Metrics(); m.ReduceCount != 2 || m.ReduceReused != 1 {
-		t.Fatalf("reduce count %d, reused %d; want 2 and 1", m.ReduceCount, m.ReduceReused)
+	if count, reused := e.met.reduceCount.Load(), e.met.reduceReused.Load(); count != 2 || reused != 1 {
+		t.Fatalf("reduce count %d, reused %d; want 2 and 1", count, reused)
 	}
 }

@@ -76,9 +76,8 @@ func TestCoalescing(t *testing.T) {
 			t.Fatalf("follower %d: sol=%p err=%v, want the leader's solution %p", i, sol, err, leaderSol)
 		}
 	}
-	m := e.Metrics()
-	if m.SolveCount != 1 || m.Coalesced != dups || m.Done != dups+1 {
-		t.Fatalf("metrics %+v: want 1 solve, %d coalesced, %d done", m, dups, dups+1)
+	if solves, coalesced, done := e.met.solveCount.Load(), e.met.coalesced.Load(), e.met.done.Load(); solves != 1 || coalesced != dups || done != dups+1 {
+		t.Fatalf("%d solves, %d coalesced, %d done; want 1 solve, %d coalesced, %d done", solves, coalesced, done, dups, dups+1)
 	}
 }
 
@@ -130,8 +129,8 @@ func TestOverloadDegradation(t *testing.T) {
 	if snap := deg.Snapshot(); snap.Err != nil || snap.Sol == nil {
 		t.Fatalf("degraded solve: sol=%v err=%v", snap.Sol, snap.Err)
 	}
-	if m := e.Metrics(); m.Degraded != 1 {
-		t.Fatalf("metrics report %d degraded, want 1", m.Degraded)
+	if n := e.met.degraded.Load(); n != 1 {
+		t.Fatalf("metrics report %d degraded, want 1", n)
 	}
 }
 
@@ -215,15 +214,15 @@ func TestClientDisconnectCancelsSolve(t *testing.T) {
 		errc <- err
 	}()
 
-	waitMetric(t, func() int64 { return e.Metrics().InFlight }, 1, "in-flight gauge")
+	waitMetric(t, e.met.inFlight.Load, 1, "in-flight gauge")
 	cancel() // client hangs up mid-solve
 
 	if err := <-errc; err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("client error %v, want context.Canceled", err)
 	}
 	// The abandoned solve fails and frees the only worker.
-	waitMetric(t, func() int64 { return e.Metrics().Abandoned }, 1, "abandoned counter")
-	waitMetric(t, func() int64 { return e.Metrics().Failed }, 1, "failed counter")
+	waitMetric(t, e.met.abandoned.Load, 1, "abandoned counter")
+	waitMetric(t, e.met.failed.Load, 1, "failed counter")
 
 	after, err := e.Submit(SolveParams{GraphHash: hash, Algorithm: "greedy"})
 	if err != nil {

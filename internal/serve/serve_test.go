@@ -191,9 +191,8 @@ func TestSolveAndCacheHit(t *testing.T) {
 	if sol2 != sol1 {
 		t.Fatal("cache returned a different solution object")
 	}
-	m := e.Metrics()
-	if m.CacheHits != 1 || m.SolveCount != 1 || m.Done != 2 {
-		t.Fatalf("metrics after cache hit: %+v", m)
+	if hits, solves, done := e.met.cacheHits.Load(), e.met.solveCount.Load(), e.met.done.Load(); hits != 1 || solves != 1 || done != 2 {
+		t.Fatalf("after a cache hit: %d cache hits, %d solves, %d done; want 1, 1, 2", hits, solves, done)
 	}
 
 	// Any parameter change misses the cache.
@@ -211,20 +210,20 @@ func TestSolveAndCacheHit(t *testing.T) {
 
 // TestMetricsCountedBeforeWaitReturns pins the completion order: the engine
 // moves every counter and gauge a finished request touches before it
-// releases the request's waiters, so a Metrics snapshot taken as soon as
-// Wait returns already includes the request. Each cycle runs, one after the
-// other, a fresh solve, a cache hit at admission, a coalesced follower and a
-// failure, and compares the snapshot with the running totals.
+// releases the request's waiters, so counters read as soon as Wait returns
+// already include the request. Each cycle runs, one after the other, a
+// fresh solve, a cache hit at admission, a coalesced follower and a
+// failure, and compares the counters with the running totals.
 func TestMetricsCountedBeforeWaitReturns(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 4})
 	hash := addGraph(t, e, testGraph(t, 1, 60, 4))
 	var done, failed, hits, coalesced int64
 	check := func(what string) {
 		t.Helper()
-		m := e.Metrics()
-		if m.Done != done || m.Failed != failed || m.CacheHits != hits || m.Coalesced != coalesced || m.InFlight != 0 {
-			t.Fatalf("%s: metrics %+v; want done %d, failed %d, cache hits %d, coalesced %d, none in flight",
-				what, m, done, failed, hits, coalesced)
+		m := &e.met
+		got := [...]int64{m.done.Load(), m.failed.Load(), m.cacheHits.Load(), m.coalesced.Load(), m.inFlight.Load()}
+		if want := [...]int64{done, failed, hits, coalesced, 0}; got != want {
+			t.Fatalf("%s: done, failed, cache hits, coalesced, in flight = %v; want %v", what, got, want)
 		}
 	}
 	submitWait := func(p SolveParams) *Request {
@@ -316,8 +315,8 @@ func TestQueueBackpressure(t *testing.T) {
 	if _, err := e.Submit(SolveParams{GraphHash: hash, Algorithm: "test-gated", Seed: 3}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overfull queue: %v, want ErrQueueFull", err)
 	}
-	if m := e.Metrics(); m.Rejected != 1 {
-		t.Fatalf("rejected count %d, want 1", m.Rejected)
+	if n := e.met.rejected.Load(); n != 1 {
+		t.Fatalf("rejected count %d, want 1", n)
 	}
 
 	release()
@@ -374,8 +373,8 @@ func TestPerRequestDeadline(t *testing.T) {
 	if msg := snap.ErrMsg; !strings.Contains(msg, "deadline exceeded") {
 		t.Fatalf("error message %q not unified", msg)
 	}
-	if m := e.Metrics(); m.Failed != 1 {
-		t.Fatalf("failed count %d, want 1", m.Failed)
+	if n := e.met.failed.Load(); n != 1 {
+		t.Fatalf("failed count %d, want 1", n)
 	}
 }
 
@@ -449,9 +448,8 @@ func TestRequestTraceObserved(t *testing.T) {
 	if snap.Rounds != sol.Rounds {
 		t.Fatalf("snapshot rounds %d != solution %d", snap.Rounds, sol.Rounds)
 	}
-	m := e.Metrics()
-	if m.RoundsTotal != int64(sol.Rounds) || m.EventsTotal < int64(len(past)) {
-		t.Fatalf("observer metrics not fed: %+v (rounds want %d)", m, sol.Rounds)
+	if rounds, events := e.met.roundsTotal.Load(), e.met.eventsTotal.Load(); rounds != int64(sol.Rounds) || events < int64(len(past)) {
+		t.Fatalf("observer metrics not fed: %d rounds, %d events; want %d rounds, at least %d events", rounds, events, sol.Rounds, len(past))
 	}
 }
 
@@ -613,20 +611,19 @@ func TestReductionCacheKeyAndMetrics(t *testing.T) {
 			t.Fatalf("repeat with noReduce=%v missed the cache", noReduce)
 		}
 	}
-	m := e.Metrics()
-	if m.CacheHits != 2 || m.SolveCount != 2 {
-		t.Fatalf("cache hits %d / solves %d, want 2/2", m.CacheHits, m.SolveCount)
+	m := &e.met
+	if hits, solves := m.cacheHits.Load(), m.solveCount.Load(); hits != 2 || solves != 2 {
+		t.Fatalf("cache hits %d / solves %d, want 2/2", hits, solves)
 	}
-	if m.ReduceCount != 1 {
-		t.Fatalf("reduce count %d, want exactly the one kernelized solve", m.ReduceCount)
+	if n := m.reduceCount.Load(); n != 1 {
+		t.Fatalf("reduce count %d, want exactly the one kernelized solve", n)
 	}
-	if m.ReduceVerticesRemoved <= 0 || m.ReduceSeconds < 0 {
-		t.Fatalf("reduce metrics not threaded: %+v", m)
+	reduceNanos := m.reduceNanos.Load()
+	if removed := m.reduceVerticesRemoved.Load(); removed <= 0 || reduceNanos < 0 {
+		t.Fatalf("reduce metrics not threaded: %d vertices removed in %d ns", removed, reduceNanos)
 	}
 	var b strings.Builder
-	if err := WriteMetrics(&b, m); err != nil {
-		t.Fatal(err)
-	}
+	e.writeMetrics(&b)
 	if !strings.Contains(b.String(), "mwvc_reduce_total 1") {
 		t.Fatalf("Prometheus exposition lacks mwvc_reduce_total:\n%s", b.String())
 	}
@@ -636,26 +633,22 @@ func TestReductionCacheKeyAndMetrics(t *testing.T) {
 	// and its result is the fresh engine's bit for bit.
 	p := SolveParams{GraphHash: hash, Algorithm: "mpc", Seed: 6}
 	reused := solveFresh(t, e, p)
-	m2 := e.Metrics()
-	if m2.ReduceCount != 2 || m2.ReduceReused != 1 || m2.ReduceSeconds != m.ReduceSeconds {
-		t.Fatalf("reduce count %d, reused %d, seconds %v→%v; want 2, 1 and unchanged",
-			m2.ReduceCount, m2.ReduceReused, m.ReduceSeconds, m2.ReduceSeconds)
+	if count, reused, nanos := m.reduceCount.Load(), m.reduceReused.Load(), m.reduceNanos.Load(); count != 2 || reused != 1 || nanos != reduceNanos {
+		t.Fatalf("reduce count %d, reused %d, ns %d→%d; want 2, 1 and unchanged", count, reused, reduceNanos, nanos)
 	}
 	if reused.Reduction == nil || reused.Reduction.ReduceNS != 0 {
 		t.Fatalf("reduction stats of the reused kernel: %+v", reused.Reduction)
 	}
 	e2 := newTestEngine(t, Config{Workers: 1, QueueDepth: 8})
 	want := solveFresh(t, e2, SolveParams{GraphHash: addGraph(t, e2, g), Algorithm: "mpc", Seed: 6})
-	if want.Reduction.ReduceNS == 0 || e2.Metrics().ReduceReused != 0 {
+	if want.Reduction.ReduceNS == 0 || e2.met.reduceReused.Load() != 0 {
 		t.Fatal("the fresh engine's first solve did not reduce")
 	}
 	if !sameSolution(reused, want) {
 		t.Fatalf("solve through the stored kernel %+v, fresh engine %+v", reused, want)
 	}
 	b.Reset()
-	if err := WriteMetrics(&b, m2); err != nil {
-		t.Fatal(err)
-	}
+	e.writeMetrics(&b)
 	if !strings.Contains(b.String(), "\nmwvc_reduce_reused_total 1\n") {
 		t.Fatalf("Prometheus exposition lacks mwvc_reduce_reused_total:\n%s", b.String())
 	}
@@ -716,20 +709,18 @@ func TestImprovementCacheKeyAndMetrics(t *testing.T) {
 			t.Fatalf("repeat with budget=%dms missed the cache", budget)
 		}
 	}
-	m := e.Metrics()
-	if m.CacheHits != 2 || m.SolveCount != 2 {
-		t.Fatalf("cache hits %d / solves %d, want 2/2", m.CacheHits, m.SolveCount)
+	m := &e.met
+	if hits, solves := m.cacheHits.Load(), m.solveCount.Load(); hits != 2 || solves != 2 {
+		t.Fatalf("cache hits %d / solves %d, want 2/2", hits, solves)
 	}
-	if m.ImproveCount != 1 {
-		t.Fatalf("improve count %d, want exactly the one budgeted solve", m.ImproveCount)
+	if n := m.improveCount.Load(); n != 1 {
+		t.Fatalf("improve count %d, want exactly the one budgeted solve", n)
 	}
-	if m.ImproveSteps <= 0 || m.ImproveWeightRemoved <= 0 {
-		t.Fatalf("improve metrics not threaded: %+v", m)
+	if steps, removed := m.improveSteps.Load(), m.improveWeightRemoved.Load(); steps <= 0 || removed <= 0 {
+		t.Fatalf("improve metrics not threaded: %d steps removed weight %v", steps, removed)
 	}
 	var b strings.Builder
-	if err := WriteMetrics(&b, m); err != nil {
-		t.Fatal(err)
-	}
+	e.writeMetrics(&b)
 	for _, want := range []string{"mwvc_improve_total 1", "mwvc_improve_steps_total", "mwvc_improve_weight_removed_total"} {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("Prometheus exposition lacks %s:\n%s", want, b.String())

@@ -78,34 +78,41 @@ func (k EventKind) String() string {
 	}
 }
 
+// MarshalText returns the kind's wire name, so that an Event's JSON names
+// its kind as String does.
+func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
 // Event is one solve-progress observation. Fields that do not apply to the
 // emitting solver or kind are zero; ActiveEdges uses -1 for "not measured".
+// Its JSON is the data payload of the solve service's SSE trace events: the
+// kind's wire name, then the fields below, with a zero Degree, Machines,
+// Iterations or Weight left out.
 type Event struct {
-	Kind EventKind
+	Kind EventKind `json:"kind"`
 	// Phase is the phase index for phase-scoped events; -1 when the event is
 	// not tied to a phase.
-	Phase int
+	Phase int `json:"phase"`
 	// Round is the cumulative accounted round/iteration count at the time of
 	// the event.
-	Round int
+	Round int `json:"round"`
 	// ActiveEdges is the number of edges still active (nonfrozen) after the
 	// event, or -1 when the emitting round does not measure it.
-	ActiveEdges int64
+	ActiveEdges int64 `json:"active_edges"`
 	// DualBound is the running total Σ_e x_e over finalized dual variables.
 	// It becomes the weak-duality lower bound after feasibility rescaling;
 	// mid-solve it is a raw progress indicator, not a certified bound.
-	DualBound float64
+	DualBound float64 `json:"dual_bound"`
 	// Degree is the degree scale driving a phase: average residual degree
 	// for the MPC algorithm, maximum active degree for GGK.
-	Degree float64
+	Degree float64 `json:"degree,omitempty"`
 	// Machines and Iterations echo the phase parameters (m and I) for
 	// phase-start events, and the final-phase iteration count for
 	// KindFinalPhase.
-	Machines   int
-	Iterations int
+	Machines   int `json:"machines,omitempty"`
+	Iterations int `json:"iterations,omitempty"`
 	// Weight is the current cover weight for the improvement-stage events
 	// (KindImproveStart/Step/End); 0 elsewhere.
-	Weight float64
+	Weight float64 `json:"weight,omitempty"`
 }
 
 // Observer receives solve-progress events. Implementations must be fast and
