@@ -140,6 +140,9 @@ const (
 	StatusFailed Status = "failed"
 )
 
+// settled reports whether s is a final state, done or failed.
+func (s Status) settled() bool { return s == StatusDone || s == StatusFailed }
+
 // Engine errors surfaced by Submit and by failing requests.
 var (
 	ErrQueueFull    = errors.New("serve: solve queue full")
@@ -186,9 +189,8 @@ type Request struct {
 	leader    *Request
 	followers []*Request
 
-	mu        sync.Mutex
-	completed bool // settle ran; all later settles are no-ops
-	snap      Snapshot
+	mu   sync.Mutex
+	snap Snapshot
 	// interest counts attached waiters that may still cancel: the submitter
 	// plus one per coalesced follower. When every sync waiter abandons
 	// (client disconnect) it reaches zero and the solve is cancelled.
@@ -225,7 +227,7 @@ func (r *Request) Abandon() {
 		t = r.leader
 	}
 	t.mu.Lock()
-	if t.completed {
+	if t.snap.Status.settled() {
 		t.mu.Unlock()
 		return
 	}
@@ -315,8 +317,7 @@ func (r *Request) Subscribe(buffer int) (past []mwvc.Event, live <-chan mwvc.Eve
 	ch := make(chan mwvc.Event, buffer)
 	r.mu.Lock()
 	past = append([]mwvc.Event(nil), r.events...)
-	finished := r.snap.Status == StatusDone || r.snap.Status == StatusFailed
-	if finished {
+	if r.snap.Status.settled() {
 		close(ch)
 	} else {
 		r.subs = append(r.subs, ch)
@@ -377,13 +378,12 @@ func (r *Request) observe(e mwvc.Event) {
 // poll.
 func (r *Request) settle(sol *mwvc.Solution, err error, errMsg string) (release func(), running bool) {
 	r.mu.Lock()
-	if r.completed {
+	s := &r.snap
+	if s.Status.settled() {
 		r.mu.Unlock()
 		return nil, false
 	}
-	s := &r.snap
 	running = s.Status == StatusRunning
-	r.completed = true
 	s.Sol, s.Err, s.ErrMsg = sol, err, errMsg
 	if err == nil {
 		s.Status = StatusDone
@@ -635,7 +635,6 @@ func (e *Engine) Submit(p SolveParams) (*Request, error) {
 // completeCacheHitLocked finishes a request from the solution cache at
 // admission time. Caller holds e.mu.
 func (e *Engine) completeCacheHitLocked(req *Request, sol *mwvc.Solution, now time.Time) {
-	req.completed = true
 	req.snap = Snapshot{Status: StatusDone, Cached: true, Sol: sol, Rounds: sol.Rounds,
 		CoverSize: coverSize(sol), QueuedAt: now, StartedAt: now, DoneAt: now}
 	e.met.cacheHits.Add(1)
