@@ -11,14 +11,16 @@
 // checking), which is safe for concurrent use; the engine adds admission
 // control (backpressure via ErrQueueFull), resource partitioning (Workers
 // × SolverParallelism ≈ GOMAXPROCS) and result reuse (the cache keyed by
-// graph hash + solve parameters — solves are deterministic given a seed,
-// so a cached solution is indistinguishable from a fresh one — and each
-// stored graph's kernel, shared by all of its fresh solves).
+// the request's SolveParams without its deadline — solves are
+// deterministic given a seed, so a cached solution is indistinguishable
+// from a fresh one — and each stored graph's kernel, shared by all of its
+// fresh solves).
 //
 // # Pieces
 //
 //   - Engine (engine.go): queue, worker pool, request lifecycle
-//     (queued → running → done|failed), per-request observer fan-out.
+//     (queued → running → done|failed, held as one Snapshot per request),
+//     per-request observer fan-out.
 //   - GraphStore (store.go): graphs keyed by "sha256:" of their canonical
 //     serialization (docs/FORMATS.md §content-hash canonicalization), so
 //     repeat uploads and solve requests never re-parse an instance. Each
@@ -30,8 +32,12 @@
 //     acknowledged, and a startup recovery scan rebuilds the index —
 //     verifying every file's content hash, quarantining what fails.
 //   - HTTP layer (http.go): POST /v1/graphs, POST /v1/solve (sync or
-//     async), status polling, SSE traces, Prometheus metrics, health.
-//   - Metrics (metrics.go): counters and gauges in Prometheus text form.
+//     async), status polling, SSE traces (each event's data is the
+//     solver.Event's own JSON; a coalesced follower streams its leader's
+//     events), Prometheus metrics, health.
+//   - Metrics (metrics.go): the engine's counters and gauges in
+//     Prometheus text form, one row per series, read straight from the
+//     counters.
 //
 // # Robustness
 //
