@@ -57,8 +57,9 @@ const noFreeze = -1
 const maxPhases = 64
 
 // partitioned, when a test sets it, sees the driver after each phase's
-// partition and before the phase's rounds.
-var partitioned func(*driver)
+// partition and before the phase's rounds; collected sees it after the
+// collect round and before Lines (2h)–(2k).
+var partitioned, collected func(*driver)
 
 // maxSplits bounds how often the gathered schedule doubles and redraws an
 // oversized partition before the phase falls back to the native schedule.
@@ -145,11 +146,11 @@ func RunGathered(ctx context.Context, g *graph.Graph, p Params, gatherWords func
 // state is the algorithm state that outlives the sampled phases: the graph,
 // the simulated cluster, the result being built, and the freeze
 // bookkeeping. frozenIncident[v] accumulates Σ_{e∋v frozen} x_e so that
-// w′(v) = w(v) − frozenIncident[v] (Line 2b); the residual degrees and the
-// nonfrozen count are updated at every edge freeze (Line 2k). res.X[e] is 0
-// for a nonfrozen edge outside the running phase; inside a phase it holds
-// the phase dual of each E[V^high] edge, from Line 2c until the edge
-// freezes at its Line 2h weight or is reset to 0.
+// w′(v) = w(v) − frozenIncident[v] (Line 2b); it is kept only for vertices
+// outside the cover, the only ones residual reads. The residual degrees and
+// the nonfrozen count are updated at every edge freeze (Line 2k). res.X
+// holds finalized duals only: it is +0 on every nonfrozen edge, and an
+// edge's entry is written once, when it freezes.
 type state struct {
 	ctx     context.Context
 	g       *graph.Graph
@@ -169,7 +170,9 @@ type state struct {
 }
 
 // driver runs the sampled phases on a state. Its per-phase scratch is
-// reused across phases and becomes garbage before the final phase.
+// reused across phases and becomes garbage before the final phase. It keeps
+// no per-edge array: an E[V^high] edge's Line 2c dual is
+// min(shares[u], shares[v]), computed wherever it is read.
 type driver struct {
 	*state
 	gs     *GatherStats // nil: every phase runs native
@@ -179,14 +182,14 @@ type driver struct {
 	// machine that owns it this phase (-1 otherwise). The partition assigns
 	// each vertex to exactly one machine and the scatter only ships
 	// co-located edges, so concurrent machines touch disjoint entries; each
-	// machine resets its own entries after its simulation. factor[v] is
-	// v's Line 2h growth factor. homeCount[h] is home machine h's
-	// nonfrozen-edge count, recounted from edgeFrozen by the Line 2c sweep.
+	// machine resets its own entries after its simulation. shares[v] is
+	// v's Line 2c price and factor[v] its Line 2h growth factor. homeCount[h]
+	// is home machine h's nonfrozen-edge count, recounted from edgeFrozen by
+	// the partition's edge sweep.
 	high                                    []bool
-	wres, shares, yMPC, factor              []float64
+	wres, shares, factor                    []float64
 	highIndex, partOf, freezeIter, localIdx []int32
 	highList, newlyFrozen                   []graph.Vertex
-	highEdges                               []int32
 	pow, bias                               []float64
 	partWords, localEdges, homeCount        []int64
 	scratch                                 []machScratch
@@ -251,15 +254,14 @@ func run(ctx context.Context, g *graph.Graph, p Params, gs *GatherStats, gatherW
 	}
 	// The n-sized scratch arrays are carved out of one backing allocation
 	// per element type.
-	f64 := make([]float64, 4*n)
+	f64 := make([]float64, 3*n)
 	i32 := make([]int32, 4*n)
 	d := &driver{
 		state: s, gs: gs, budget: memWords / 2,
 		high:       make([]bool, n),
 		wres:       f64[:n:n],
 		shares:     f64[n : 2*n : 2*n],
-		yMPC:       f64[2*n : 3*n : 3*n],
-		factor:     f64[3*n:],
+		factor:     f64[2*n:],
 		highIndex:  i32[:n:n],
 		partOf:     i32[n : 2*n : 2*n],
 		freezeIter: i32[2*n : 3*n : 3*n],
@@ -447,8 +449,11 @@ func (d *driver) phases() (int, error) {
 		if err := d.rounds(); err != nil {
 			return 0, err
 		}
+		if collected != nil {
+			collected(d)
+		}
 		if p.CollectCoupling {
-			d.capture() // before Line (2h) rescales res.X in place
+			d.capture()
 		}
 		frozenAtSim, frozenAt2i := d.reconcile()
 
@@ -487,24 +492,24 @@ func (d *driver) phases() (int, error) {
 	}
 }
 
-// partition computes the Line (2c) initial duals on E[V^high] and draws the
-// phase's partition of V^high (Lines 2e/2f) under its schedule. Line 2c
-// prices each V^high vertex once, w′(v)/d(v), and each edge takes the smaller
-// share of its endpoints. The shares are computed here rather than while
-// classifying: residual() can freeze a vertex there, which lowers the
-// residual degree of neighbors classified before it.
+// partition prices Line (2c) and draws the phase's partition of V^high
+// (Lines 2e/2f) under its schedule. Line 2c prices each V^high vertex once,
+// shares[v] = w′(v)/d(v), and an E[V^high] edge's initial dual is the
+// smaller share of its endpoints; under the uniform-init ablation every
+// share is the uniform base, so the same min yields it. The dual is not
+// stored: the scatter, the coupling capture and Lines 2h/2i compute it where
+// they read it. The shares are computed here rather than while classifying:
+// residual() can freeze a vertex there, which lowers the residual degree of
+// neighbors classified before it.
 //
 // The partition is drawn before the edge sweep, so the sweep does all the
-// per-edge work the phase's rounds need: it recounts each home machine's
-// nonfrozen edges (edge e lives on home e mod fleet), lists E[V^high] with
-// its Line 2c duals written into res.X, and files every co-located edge
-// under its home in increasing id order. The gathered schedule prices each
-// group's induced instance (vertex and co-located edge records; attempt 0 is
-// priced in the sweep) and splits — doubles the group count and redraws —
-// until the largest group fits the gather budget. When the splits run out,
-// the phase runs on the native schedule.
+// per-edge work the phase's rounds need. The gathered schedule prices each
+// group's induced instance (vertex and co-located edge records; the sweep
+// prices the edges) and splits — doubles the group count, redraws and
+// sweeps again — until the largest group fits the gather budget. When the
+// splits run out, the phase runs on the native schedule.
 func (d *driver) partition() error {
-	p, ep := d.p, d.ep
+	p := d.p
 	machines := min(max(p.NumMachines(d.deg), 1), d.fleet)
 	d.sched, d.parts = native, machines
 	if d.gs != nil {
@@ -514,51 +519,21 @@ func (d *driver) partition() error {
 		d.drawPartition()
 	}
 
-	if d.highEdges == nil {
-		// The first phase's nonfrozen count bounds |E[V^high]| in every phase.
-		d.highEdges = make([]int32, 0, d.nonfrozen)
-	}
-	uniform, uniformBase := p.UniformInit, 0.0
-	if uniform {
+	if p.UniformInit {
 		wmin := math.Inf(1)
 		for _, v := range d.highList {
 			wmin = math.Min(wmin, d.wres[v])
 		}
-		uniformBase = wmin / float64(d.n)
+		base := wmin / float64(d.n)
+		for _, v := range d.highList {
+			d.shares[v] = base
+		}
 	} else {
 		for _, v := range d.highList {
 			d.shares[v] = d.wres[v] / float64(d.resDeg[v])
 		}
 	}
-	d.clearHomes()
-	clear(d.homeCount)
-	priced := d.sched == gathered
-	x, frozen, high, shares, partOf := d.res.X, d.edgeFrozen, d.high, d.shares, d.partOf
-	homeCount, partWords, scratch, highEdges := d.homeCount, d.partWords, d.scratch, d.highEdges[:0]
-	for e, h := 0, 0; e < d.m; e++ {
-		if !frozen[e] {
-			homeCount[h]++
-			if u, v := ep[2*e], ep[2*e+1]; high[u] && high[v] {
-				highEdges = append(highEdges, int32(e))
-				if uniform {
-					x[e] = uniformBase
-				} else {
-					x[e] = min(shares[u], shares[v])
-				}
-				if pu := partOf[u]; pu == partOf[v] {
-					sc := &scratch[h]
-					sc.edgeIDs = append(sc.edgeIDs, int32(e))
-					if priced {
-						partWords[pu] += mpc.EdgeRecordWords
-					}
-				}
-			}
-		}
-		if h++; h == d.fleet {
-			h = 0
-		}
-	}
-	d.highEdges = highEdges
+	d.sweep()
 
 	for attempt := 0; d.sched == gathered; {
 		if err := d.ctx.Err(); err != nil {
@@ -577,9 +552,42 @@ func (d *driver) partition() error {
 			d.gs.Splits++
 			d.drawGroups(attempt)
 		}
-		d.colocate()
+		d.sweep()
 	}
 	return nil
+}
+
+// sweep walks the edge ids 0..m−1 once, with the home index h = e mod fleet
+// kept as a wrapping counter. It recounts each home machine's nonfrozen
+// edges and files every co-located E[V^high] edge (both endpoints in one
+// part) under its home in increasing id order, pricing it when the phase is
+// gathered.
+//
+//mwvc:hotpath
+func (d *driver) sweep() {
+	d.clearHomes()
+	clear(d.homeCount)
+	priced := d.sched == gathered
+	ep, high, partOf := d.ep, d.high, d.partOf
+	homeCount, partWords, scratch := d.homeCount, d.partWords, d.scratch
+	h := 0
+	for e, frozen := range d.edgeFrozen {
+		if !frozen {
+			homeCount[h]++
+			if u, v := ep[2*e], ep[2*e+1]; high[u] && high[v] {
+				if pu := partOf[u]; pu == partOf[v] {
+					sc := &scratch[h]
+					sc.edgeIDs = append(sc.edgeIDs, int32(e))
+					if priced {
+						partWords[pu] += mpc.EdgeRecordWords
+					}
+				}
+			}
+		}
+		if h++; h == d.fleet {
+			h = 0
+		}
+	}
 }
 
 // drawPartition draws the native schedule's 'P' partition of V^high over
@@ -608,23 +616,20 @@ func (d *driver) clearHomes() {
 	}
 }
 
-// colocate rebuilds the home machines' co-located edge lists from highEdges
-// after a redraw of the partition, and prices the co-located edges when the
-// phase is still gathered. highEdges is in increasing id order, so every list
-// is too. Only this rare path divides per edge to find a home.
-func (d *driver) colocate() {
-	d.clearHomes()
-	for _, e := range d.highEdges {
-		pu := d.partOf[d.ep[2*e]]
-		if pu != d.partOf[d.ep[2*e+1]] {
-			continue
-		}
-		sc := &d.scratch[int(e)%d.fleet]
-		sc.edgeIDs = append(sc.edgeIDs, e)
-		if d.sched == gathered {
-			d.partWords[pu] += mpc.EdgeRecordWords
-		}
-	}
+// x0 is Line (2c)'s initial dual of the E[V^high] edge (u, v).
+func (d *driver) x0(u, v graph.Vertex) float64 {
+	return min(d.shares[u], d.shares[v])
+}
+
+// upperRow returns the part of v's row past v itself: the neighbors above v
+// and the ids of the edges to them, the edges whose lower endpoint v is.
+// Edge ids are lexicographic, so these ids are consecutive and increasing,
+// and walking the upper rows of increasing vertices meets edge ids in
+// increasing order.
+func (s *state) upperRow(v graph.Vertex) ([]graph.Vertex, []graph.EdgeID) {
+	nbrs := s.g.Neighbors(v)
+	lo, _ := slices.BinarySearch(nbrs, v)
+	return nbrs[lo:], s.g.IncidentEdges(v)[lo:]
 }
 
 // rounds runs the phase's cluster rounds under its schedule.
@@ -661,7 +666,7 @@ func (d *driver) rounds() error {
 }
 
 // aggregate (native) sends each home machine's nonfrozen-edge count, as the
-// Line 2c sweep recounted it, to machine 0.
+// partition's edge sweep recounted it, to machine 0.
 func (d *driver) aggregate(mach *mpc.Machine) error {
 	return mach.Send(0, []uint64{tagScalar, uint64(d.homeCount[mach.ID()])})
 }
@@ -706,8 +711,8 @@ func (d *driver) share(mach *mpc.Machine) error {
 }
 
 // scatter routes each home machine's V^high vertex records and co-located
-// E[V^high] edges (the list partition filed under it) to the machine that
-// simulates them. Under the native schedule it first checks the shared
+// E[V^high] edges (the list partition filed under it, each with its Line 2c
+// dual) to the machine that simulates them. Under the native schedule it first checks the shared
 // average degree; under the gathered one it piggybacks its nonfrozen-edge
 // count to machine 0.
 func (d *driver) scatter(mach *mpc.Machine) error {
@@ -791,7 +796,7 @@ func (d *driver) scatter(mach *mpc.Machine) error {
 	for _, e := range sc.edgeIDs {
 		u, v := d.ep[2*e], d.ep[2*e+1]
 		dst := d.partOf[u]
-		mpc.SetEdgeRecord(eBuf[dst], int(eCnt[dst]), u, v, d.res.X[e])
+		mpc.SetEdgeRecord(eBuf[dst], int(eCnt[dst]), u, v, d.x0(u, v))
 		eCnt[dst]++
 	}
 	return nil
@@ -934,8 +939,9 @@ func (d *driver) collect(mach *mpc.Machine) error {
 	return nil
 }
 
-// capture records the phase for the coupling analysis, with the Line 2c
-// duals that res.X holds before reconcile rescales them.
+// capture records the phase for the coupling analysis: V^high with its
+// partition and freeze iterations, and E[V^high] in increasing id order with
+// its Line 2c duals.
 func (d *driver) capture() {
 	cp := CouplingPhase{
 		Phase:          d.phase,
@@ -945,30 +951,31 @@ func (d *driver) capture() {
 		ResidualWeight: make([]float64, len(d.highList)),
 		MachineOf:      make([]int, len(d.highList)),
 		FreezeIter:     make([]int, len(d.highList)),
-		Edges:          make([][2]int32, len(d.highEdges)),
-		X0:             make([]float64, len(d.highEdges)),
 	}
-	for i, v := range d.highList {
-		cp.ResidualWeight[i] = d.wres[v]
-		cp.MachineOf[i] = int(d.partOf[v])
-		cp.FreezeIter[i] = int(d.freezeIter[v])
-	}
-	for i, e := range d.highEdges {
-		u, v := d.ep[2*e], d.ep[2*e+1]
-		cp.Edges[i] = [2]int32{d.highIndex[u], d.highIndex[v]}
-		cp.X0[i] = d.res.X[e]
+	for i, u := range d.highList {
+		cp.ResidualWeight[i] = d.wres[u]
+		cp.MachineOf[i] = int(d.partOf[u])
+		cp.FreezeIter[i] = int(d.freezeIter[u])
+		nbrs, _ := d.upperRow(u)
+		for _, v := range nbrs {
+			if d.high[v] {
+				cp.Edges = append(cp.Edges, [2]int32{d.highIndex[u], d.highIndex[v]})
+				cp.X0 = append(cp.X0, d.x0(u, v))
+			}
+		}
 	}
 	d.res.Coupling = append(d.res.Coupling, cp)
 }
 
 // reconcile applies Lines (2h)–(2k) to the collected freeze iterations and
-// returns how many vertices froze in the simulation and at Line 2i.
+// returns how many vertices froze in the simulation and at Line 2i. An
+// E[V^high] edge (u, v) — an edge between two V^high vertices, nonfrozen
+// since a frozen edge has an endpoint in the cover — gets the Line 2h
+// weight x0(u, v)·min(f(u), f(v)), where f(v) = pow[t(v)] for the earliest
+// freeze iteration t(v) (t′ = I when v stayed active). pow increases, so
+// min(f(u), f(v)) is pow[min(t(u), t(v))]. The weight is computed where it
+// is read: at Line 2i, in the freeze pass, and in the w′ gathers.
 func (d *driver) reconcile() (frozenAtSim, frozenAt2i int) {
-	// Line (2h): every edge of E[V^high] gets the weight implied by the
-	// earliest endpoint freeze (t′ = I when both stayed active). Each V^high
-	// vertex looks up its factor pow[t(v)] once; pow increases, so an edge's
-	// min(f(u), f(v)) is pow[min(t(u), t(v))]. The Line (2i) per-vertex sums
-	// accumulate in the same walk.
 	iters := d.iters
 	if cap(d.pow) < iters+1 {
 		d.pow = make([]float64, iters+1)
@@ -985,20 +992,11 @@ func (d *driver) reconcile() (frozenAtSim, frozenAt2i int) {
 			t = int(fi)
 		}
 		d.factor[v] = pow[t]
-		d.yMPC[v] = 0
-	}
-	x, f, y, ep := d.res.X, d.factor, d.yMPC, d.ep
-	for _, e := range d.highEdges {
-		u, v := ep[2*e], ep[2*e+1]
-		xe := x[e] * min(f[u], f[v])
-		x[e] = xe
-		y[u] += xe
-		y[v] += xe
 	}
 
 	// Freeze set 1: vertices frozen by their local simulation. Line (2i):
-	// vertices whose incident E[V^high] weight already exceeds their
-	// residual weight freeze too, so residuals stay nonnegative in later
+	// an active vertex whose incident E[V^high] weight already reaches its
+	// residual weight freezes too, so residuals stay nonnegative in later
 	// phases.
 	d.newlyFrozen = d.newlyFrozen[:0]
 	for _, v := range d.highList {
@@ -1008,42 +1006,94 @@ func (d *driver) reconcile() (frozenAtSim, frozenAt2i int) {
 	}
 	frozenAtSim = len(d.newlyFrozen)
 	for _, v := range d.highList {
-		if d.freezeIter[v] < 0 && y[v] >= d.wres[v]*(1-1e-12) {
+		if d.freezeIter[v] < 0 && d.highSum(v) >= d.wres[v]*(1-1e-12) {
 			d.newlyFrozen = append(d.newlyFrozen, v)
 		}
 	}
 	frozenAt2i = len(d.newlyFrozen) - frozenAtSim
-	cover := d.res.Cover
 	for _, v := range d.newlyFrozen {
-		cover[v] = true
+		d.res.Cover[v] = true
 	}
 
-	// Finalize edges: E[V^high] edges with a frozen endpoint keep their
-	// Line (2h) weight (freezeEdge's bookkeeping, with the totals held in
-	// locals), and the rest go back to 0 until a later phase prices them.
-	// Line (2j) freezes the rest of a frozen vertex's edges at 0.
-	frozen, resDeg, incident := d.edgeFrozen, d.resDeg, d.frozenIncident
-	nonfrozen, dualSum := d.nonfrozen, d.dualSum
-	for _, e := range d.highEdges {
-		u, v := ep[2*e], ep[2*e+1]
-		if !cover[u] && !cover[v] {
-			x[e] = 0
-			continue
+	// Finalize: E[V^high] edges with a covered endpoint freeze at their
+	// Line (2h) weight and the rest stay nonfrozen at +0. Each V^high vertex
+	// left outside the cover then adds its newly frozen edges to its w′
+	// bookkeeping, and Line (2j) freezes the rest of a covered vertex's
+	// edges at 0.
+	d.freeze()
+	for _, v := range d.highList {
+		if !d.res.Cover[v] {
+			d.gatherFrozen(v)
 		}
-		xe := x[e]
-		frozen[e] = true
-		resDeg[u]--
-		resDeg[v]--
-		nonfrozen--
-		incident[u] += xe
-		incident[v] += xe
-		dualSum += xe
 	}
-	d.nonfrozen, d.dualSum = nonfrozen, dualSum
 	for _, v := range d.newlyFrozen {
 		d.freezeVertex(v)
 	}
 	return frozenAtSim, frozenAt2i
+}
+
+// highSum is Line (2i)'s sum at v: the Line (2h) weights of v's E[V^high]
+// edges, added in v's row order. A row is in increasing edge-id order, so
+// the sum adds the terms in the order of one walk over E[V^high] by id.
+func (d *driver) highSum(v graph.Vertex) float64 {
+	high, shares, f := d.high, d.shares, d.factor
+	sv, fv := shares[v], f[v]
+	y := 0.0
+	for _, u := range d.g.Neighbors(v) {
+		if high[u] {
+			y += min(shares[u], sv) * min(f[u], fv)
+		}
+	}
+	return y
+}
+
+// freeze is the finalize pass: one walk over the upper rows of V^high,
+// which meets every E[V^high] edge once and in increasing id order. Each
+// edge with an endpoint in the cover freezes at its Line (2h) weight, with
+// the residual degrees, the nonfrozen count and the dual total kept as
+// freezeEdge keeps them (the totals in locals, the dual total added in id
+// order).
+//
+//mwvc:hotpath
+func (d *driver) freeze() {
+	x, frozen, resDeg := d.res.X, d.edgeFrozen, d.resDeg
+	cover, high, shares, f := d.res.Cover, d.high, d.shares, d.factor
+	nonfrozen, dualSum := d.nonfrozen, d.dualSum
+	for _, u := range d.highList {
+		su, fu, cu := shares[u], f[u], cover[u]
+		nbrs, edges := d.upperRow(u)
+		froze := 0
+		for i, v := range nbrs {
+			if !high[v] || !cu && !cover[v] {
+				continue
+			}
+			e := edges[i]
+			xe := min(su, shares[v]) * min(fu, f[v])
+			x[e] = xe
+			frozen[e] = true
+			resDeg[v]--
+			froze++
+			dualSum += xe
+		}
+		resDeg[u] -= froze
+		nonfrozen -= int64(froze)
+	}
+	d.nonfrozen, d.dualSum = nonfrozen, dualSum
+}
+
+// gatherFrozen adds the weights of v's E[V^high] edges that froze in this
+// phase (those to a covered V^high vertex) to frozenIncident[v], in row
+// order, which is the edge-id order the freeze pass met them in.
+func (d *driver) gatherFrozen(v graph.Vertex) {
+	x, cover, high := d.res.X, d.res.Cover, d.high
+	edges := d.g.IncidentEdges(v)
+	inc := d.frozenIncident[v]
+	for i, u := range d.g.Neighbors(v) {
+		if high[u] && cover[u] {
+			inc += x[edges[i]]
+		}
+	}
+	d.frozenIncident[v] = inc
 }
 
 // finalPhase is Line (3): the residual instance moves to one machine (the

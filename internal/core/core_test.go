@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -403,4 +403,29 @@ func TestRoundsGrowSlowlyWithDegree(t *testing.T) {
 	if p1024 > p32+6 {
 		t.Fatalf("phases grew too fast: %d at d=32, %d at d=1024", p32, p1024)
 	}
+}
+
+// TestRunAllocationPerEdge pins what one solve allocates per input edge on
+// a dense graph, where E[V^high] is every edge. The result's duals and the
+// frozen flags take 9 bytes of it; the rest is the machines' classes and
+// messages and the final phase's residual instance. An m-sized scratch
+// array of 4-byte entries or wider puts it over the pin.
+func TestRunAllocationPerEdge(t *testing.T) {
+	g := gen.ApplyWeights(gen.GnpAvgDegree(1, 2000, 200), 1, gen.UniformRange{Lo: 1, Hi: 100})
+	p := ParamsPractical(0.1, 1)
+	p.Parallelism = 1
+	if _, err := Run(context.Background(), g, p); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(context.Background(), g, p); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(g.NumEdges())
+	if perEdge > 21 {
+		t.Fatalf("Run allocates %.1f bytes per edge on %d edges, want at most 21", perEdge, g.NumEdges())
+	}
+	t.Logf("Run allocates %.1f bytes per edge", perEdge)
 }

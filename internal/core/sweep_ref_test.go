@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -10,12 +11,22 @@ import (
 	"repro/internal/graph"
 )
 
+// Two references live here, each a former form of the phase driver kept as
+// the oracle its replacement must reproduce bit for bit.
+//
 // The home machines used to find their own edges by striding through the
 // edge ids: home id took edges id, id+fleet, … once in the aggregate round
 // (the nonfrozen count) and once in the scatter round (the count report and
-// the co-located E[V^high] edges). The Line 2c sweep in partition now does
+// the co-located E[V^high] edges). The edge sweep in partition now does
 // both for every home at once. The two strided scans are kept below as
-// they were in the rounds, as the reference the sweep must reproduce.
+// they were in the rounds.
+//
+// Lines 2h–2k used to run as two sweeps over a stored list of E[V^high]
+// ids, with every Line 2c dual written into res.X by the partition sweep
+// and the per-vertex sums kept in an n-sized array. reconcile now computes
+// the duals where it reads them, gathers the Line 2i sum and the w′
+// bookkeeping from rows, and freezes in one pass over the rows' upper
+// parts. refReconcile keeps the two-sweep form.
 
 // stridedAggregate is the aggregate round's count: home id's nonfrozen
 // edges.
@@ -64,19 +75,176 @@ func sweepGraph() *graph.Graph {
 	return gen.ApplyWeights(b.MustBuild(), 10, gen.UniformRange{Lo: 1, Hi: 100})
 }
 
-// onPartition installs fn as the partition hook for the rest of the test.
-func onPartition(t *testing.T, fn func(*driver)) {
+// refReconcile is the two-sweep reconcile, with the Line 2c sweep's part
+// that fed it: it lists E[V^high] in id order and writes each edge's Line 2c
+// dual into res.X, then scales them in place (Line 2h) while summing y, and
+// finalizes in a second walk. It returns the freeze counts and y.
+func refReconcile(d *driver) (frozenAtSim, frozenAt2i int, y []float64) {
+	x, ep := d.res.X, d.ep
+	uniformBase := 0.0
+	if d.p.UniformInit {
+		wmin := math.Inf(1)
+		for _, v := range d.highList {
+			wmin = math.Min(wmin, d.wres[v])
+		}
+		uniformBase = wmin / float64(d.n)
+	}
+	var highEdges []int32
+	for e := 0; e < d.m; e++ {
+		if u, v := ep[2*e], ep[2*e+1]; !d.edgeFrozen[e] && d.high[u] && d.high[v] {
+			highEdges = append(highEdges, int32(e))
+			if d.p.UniformInit {
+				x[e] = uniformBase
+			} else {
+				x[e] = min(d.wres[u]/float64(d.resDeg[u]), d.wres[v]/float64(d.resDeg[v]))
+			}
+		}
+	}
+
+	pow := make([]float64, d.iters+1)
+	pow[0] = 1
+	growth := 1 / (1 - d.p.Epsilon)
+	for t := 1; t <= d.iters; t++ {
+		pow[t] = pow[t-1] * growth
+	}
+	f, y := make([]float64, d.n), make([]float64, d.n)
+	for _, v := range d.highList {
+		t := d.iters
+		if fi := d.freezeIter[v]; fi >= 0 {
+			t = int(fi)
+		}
+		f[v] = pow[t]
+	}
+	for _, e := range highEdges {
+		u, v := ep[2*e], ep[2*e+1]
+		xe := x[e] * min(f[u], f[v])
+		x[e] = xe
+		y[u] += xe
+		y[v] += xe
+	}
+
+	var newlyFrozen []graph.Vertex
+	for _, v := range d.highList {
+		if d.freezeIter[v] >= 0 {
+			newlyFrozen = append(newlyFrozen, v)
+		}
+	}
+	frozenAtSim = len(newlyFrozen)
+	for _, v := range d.highList {
+		if d.freezeIter[v] < 0 && y[v] >= d.wres[v]*(1-1e-12) {
+			newlyFrozen = append(newlyFrozen, v)
+		}
+	}
+	frozenAt2i = len(newlyFrozen) - frozenAtSim
+	cover := d.res.Cover
+	for _, v := range newlyFrozen {
+		cover[v] = true
+	}
+	for _, e := range highEdges {
+		u, v := ep[2*e], ep[2*e+1]
+		if !cover[u] && !cover[v] {
+			x[e] = 0
+			continue
+		}
+		xe := x[e]
+		d.edgeFrozen[e] = true
+		d.resDeg[u]--
+		d.resDeg[v]--
+		d.nonfrozen--
+		d.frozenIncident[u] += xe
+		d.frozenIncident[v] += xe
+		d.dualSum += xe
+	}
+	for _, v := range newlyFrozen {
+		d.freezeVertex(v)
+	}
+	return frozenAtSim, frozenAt2i, y
+}
+
+// cloneDriver returns a copy of d that a reconcile can run on without
+// touching d: the result's cover and duals, the freeze bookkeeping and
+// reconcile's scratch are its own.
+func cloneDriver(d *driver) *driver {
+	st := *d.state
+	st.res = &Result{Cover: slices.Clone(d.res.Cover), X: slices.Clone(d.res.X)}
+	st.edgeFrozen = slices.Clone(d.edgeFrozen)
+	st.frozenIncident = slices.Clone(d.frozenIncident)
+	st.resDeg = slices.Clone(d.resDeg)
+	c := *d
+	c.state = &st
+	c.factor = make([]float64, d.n)
+	c.newlyFrozen, c.pow = nil, nil
+	return &c
+}
+
+// checkPositiveZero fails unless res.X is +0 on every nonfrozen edge.
+func checkPositiveZero(t *testing.T, d *driver, when string) {
 	t.Helper()
-	partitioned = fn
-	t.Cleanup(func() { partitioned = nil })
+	for e, frozen := range d.edgeFrozen {
+		if !frozen && math.Float64bits(d.res.X[e]) != 0 {
+			t.Fatalf("phase %d %s: nonfrozen edge %d holds x = %v", d.phase, when, e, d.res.X[e])
+		}
+	}
+}
+
+// checkReconcile runs reconcile and refReconcile on two copies of d, taken
+// after the collect round, and requires the same duals, cover, freeze
+// bookkeeping, dual total, w′ outside the cover and Line 2i sums, bit for
+// bit.
+func checkReconcile(t *testing.T, d *driver) {
+	t.Helper()
+	checkPositiveZero(t, d, "start")
+	got, want := cloneDriver(d), cloneDriver(d)
+	gotSim, got2i := got.reconcile()
+	wantSim, want2i, y := refReconcile(want)
+	if gotSim != wantSim || got2i != want2i {
+		t.Fatalf("phase %d: froze %d in the simulation and %d at Line 2i, reference %d and %d", d.phase, gotSim, got2i, wantSim, want2i)
+	}
+	for _, v := range d.highList {
+		if d.freezeIter[v] < 0 {
+			if g, w := got.highSum(v), y[v]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("phase %d: Line 2i sum at vertex %d is %v, reference %v", d.phase, v, g, w)
+			}
+		}
+	}
+	for e := range d.m {
+		if g, w := got.res.X[e], want.res.X[e]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("phase %d: x[%d] = %v, reference %v", d.phase, e, g, w)
+		}
+	}
+	if !slices.Equal(got.res.Cover, want.res.Cover) || !slices.Equal(got.edgeFrozen, want.edgeFrozen) {
+		t.Fatalf("phase %d: cover or frozen edges differ from the reference", d.phase)
+	}
+	if !slices.Equal(got.resDeg, want.resDeg) || got.nonfrozen != want.nonfrozen {
+		t.Fatalf("phase %d: residual degrees or nonfrozen count (%d, reference %d) differ", d.phase, got.nonfrozen, want.nonfrozen)
+	}
+	if math.Float64bits(got.dualSum) != math.Float64bits(want.dualSum) {
+		t.Fatalf("phase %d: dual total %v, reference %v", d.phase, got.dualSum, want.dualSum)
+	}
+	for v, in := range got.res.Cover {
+		if g, w := got.frozenIncident[v], want.frozenIncident[v]; !in && math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("phase %d: vertex %d outside the cover has frozen incident weight %v, reference %v", d.phase, v, g, w)
+		}
+	}
+	checkPositiveZero(t, got, "end")
+}
+
+// setHook installs fn in the driver hook *at for the rest of the test.
+func setHook(t *testing.T, at *func(*driver), fn func(*driver)) {
+	t.Helper()
+	*at = fn
+	t.Cleanup(func() { *at = nil })
 }
 
 // TestSweepMatchesStride checks every phase of several runs, under both
-// schedules and through the split and fallback paths: each home's list holds
-// the ids the strided scan finds, in the same order, and its recount equals
-// the strided counts. Equal lists make the scatter's messages word for word
-// the strided ones; only the order would otherwise show, as last bits of
-// local float sums.
+// schedules and through the split and fallback paths. After the partition,
+// each home's list holds the ids the strided scan finds, in the same order,
+// and its recount equals the strided counts. Equal lists make the scatter's
+// messages word for word the strided ones; only the order would otherwise
+// show, as last bits of local float sums. After the collect round, reconcile
+// must reproduce refReconcile bit for bit (checkReconcile). The order of
+// its row gathers shows only in last bits too: a reversed row moves no
+// freeze on the golden inputs.
 func TestSweepMatchesStride(t *testing.T) {
 	bimodal := sweepGraph()
 	gnp := gen.ApplyWeights(gen.GnpAvgDegree(17, 800, 40), 17, gen.UniformRange{Lo: 1, Hi: 100})
@@ -106,8 +274,12 @@ func TestSweepMatchesStride(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			phases := 0
-			onPartition(t, func(d *driver) {
+			phases, reconciled := 0, 0
+			setHook(t, &collected, func(d *driver) {
+				reconciled++
+				checkReconcile(t, d)
+			})
+			setHook(t, &partitioned, func(d *driver) {
 				phases++
 				listed := 0
 				for id := 0; id < d.fleet; id++ {
@@ -152,8 +324,8 @@ func TestSweepMatchesStride(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if phases < c.minPhases {
-				t.Fatalf("checked %d phases, want at least %d", phases, c.minPhases)
+			if phases < c.minPhases || reconciled != phases {
+				t.Fatalf("checked %d partitions and %d reconciles, want at least %d of each", phases, reconciled, c.minPhases)
 			}
 			if (gs.Splits > 0) != (c.splits || c.fallback) || gs.Fallback != c.fallback {
 				t.Fatalf("splits %d, fallback %v; want splits %v, fallback %v", gs.Splits, gs.Fallback, c.splits || c.fallback, c.fallback)
@@ -168,7 +340,7 @@ func TestSweepMatchesStride(t *testing.T) {
 // the phase.
 func TestCheckCountCatchesDesync(t *testing.T) {
 	g := gen.ApplyWeights(gen.GnpAvgDegree(17, 800, 40), 17, gen.UniformRange{Lo: 1, Hi: 100})
-	onPartition(t, func(d *driver) { d.homeCount[d.fleet-1]++ })
+	setHook(t, &partitioned, func(d *driver) { d.homeCount[d.fleet-1]++ })
 	p := ParamsPractical(0.1, 1)
 	if _, err := Run(context.Background(), g, p); err == nil || !strings.Contains(err.Error(), "aggregated") {
 		t.Fatalf("native: err %v, want the aggregated-count mismatch", err)
