@@ -131,7 +131,8 @@ const (
 	// StatusQueued marks a request admitted to the FIFO queue, not yet
 	// picked up by a worker.
 	StatusQueued Status = "queued"
-	// StatusRunning marks a request whose solve is in flight.
+	// StatusRunning marks a request whose solve is in flight: its own, or
+	// for a coalesced follower its leader's.
 	StatusRunning Status = "running"
 	// StatusDone marks a completed request whose Solution is available.
 	StatusDone Status = "done"
@@ -372,10 +373,10 @@ func (r *Request) observe(e mwvc.Event) {
 // release step that closes their channels and done, waking every waiter. The
 // engine counts the request between the two steps, so a waiter that returns
 // from Wait sees it in the counters. running reports that the request was in
-// the in-flight gauge. The first call wins; later calls (a worker's panic
-// guard firing after a normal completion path, a racing Close) return a nil
-// release. The cover cardinality is computed once here, not on every status
-// poll.
+// the in-flight gauge, which counts a running leader but not its followers.
+// The first call wins; later calls (a worker's panic guard firing after a
+// normal completion path, a racing Close) return a nil release. The cover
+// cardinality is computed once here, not on every status poll.
 func (r *Request) settle(sol *mwvc.Solution, err error, errMsg string) (release func(), running bool) {
 	r.mu.Lock()
 	s := &r.snap
@@ -383,7 +384,7 @@ func (r *Request) settle(sol *mwvc.Solution, err error, errMsg string) (release 
 		r.mu.Unlock()
 		return nil, false
 	}
-	running = s.Status == StatusRunning
+	running = s.Status == StatusRunning && r.leader == nil
 	s.Sol, s.Err, s.ErrMsg = sol, err, errMsg
 	if err == nil {
 		s.Status = StatusDone
@@ -398,7 +399,7 @@ func (r *Request) settle(sol *mwvc.Solution, err error, errMsg string) (release 
 	}
 	s.DoneAt = time.Now()
 	if s.StartedAt.IsZero() {
-		s.StartedAt = s.DoneAt // never ran (drain, coalesced, abandoned)
+		s.StartedAt = s.DoneAt // never ran (drain, abandoned, a leader that never ran)
 	}
 	subs := r.subs
 	r.subs = nil
@@ -609,13 +610,18 @@ func (e *Engine) Submit(p SolveParams) (*Request, error) {
 	}
 	// Admission coalescing: an identical tuple already enqueued or solving
 	// makes this request a follower sharing the leader's outcome — no queue
-	// slot, no duplicate solver execution.
+	// slot, no duplicate solver execution. A follower of a running leader
+	// runs from its own admission on; one admitted earlier starts with the
+	// leader (startFollowers).
 	if leader, ok := e.inflight[keyOf(p)]; ok {
 		req.leader = leader
 		req.snap.Coalesced = true
 		leader.followers = append(leader.followers, req)
 		leader.mu.Lock()
 		leader.interest++
+		if leader.snap.Status == StatusRunning {
+			req.snap.Status, req.snap.StartedAt = StatusRunning, now
+		}
 		leader.mu.Unlock()
 		e.met.coalesced.Add(1)
 		e.requests[req.ID] = req
@@ -766,10 +772,11 @@ func (e *Engine) run(req *Request) {
 		e.complete(req, nil, context.Canceled, "abandoned: client disconnected while queued")
 		return
 	}
-	req.snap.Status = StatusRunning
-	req.snap.StartedAt = time.Now()
+	started := time.Now()
+	req.snap.Status, req.snap.StartedAt = StatusRunning, started
 	e.met.inFlight.Add(1) // complete takes it out before it releases the waiters
 	req.mu.Unlock()
+	e.startFollowers(req, started)
 
 	// The deadline was fixed at admission; a request that exhausted it in
 	// the queue fails here without wasting a solver execution on it.
@@ -865,6 +872,21 @@ func (e *Engine) run(req *Request) {
 	e.cache[key] = sol
 	e.mu.Unlock()
 	e.complete(req, sol, nil, "")
+}
+
+// startFollowers marks the requests coalesced onto leader so far as
+// running from the leader's start, which is later than their admission. A
+// follower is not a solve, so the in-flight gauge does not count it.
+func (e *Engine) startFollowers(leader *Request, started time.Time) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, f := range leader.followers {
+		f.mu.Lock()
+		if f.snap.Status == StatusQueued {
+			f.snap.Status, f.snap.StartedAt = StatusRunning, started
+		}
+		f.mu.Unlock()
+	}
 }
 
 // solveGuarded runs mwvc.Solve behind its own recover guard, so a panic in

@@ -81,6 +81,72 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestFollowerRunsWithLeader polls coalesced followers while their leader
+// waits in the queue and then blocks in its solve. A follower reads queued
+// while its leader does and running once the leader runs, from the later of
+// its own admission and the leader's start; the in-flight gauge counts the
+// one solve only.
+func TestFollowerRunsWithLeader(t *testing.T) {
+	release := setGate(t)
+	defer release() // before the engine's Close, should the test fail early
+	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 4})
+	hash := addGraph(t, e, testGraph(t, 1, 30, 3))
+	blocker, err := e.Submit(SolveParams{GraphHash: hash, Algorithm: "test-gated", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, blocker, StatusRunning) // holds the only worker at the gate
+
+	p := SolveParams{GraphHash: hash, Algorithm: "test-gated", Seed: 2}
+	leader, err := e.Submit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, err := e.Submit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := early.Snapshot(); !s.Coalesced || s.Status != StatusQueued {
+		t.Fatalf("follower of a queued leader: coalesced %v, status %s; want coalesced and queued", s.Coalesced, s.Status)
+	}
+
+	// Abandoning the blocker cancels its solve; the worker then takes the
+	// leader, which blocks at the gate.
+	blocker.Abandon()
+	waitStatus(t, leader, StatusRunning)
+	waitStatus(t, early, StatusRunning)
+	late, err := e.Submit(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := leader.Snapshot().StartedAt
+	if s := early.Snapshot(); !s.StartedAt.Equal(started) {
+		t.Fatalf("early follower started at %v, want the leader's start %v", s.StartedAt, started)
+	}
+	if s := late.Snapshot(); !s.Coalesced || s.Status != StatusRunning || !s.StartedAt.Equal(s.QueuedAt) {
+		t.Fatalf("follower of a running leader: coalesced %v, status %s, started %v; want running from its admission %v", s.Coalesced, s.Status, s.StartedAt, s.QueuedAt)
+	}
+	if n := e.met.inFlight.Load(); n != 1 {
+		t.Fatalf("in-flight gauge %d with one solve running", n)
+	}
+
+	release()
+	for _, r := range []*Request{leader, early, late} {
+		if err := r.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := early.Snapshot(); s.Status != StatusDone || !s.StartedAt.Equal(started) || s.DoneAt.Before(started) {
+		t.Fatalf("early follower settled %s, started %v, done %v; want done, started with the leader at %v", s.Status, s.StartedAt, s.DoneAt, started)
+	}
+	if s := late.Snapshot(); s.Status != StatusDone || !s.StartedAt.Equal(s.QueuedAt) {
+		t.Fatalf("late follower settled %s, started %v; want done, started at its admission %v", s.Status, s.StartedAt, s.QueuedAt)
+	}
+	if n := e.met.inFlight.Load(); n != 0 {
+		t.Fatalf("in-flight gauge %d after every request finished", n)
+	}
+}
+
 // TestOverloadDegradation drives the queue past the threshold and checks that
 // an eligible request is downgraded to the fallback solver with a tightened
 // improvement budget — and that a request already asking for the fallback is
